@@ -6,11 +6,15 @@ canonical form has no trailing zeros, and the zero polynomial is the
 empty tuple with degree -1.  All arithmetic is exact; there is no
 floating point anywhere in this module.
 
-Factors of the shape 1 - q^j get dedicated O(length) multiply/divide
-helpers, since every q-expression in the package is a ratio of products
-of such factors.  Division by a general polynomial is schoolbook long
-division over Z, refusing to divide when a leading coefficient does not
-divide exactly (sufficient here: every divisor is monic up to sign).
+General multiplication is Kronecker substitution: both operands are
+packed into single integers with one byte-aligned slot per coefficient,
+multiplied once with Python's big-integer multiply, and the product's
+coefficients are read back from the slots.  Factors of the shape 1 - q^j
+get dedicated O(length) multiply/divide helpers, since every q-expression
+in the package is a ratio of products of such factors.  Division by a
+general polynomial is schoolbook long division over Z, refusing to divide
+when a leading coefficient does not divide exactly (sufficient here: every
+divisor is monic up to sign).
 """
 
 from __future__ import annotations
@@ -121,25 +125,29 @@ class DensePoly:
         return self + (-other)
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
+        """Exact product by Kronecker substitution.
+
+        Each operand is packed into one integer, sum c_i 2^(w i), with
+        byte-aligned w-bit slots; w leaves a sign bit above the largest
+        possible product coefficient, min(len a, len b) max|a| max|b|.
+        One big-integer multiply then forms every coefficient at once.
+        Adding 2^(w-1) to each slot makes every digit of the product
+        non-negative and smaller than 2^w, so no slot borrows from its
+        neighbour, and each coefficient is its slot minus 2^(w-1).
+        """
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return DensePoly.zero()
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for j, c in enumerate(b):
-            if c == 0:
-                continue
-            if c == 1:
-                for i, x in enumerate(a):
-                    out[i + j] += x
-            elif c == -1:
-                for i, x in enumerate(a):
-                    out[i + j] -= x
-            else:
-                for i, x in enumerate(a):
-                    out[i + j] += c * x
-        return DensePoly(out)
+        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+        k = bound.bit_length() // 8 + 1  # slot bytes: bound < 2^(8k-1)
+        n = len(a) + len(b) - 1
+        packed = _pack(a, k) * _pack(b, k)
+        offset = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+        data = (packed + offset).to_bytes(k * n, "little")
+        half = 1 << (8 * k - 1)
+        return DensePoly(
+            [int.from_bytes(data[i : i + k], "little") - half for i in range(0, k * n, k)]
+        )
 
     def __divmod__(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
         if other.is_zero():
@@ -217,6 +225,13 @@ class DensePoly:
     def to_json_coeffs(self) -> list[str]:
         """Ascending coefficients as decimal strings."""
         return [str(c) for c in self.coeffs]
+
+
+def _pack(coeffs: tuple[int, ...], k: int) -> int:
+    """sum c_i 2^(8k i) for signed c_i with |c_i| < 2^(8k)."""
+    pos = b"".join([(c if c > 0 else 0).to_bytes(k, "little") for c in coeffs])
+    neg = b"".join([(-c if c < 0 else 0).to_bytes(k, "little") for c in coeffs])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 # --------------------------------------------------------------------------

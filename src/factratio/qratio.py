@@ -162,18 +162,25 @@ def exponent_vector(spec: QRatioSpec, n: int) -> CycloExponentVector:
 
 
 def expand(vector: CycloExponentVector) -> DensePoly:
-    """Multiply out prod Phi_d^{e_d}; requires every e_d >= 0."""
+    """Multiply out prod Phi_d^{e_d}; requires every e_d >= 0.
+
+    The factors Phi_d (each repeated e_d times) are multiplied pairwise in
+    a balanced product tree, so most products are between operands of
+    similar size, which is where the big-integer multiply behind
+    ``DensePoly.__mul__`` is fastest.
+    """
     bad = vector.first_negative()
     if bad is not None:
         raise NotPolynomialError(
             f"negative cyclotomic exponent e_{bad} = {vector.exponents[bad]}", d=bad
         )
-    out = DensePoly.one()
-    for d in sorted(vector.exponents):
-        phi = cyclotomic(d)
-        for _ in range(vector.exponents[d]):
-            out = out * phi
-    return out
+    factors = [
+        cyclotomic(d) for d in sorted(vector.exponents) for _ in range(vector.exponents[d])
+    ] or [DensePoly.one()]
+    while len(factors) > 1:
+        pairs = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[len(pairs) * 2 :]
+    return factors[0]
 
 
 def naive_expand(spec: QRatioSpec, n: int) -> DensePoly:

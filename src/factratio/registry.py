@@ -449,6 +449,16 @@ def _recheck_family_polynomiality(family_id: str, n: int, primary_poly_ok: bool)
         )
 
 
+def _confirm_expansion(spec, n: int, poly, message: str) -> None:
+    """Raise InternalCheckError unless the division route reproduces poly."""
+    try:
+        oracle = naive_expand(spec, n)
+    except NotPolynomialError:
+        oracle = None
+    if oracle != poly:
+        raise InternalCheckError(message)
+
+
 def _check_family_polynomiality(claim_id: str, point: tuple[int, ...]):
     (n,) = point
     family_ids = THM_7_2_FAMILY_IDS if claim_id == "thm-7.2" else THM_7_4_FAMILY_IDS
@@ -490,12 +500,9 @@ def _check_family_positivity(claim_id: str, point: tuple[int, ...]):
             continue
         bad = first_negative_index(poly)
         if bad is not None:
-            # confirm the coefficient through the independent division route
-            oracle = naive_expand(family.spec, n)
-            if oracle != poly:
-                raise InternalCheckError(
-                    f"expansion routes disagree for {fid} at n={n}"
-                )
+            _confirm_expansion(
+                family.spec, n, poly, f"expansion routes disagree for {fid} at n={n}"
+            )
             failures.append(
                 {"n": n, "family": fid, "index": bad, "coefficient": poly[bad]}
             )
@@ -510,10 +517,11 @@ def _check_unimodality(claim_id: str, point: tuple[int, ...]):
         failures.append({"n": n, "property": "reciprocal"})
     witness = unimodality_witness(poly)
     if witness is not None:
-        oracle = naive_expand(FAMILIES["wz"].spec, n)
-        if oracle != poly:
-            raise InternalCheckError(f"expansion routes disagree for wz at n={n}")
         failures.append({"n": n, "property": "unimodal", "index": witness})
+    if failures:
+        _confirm_expansion(
+            FAMILIES["wz"].spec, n, poly, f"expansion routes disagree for wz at n={n}"
+        )
     return 2, failures
 
 
@@ -533,9 +541,6 @@ def _check_gcd_product(claim_id: str, point: tuple[int, ...]):
     poly = expand(vector)
     bad_i = first_negative_index(poly)
     if bad_i is not None:
-        oracle = naive_expand(spec, 1)
-        if oracle != poly:
-            raise InternalCheckError(f"gcd-product routes disagree at {base}")
         failures.append({**base, "index": bad_i, "coefficient": poly[bad_i]})
     expected = gcd_product_q1_value(a, b, m, n, use_gcd=use_gcd)
     if poly.evaluate(1) != expected:
@@ -544,6 +549,8 @@ def _check_gcd_product(claim_id: str, point: tuple[int, ...]):
         )
     if use_gcd and not is_reciprocal(poly):
         failures.append({**base, "property": "reciprocal"})
+    if failures:
+        _confirm_expansion(spec, 1, poly, f"gcd-product routes disagree at {base}")
     return checked, failures
 
 

@@ -63,6 +63,49 @@ def test_one_minus_power_helpers_match_generic_ops():
             assert q.mul_one_minus_power(j) == p
 
 
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return DensePoly(out)
+
+
+def _random_coeffs(rng, length, mag):
+    cs = [rng.choice((0, rng.randint(-mag, mag))) for _ in range(length)]
+    cs[-1] = rng.choice((-mag, mag))  # keep the length and hit the extreme
+    return cs
+
+
+def test_mul_matches_schoolbook_reference():
+    rng = random.Random(2013)
+    for mag in (1, 7, 2**31, 10**40):
+        for la in range(1, 61):
+            lb = rng.randint(1, 60)
+            a = DensePoly(_random_coeffs(rng, la, mag))
+            b = DensePoly(_random_coeffs(rng, lb, rng.choice((1, 7, 2**31, 10**40))))
+            assert a * b == _schoolbook(a.coeffs, b.coeffs)
+            assert b * a == _schoolbook(b.coeffs, a.coeffs)
+
+
+def test_mul_tight_slots():
+    """Equal-length constant operands put min(len) max|a| max|b| in the
+    middle slot, the largest value a slot must hold; it catches a slot
+    one bit too narrow for the sign."""
+    for mag in (1, 7, 127, 128, 255, 256, 2**31, 10**40):
+        for length in (1, 2, 3, 60):
+            pos, neg = DensePoly([mag] * length), DensePoly([-mag] * length)
+            for a, b in ((neg, neg), (pos, neg), (neg, pos), (pos, pos)):
+                assert a * b == _schoolbook(a.coeffs, b.coeffs)
+
+
+def test_mul_by_zero_and_constants():
+    p = DensePoly((3, 0, -5))
+    assert (p * DensePoly.zero()).is_zero()
+    assert (DensePoly.zero() * p).is_zero()
+    assert (p * DensePoly((-1,))).coeffs == (-3, 0, 5)
+
+
 def test_evaluate():
     p = DensePoly((1, 0, 2))
     assert p.evaluate(1) == 3

@@ -1,12 +1,25 @@
 """Claim registry, sweep runner, report serialization, CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from factratio import RunReport, UsageError, emit_report, list_claims, run_claim
+from factratio import (
+    DensePoly,
+    InternalCheckError,
+    RunReport,
+    UsageError,
+    emit_report,
+    list_claims,
+    run_claim,
+)
+from factratio import registry
 from factratio.cli import main
-from factratio.registry import CLAIMS, KINDS, get_claim, points_for, resolve_ranges
+from factratio.registry import CLAIMS, KINDS, check_point, get_claim, points_for, resolve_ranges
 
 EXPECTED_IDS = {
     "thm-1.1",
@@ -209,6 +222,22 @@ def test_cli_list(capsys):
         assert claim_id in out
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "factratio", "list"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["list"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
 def test_cli_list_kind_filter_unknown_is_empty_success(capsys):
     assert main(["list", "--kind", "nonexistent"]) == 0
     assert capsys.readouterr().out == ""
@@ -262,3 +291,22 @@ def test_workers_env_default(monkeypatch):
     assert default_workers() == 4
     monkeypatch.setenv("FACTRATIO_WORKERS", "junk")
     assert default_workers() == 1
+
+
+@pytest.mark.parametrize(
+    "claim_id, point, alter",
+    [
+        # not reciprocal, though unimodal and non-negative
+        ("conj-7.4-unimodal", (3,), lambda poly: DensePoly((1, 2))),
+        ("thm-6.1", (1, 1, 1, 1), lambda poly: DensePoly((1, 2))),
+        # reciprocal and non-negative, but the q = 1 value is doubled
+        ("cor-6.2", (1, 1, 1, 1), lambda poly: poly * DensePoly((2,))),
+    ],
+)
+def test_expand_only_failures_are_rechecked_by_division(monkeypatch, claim_id, point, alter):
+    """A counting-route expansion that the division route does not reproduce
+    raises instead of being reported as a counterexample."""
+    real_expand = registry.expand
+    monkeypatch.setattr(registry, "expand", lambda vector: alter(real_expand(vector)))
+    with pytest.raises(InternalCheckError):
+        check_point(claim_id, point)
