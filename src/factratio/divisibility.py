@@ -82,17 +82,10 @@ def eval_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
 
 def ratio_int(spec: FactorialRatioSpec, n: int) -> int:
     """Integer value of the ratio; raises IntegralityError otherwise."""
-    num, den = spec.arguments(n)
-    top = 1
-    for v in num:
-        top *= factorial(v)
-    bottom = 1
-    for v in den:
-        bottom *= factorial(v)
-    q, r = divmod(top, bottom)
-    if r:
+    value = eval_ratio(spec, n)
+    if value.denominator != 1:
         raise IntegralityError(f"{spec} is not an integer at n={n}")
-    return q
+    return value.numerator
 
 
 def sun_s(n: int) -> int:
@@ -212,32 +205,23 @@ def valuation_verdict(claim: DivisibilityClaim, n: int) -> bool:
     ratio itself, whose integrality is part of the claim invariant.
     """
     modulus = claim.modulus_form(n)
-    mult_factors = CONSTANT_FACTORS.get(claim.multiplier)
-    if mult_factors is None:
-        mult_factors = _factorize_small(claim.multiplier)
     # the modulus can exceed every factorial argument at small n
     limit = max(claim.ratio.max_argument(n), modulus)
     for p in primes_up_to(limit):
-        need = 0
-        m = modulus
-        while m % p == 0:
-            need += 1
-            m //= p
-        have = ratio_ord(p, claim.ratio, n) + mult_factors.get(p, 0)
+        need = _multiplicity(p, modulus)
+        have = ratio_ord(p, claim.ratio, n) + _multiplicity(p, claim.multiplier)
         if have < need:
             return False
     return True
 
 
-def _factorize_small(v: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in primes_up_to(v):
-        while v % p == 0:
-            out[p] = out.get(p, 0) + 1
-            v //= p
-        if v == 1:
-            break
-    return out
+def _multiplicity(p: int, v: int) -> int:
+    """ord_p(v) of a positive integer v, by repeated division."""
+    k = 0
+    while v % p == 0:
+        k += 1
+        v //= p
+    return k
 
 
 def recheck_divisibility(claim: DivisibilityClaim, n: int) -> None:

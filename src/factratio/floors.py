@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .forms import LinearForm, form
 
 
@@ -79,21 +79,21 @@ def landau_witnesses(spec: StepFunctionSpec) -> list[tuple[Fraction, int]]:
 class CongruenceIdentity:
     """An exact floor identity conditioned on m | divisor_form(n), m >= m_min.
 
-    ``m_allowed`` restricts the sweep to an explicit finite set of moduli;
-    it models the extension cases that hold only for a handful of m.
+    The identity reads shape(n/m) = surplus.  ``m_allowed`` restricts the
+    sweep to an explicit finite set of moduli; it models the extension
+    cases that hold only for a handful of m.
     """
 
-    lhs_coeffs: tuple[int, ...]
-    rhs_coeffs: tuple[int, ...]
+    shape: StepFunctionSpec
     divisor_form: LinearForm
     m_min: int
     surplus: int = 1
     m_allowed: frozenset[int] | None = None
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if sum(self.lhs_coeffs) != sum(self.rhs_coeffs):
-            raise ValueError("congruence identity coefficient sums must agree")
+    def admits(self, m: int) -> bool:
+        """Whether a divisor m lies in the identity's domain."""
+        return m >= self.m_min and (self.m_allowed is None or m in self.m_allowed)
 
     def condition(self) -> str:
         if self.m_allowed is not None:
@@ -108,13 +108,9 @@ def check_congruence_identity(ident: CongruenceIdentity, m: int, n: int) -> bool
         raise PreconditionError(f"m and n must be positive, got m={m}, n={n}")
     if ident.divisor_form(n) % m != 0:
         raise PreconditionError(f"m={m} does not divide {ident.divisor_form}={ident.divisor_form(n)}")
-    if m < ident.m_min:
-        raise PreconditionError(f"m={m} below threshold {ident.m_min}")
-    if ident.m_allowed is not None and m not in ident.m_allowed:
-        raise PreconditionError(f"m={m} outside allowed set {sorted(ident.m_allowed)}")
-    lhs = sum(a * n // m for a in ident.lhs_coeffs)
-    rhs = sum(b * n // m for b in ident.rhs_coeffs)
-    return lhs == rhs + ident.surplus
+    if not ident.admits(m):
+        raise PreconditionError(f"m={m} outside the domain {ident.condition()}")
+    return ident.shape.value_at(n, m) == ident.surplus
 
 
 def check_by_fractional_parts(ident: CongruenceIdentity, m: int, n: int) -> bool:
@@ -123,8 +119,8 @@ def check_by_fractional_parts(ident: CongruenceIdentity, m: int, n: int) -> bool
     Independent route used to cross-examine the floor-sum verdict.
     """
     frac = lambda num: Fraction(num, m) - (num // m)
-    lhs = sum(frac(a * n) for a in ident.lhs_coeffs)
-    rhs = sum(frac(b * n) for b in ident.rhs_coeffs)
+    lhs = sum(frac(a * n) for a in ident.shape.numerator_coeffs)
+    rhs = sum(frac(b * n) for b in ident.shape.denominator_coeffs)
     return lhs == rhs - ident.surplus
 
 
@@ -138,6 +134,31 @@ def divisors_of(v: int) -> list[int]:
                 out.append(v // i)
         i += 1
     return sorted(out)
+
+
+def check_identity_at(ident: CongruenceIdentity, n: int) -> tuple[int, int, list[int]]:
+    """Every divisor m of divisor_form(n), by both routes.
+
+    Returns (checked, skipped, failing m ascending).  Divisors outside the
+    identity's domain are counted as skipped, never as failures.  The floor
+    sum and the fractional-parts restatement must agree at every checked m;
+    a disagreement raises InternalCheckError.
+    """
+    checked = skipped = 0
+    failing = []
+    for m in divisors_of(ident.divisor_form(n)):
+        if not ident.admits(m):
+            skipped += 1
+            continue
+        checked += 1
+        ok = check_congruence_identity(ident, m, n)
+        if ok != check_by_fractional_parts(ident, m, n):
+            raise InternalCheckError(
+                f"floor/fractional routes disagree for {ident.condition()} at n={n}, m={m}"
+            )
+        if not ok:
+            failing.append(m)
+    return checked, skipped, failing
 
 
 @dataclass
@@ -156,25 +177,20 @@ class SweepReport:
 
 
 def sweep_congruence_identity(ident: CongruenceIdentity, n_max: int) -> SweepReport:
-    """Check every pair with m | divisor_form(n), m >= m_min, n <= n_max.
+    """Check every pair with m | divisor_form(n), m in the domain, n <= n_max.
 
-    Divisors below the threshold (or outside m_allowed) are counted as
-    skipped, never as failures: the downstream proofs rely on knowing how
-    many moduli fall outside the identity's domain.
+    Divisors outside the domain are counted as skipped, never as failures:
+    the downstream proofs rely on knowing how many moduli fall outside the
+    identity's domain.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     report = SweepReport(identity=ident, n_max=n_max)
     for n in range(1, n_max + 1):
-        for m in divisors_of(ident.divisor_form(n)):
-            if m < ident.m_min or (
-                ident.m_allowed is not None and m not in ident.m_allowed
-            ):
-                report.skipped += 1
-                continue
-            report.checked += 1
-            if not check_congruence_identity(ident, m, n):
-                report.failures.append((n, m))
+        checked, skipped, failing = check_identity_at(ident, n)
+        report.checked += checked
+        report.skipped += skipped
+        report.failures += [(n, m) for m in failing]
     return report
 
 
@@ -193,27 +209,26 @@ STEP_15_2 = StepFunctionSpec((15, 2), (10, 4, 3))
 # carries the corrected condition; see tests for the pinned counterexample.
 IDENTITIES: dict[str, tuple[CongruenceIdentity, ...]] = {
     "lem-2.2": (
-        CongruenceIdentity((6, 1), (3, 2, 2), form(2, 3), 5, label="2n+3"),
+        CongruenceIdentity(STEP_6_1, form(2, 3), 5, label="2n+3"),
     ),
     "lem-2.3": (
-        CongruenceIdentity((15, 2), (10, 4, 3), form(10, 3), 9, label="10n+3"),
+        CongruenceIdentity(STEP_15_2, form(10, 3), 9, label="10n+3"),
     ),
     "lem-5.1": (
-        CongruenceIdentity((6, 1), (3, 2, 2), form(2, 5), 9, label="2n+5"),
-        CongruenceIdentity((6, 1), (3, 2, 2), form(2, 7), 11, label="2n+7"),
-        CongruenceIdentity((6, 1), (3, 2, 2), form(2, 9), 15, label="2n+9"),
+        CongruenceIdentity(STEP_6_1, form(2, 5), 9, label="2n+5"),
+        CongruenceIdentity(STEP_6_1, form(2, 7), 11, label="2n+7"),
+        CongruenceIdentity(STEP_6_1, form(2, 9), 15, label="2n+9"),
         # m = 3 with n = 1 (mod 3), encoded as 3 | n+2
         CongruenceIdentity(
-            (6, 1), (3, 2, 2), form(1, 2), 3, m_allowed=frozenset({3}), label="m=3, n=1 mod 3"
+            STEP_6_1, form(1, 2), 3, m_allowed=frozenset({3}), label="m=3, n=1 mod 3"
         ),
     ),
     "lem-5.2": (
-        CongruenceIdentity((15, 2), (10, 4, 3), form(2, 1), 15, label="2n+1"),
-        CongruenceIdentity((15, 2), (10, 4, 3), form(10, 7), 21, label="10n+7"),
-        CongruenceIdentity((15, 2), (10, 4, 3), form(10, 9), 27, label="10n+9"),
+        CongruenceIdentity(STEP_15_2, form(2, 1), 15, label="2n+1"),
+        CongruenceIdentity(STEP_15_2, form(10, 7), 21, label="10n+7"),
+        CongruenceIdentity(STEP_15_2, form(10, 9), 27, label="10n+9"),
         CongruenceIdentity(
-            (15, 2),
-            (10, 4, 3),
+            STEP_15_2,
             form(10, 9),
             7,
             m_allowed=frozenset({7, 13, 17}),

@@ -14,6 +14,7 @@ from factratio import (
     check_two_binomial_conjecture,
     check_valuation_bounds,
     eval_ratio,
+    form,
     parity_matches,
     product_forms,
     ratio_int,
@@ -24,6 +25,7 @@ from factratio import (
 from factratio.divisibility import (
     CLAIMS_BY_ID,
     CONSTANT_FACTORS,
+    DivisibilityClaim,
     RATIO_BOUNDS,
     S_RATIO,
     T_CFORM,
@@ -94,6 +96,15 @@ def test_dual_route_verdicts_agree():
         for claim in CLAIMS_BY_ID[claim_id]:
             for n in range(1, 201):
                 assert check_divisibility(claim, n) == valuation_verdict(claim, n)
+
+
+def test_valuation_route_takes_any_multiplier():
+    # multipliers outside CONSTANT_FACTORS, each failing for some n
+    for multiplier in (1, 2, 35, 1001):
+        claim = DivisibilityClaim("demo", multiplier, S_RATIO, form(2, 9), "s")
+        verdicts = [check_divisibility(claim, n) for n in range(1, 61)]
+        assert not all(verdicts)
+        assert verdicts == [valuation_verdict(claim, n) for n in range(1, 61)]
 
 
 def test_constant_factorizations():

@@ -7,6 +7,7 @@ import pytest
 
 from factratio import (
     CongruenceIdentity,
+    InternalCheckError,
     PreconditionError,
     StepFunctionSpec,
     check_by_fractional_parts,
@@ -16,6 +17,7 @@ from factratio import (
     landau_witnesses,
     sweep_congruence_identity,
 )
+from factratio import floors
 from factratio.floors import IDENTITIES, STEP_6_1, STEP_15_2
 
 LEM_2_2 = IDENTITIES["lem-2.2"][0]
@@ -98,7 +100,9 @@ def test_identity_preconditions_are_not_failures():
 
 
 def test_identity_false_is_distinct_from_precondition():
-    perturbed = CongruenceIdentity((6, 1), (3, 2, 2), form(2, 3), 5, surplus=2)
+    perturbed = CongruenceIdentity(
+        shape=StepFunctionSpec((6, 1), (3, 2, 2)), divisor_form=form(2, 3), m_min=5, surplus=2
+    )
     assert check_congruence_identity(perturbed, 5, 1) is False
 
 
@@ -116,7 +120,9 @@ def test_sweep_counts_skipped_pairs():
 
 
 def test_perturbed_identity_sweep_fails():
-    perturbed = CongruenceIdentity((6, 1), (3, 2, 2), form(2, 3), 5, surplus=2)
+    perturbed = CongruenceIdentity(
+        shape=StepFunctionSpec((6, 1), (3, 2, 2)), divisor_form=form(2, 3), m_min=5, surplus=2
+    )
     report = sweep_congruence_identity(perturbed, 50)
     assert not report.ok
     assert (1, 5) in report.failures
@@ -134,6 +140,15 @@ def test_floor_and_fractional_routes_agree():
                 )
 
 
+def test_sweep_raises_when_routes_disagree(monkeypatch):
+    real = floors.check_by_fractional_parts
+    monkeypatch.setattr(
+        floors, "check_by_fractional_parts", lambda ident, m, n: not real(ident, m, n)
+    )
+    with pytest.raises(InternalCheckError):
+        sweep_congruence_identity(LEM_2_2, 10)
+
+
 def test_extension_m3_matches_congruence_class():
     ext = IDENTITIES["lem-5.1"][3]
     # 3 | n+2 is exactly n = 1 (mod 3)
@@ -149,7 +164,10 @@ def test_published_extension_condition_is_false():
     # The 10n+7 variant printed for the m in {7,13,17} extension fails
     # immediately; the corrected registry entry uses 10n+9.
     printed = CongruenceIdentity(
-        (15, 2), (10, 4, 3), form(10, 7), 7, m_allowed=frozenset({7, 13, 17})
+        shape=StepFunctionSpec((15, 2), (10, 4, 3)),
+        divisor_form=form(10, 7),
+        m_min=7,
+        m_allowed=frozenset({7, 13, 17}),
     )
     report = sweep_congruence_identity(printed, 50)
     assert (1, 17) in report.failures

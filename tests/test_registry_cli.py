@@ -17,7 +17,7 @@ from factratio import (
     list_claims,
     run_claim,
 )
-from factratio import registry
+from factratio import divisibility, registry
 from factratio.cli import main
 from factratio.registry import CLAIMS, KINDS, check_point, get_claim, points_for, resolve_ranges
 
@@ -97,6 +97,11 @@ def test_points_ordering():
     conj = get_claim("conj-7.1")
     cpts = points_for(conj, {"a": 3, "b": 5, "n": 2})
     assert cpts == [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)]
+    upts = points_for(get_claim("conj-7.4-unimodal"), {"n": 4})
+    assert upts == [(2,), (3,), (4,)]
+    assert points_for(get_claim("lem-2.1"), {}) == [()]
+    central = points_for(get_claim("cor-1.5"), {"m": 2, "n": 3})
+    assert central == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
 
 
 def test_run_claim_small_sweeps():
@@ -310,3 +315,17 @@ def test_expand_only_failures_are_rechecked_by_division(monkeypatch, claim_id, p
     monkeypatch.setattr(registry, "expand", lambda vector: alter(real_expand(vector)))
     with pytest.raises(InternalCheckError):
         check_point(claim_id, point)
+
+
+def test_product_route_disagreement_raises(monkeypatch):
+    """Unequal displayed forms of thm-1.4 are a route disagreement, not a
+    counterexample."""
+    real_forms = divisibility.product_forms
+
+    def skewed(a, b, m, n):
+        first, second = real_forms(a, b, m, n)
+        return first, second + 1
+
+    monkeypatch.setattr(divisibility, "product_forms", skewed)
+    with pytest.raises(InternalCheckError):
+        check_point("thm-1.4", (1, 1, 1, 1))
