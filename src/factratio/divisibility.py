@@ -25,7 +25,7 @@ from math import comb, factorial
 
 from .errors import IntegralityError, InternalCheckError
 from .forms import FactorialRatioSpec, LinearForm, form
-from .valuation import binary_digit_sum, primes_up_to, ratio_ord
+from .valuation import arguments_ord, binary_digit_sum, primes_up_to, ratio_ord
 
 
 # --------------------------------------------------------------------------
@@ -205,11 +205,12 @@ def valuation_verdict(claim: DivisibilityClaim, n: int) -> bool:
     ratio itself, whose integrality is part of the claim invariant.
     """
     modulus = claim.modulus_form(n)
+    num, den = claim.ratio.arguments(n)
     # the modulus can exceed every factorial argument at small n
-    limit = max(claim.ratio.max_argument(n), modulus)
+    limit = max(*num, *den, modulus)
     for p in primes_up_to(limit):
         need = _multiplicity(p, modulus)
-        have = ratio_ord(p, claim.ratio, n) + _multiplicity(p, claim.multiplier)
+        have = arguments_ord(p, num, den) + _multiplicity(p, claim.multiplier)
         if have < need:
             return False
     return True
@@ -323,10 +324,10 @@ RATIO_BOUNDS: dict[str, BoundedRatio] = {
 
 def valuation_case_orders(name: str, n: int) -> dict[int, int]:
     """Odd-prime orders of the named shifted ratio at n."""
-    bounded = RATIO_BOUNDS[name]
+    num, den = RATIO_BOUNDS[name].spec.arguments(n)
     return {
-        p: ratio_ord(p, bounded.spec, n)
-        for p in primes_up_to(bounded.spec.max_argument(n))
+        p: arguments_ord(p, num, den)
+        for p in primes_up_to(max(num + den, default=0))
         if p != 2
     }
 

@@ -114,14 +114,19 @@ def check_congruence_identity(ident: CongruenceIdentity, m: int, n: int) -> bool
 
 
 def check_by_fractional_parts(ident: CongruenceIdentity, m: int, n: int) -> bool:
-    """Restatement via fractional parts {x} = x - floor(x), in exact rationals.
+    """Restatement via fractional parts, in residues: {a n/m} = (a n mod m)/m.
 
-    Independent route used to cross-examine the floor-sum verdict.
+    Since sum a_i = sum b_j, the identity sum floor(a_i n/m) - sum
+    floor(b_j n/m) = surplus is equivalent, for every m >= 1, to
+
+        sum (a_i n mod m) = sum (b_j n mod m) - surplus * m.
+
+    Independent route used to cross-examine the floor-sum verdict: it never
+    forms a floor quotient.
     """
-    frac = lambda num: Fraction(num, m) - (num // m)
-    lhs = sum(frac(a * n) for a in ident.shape.numerator_coeffs)
-    rhs = sum(frac(b * n) for b in ident.shape.denominator_coeffs)
-    return lhs == rhs - ident.surplus
+    lhs = sum(a * n % m for a in ident.shape.numerator_coeffs)
+    rhs = sum(b * n % m for b in ident.shape.denominator_coeffs)
+    return lhs == rhs - ident.surplus * m
 
 
 def divisors_of(v: int) -> list[int]:

@@ -1,7 +1,10 @@
 """Exact p-adic valuations of factorials and factorial ratios.
 
 The whole module is floor-sum arithmetic on machine integers; no
-factorial is ever formed here.  The classical formula
+factorial is ever formed here.  Primes come from one growable sieve of
+Eratosthenes kept per process: ``primes_up_to`` slices its prime list and
+``is_prime`` reads its flag bytes, falling back to trial division only
+above the sieve limit.  The classical formula
 
     ord_p(n!) = sum_{i>=1} floor(n / p^i)
 
@@ -22,13 +25,15 @@ from math import isqrt
 from .forms import FactorialRatioSpec
 
 # Growable prime table; rebuilt at most O(log) times per process.
+# _SIEVE[i] is 1 exactly when i is prime, for 0 <= i <= _SIEVE_LIMIT.
 _SIEVE_LIMIT = 0
+_SIEVE = bytearray()
 _PRIMES: list[int] = []
 
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, from a cached sieve of Eratosthenes."""
-    global _SIEVE_LIMIT, _PRIMES
+    global _SIEVE_LIMIT, _SIEVE, _PRIMES
     if limit > _SIEVE_LIMIT:
         new_limit = max(limit, 2 * _SIEVE_LIMIT, 1 << 10)
         sieve = bytearray([1]) * (new_limit + 1)
@@ -37,6 +42,7 @@ def primes_up_to(limit: int) -> list[int]:
             if sieve[p]:
                 sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
         _PRIMES = [i for i, flag in enumerate(sieve) if flag]
+        _SIEVE = sieve
         _SIEVE_LIMIT = new_limit
     if limit >= _SIEVE_LIMIT:
         return list(_PRIMES)
@@ -52,8 +58,11 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def is_prime(p: int) -> bool:
+    """Sieve lookup up to the sieve limit, trial division above it."""
     if p < 2:
         return False
+    if p <= _SIEVE_LIMIT:
+        return _SIEVE[p] == 1
     for q in primes_up_to(isqrt(p)):
         if q * q > p:
             break
@@ -94,10 +103,18 @@ def digit_sum(n: int, base: int) -> int:
     return total
 
 
+def arguments_ord(p: int, num: tuple[int, ...], den: tuple[int, ...]) -> int:
+    """Signed ord_p of prod(v! for v in num) / prod(v! for v in den).
+
+    Callers that need several primes at one n evaluate
+    ``spec.arguments(n)`` once and pass its two halves here per prime.
+    """
+    return sum(legendre_ord(p, v) for v in num) - sum(legendre_ord(p, v) for v in den)
+
+
 def ratio_ord(p: int, spec: FactorialRatioSpec, n: int) -> int:
     """Signed order of a factorial ratio at n; negative values allowed."""
-    num, den = spec.arguments(n)
-    return sum(legendre_ord(p, v) for v in num) - sum(legendre_ord(p, v) for v in den)
+    return arguments_ord(p, *spec.arguments(n))
 
 
 @dataclass(frozen=True)
@@ -126,6 +143,6 @@ class PadicProfile:
 
 
 def padic_profile(spec: FactorialRatioSpec, n: int) -> PadicProfile:
-    limit = spec.max_argument(n)
-    orders = {p: ratio_ord(p, spec, n) for p in primes_up_to(limit)}
+    num, den = spec.arguments(n)
+    orders = {p: arguments_ord(p, num, den) for p in primes_up_to(max(num + den, default=0))}
     return PadicProfile(n=n, orders=orders)

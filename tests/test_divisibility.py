@@ -16,8 +16,10 @@ from factratio import (
     eval_ratio,
     form,
     parity_matches,
+    primes_up_to,
     product_forms,
     ratio_int,
+    ratio_ord,
     sun_s,
     sun_t,
     valuation_case_orders,
@@ -164,6 +166,16 @@ def test_valuation_case_bounds():
     for name in RATIO_BOUNDS:
         for n in range(1, 61):
             assert check_valuation_bounds(name, n) == []
+
+
+def test_case_orders_match_ratio_ord():
+    for name, bounded in RATIO_BOUNDS.items():
+        spec = bounded.spec
+        for n in range(1, 61):
+            expected = {
+                p: ratio_ord(p, spec, n) for p in primes_up_to(spec.max_argument(n)) if p != 2
+            }
+            assert valuation_case_orders(name, n) == expected, (name, n)
 
 
 def test_valuation_bounds_y_examples():

@@ -1,5 +1,6 @@
 """Step-function minima and the congruence-conditioned floor identities."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -138,6 +139,39 @@ def test_floor_and_fractional_routes_agree():
                 assert check_congruence_identity(ident, m, n) == check_by_fractional_parts(
                     ident, m, n
                 )
+
+
+def _fractional_parts_reference(shape, surplus, m, n):
+    """sum {a n/m} == sum {b n/m} - surplus, in exact rationals."""
+    frac = lambda a: Fraction(a * n, m) - (a * n) // m
+    lhs = sum(frac(a) for a in shape.numerator_coeffs)
+    rhs = sum(frac(b) for b in shape.denominator_coeffs)
+    return lhs == rhs - surplus
+
+
+def _random_balanced_shape(rng):
+    num = [rng.randint(1, 20) for _ in range(rng.randint(1, 4))]
+    # split the same total into 1..5 positive denominator coefficients
+    total = sum(num)
+    cuts = sorted(rng.sample(range(1, total), min(rng.randint(0, 4), total - 1)))
+    den = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return StepFunctionSpec(tuple(num), tuple(den))
+
+
+def test_residue_route_matches_fractional_parts_reference():
+    rng = random.Random(20131)
+    shapes = [STEP_6_1, STEP_15_2] + [_random_balanced_shape(rng) for _ in range(12)]
+    seen = set()
+    for shape in shapes:
+        for surplus in (0, 1, 2):
+            ident = CongruenceIdentity(shape, form(2, 3), m_min=1, surplus=surplus)
+            for n in range(1, 31):
+                for m in range(1, 26):
+                    expected = _fractional_parts_reference(shape, surplus, m, n)
+                    assert check_by_fractional_parts(ident, m, n) == expected, (shape, surplus, m, n)
+                    seen.add((ident.divisor_form(n) % m == 0, expected))
+    # both verdicts occur, at moduli that do and do not divide the form
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_sweep_raises_when_routes_disagree(monkeypatch):

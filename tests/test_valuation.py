@@ -1,6 +1,7 @@
 """Valuation layer: Legendre floor sums vs trial-division oracles."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -15,7 +16,8 @@ from factratio import (
     primes_up_to,
     ratio_ord,
 )
-from factratio.divisibility import S_RATIO, T_RATIO, WZ_INT_RATIO
+from factratio import valuation
+from factratio.divisibility import RATIO_BOUNDS, S_RATIO, T_RATIO, WZ_INT_RATIO
 
 
 def ord_p_int(p: int, v: int) -> int:
@@ -32,6 +34,47 @@ def test_primes_table():
     assert primes_up_to(1) == []
     assert is_prime(2) and is_prime(97) and is_prime(7919)
     assert not is_prime(1) and not is_prime(0) and not is_prime(91)
+
+
+def _trial_division_is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _keep_sieve(monkeypatch):
+    """Have monkeypatch restore the module's sieve globals after the test."""
+    for name in ("_SIEVE_LIMIT", "_SIEVE", "_PRIMES"):
+        monkeypatch.setattr(valuation, name, getattr(valuation, name))
+
+
+def test_is_prime_from_empty_sieve(monkeypatch):
+    monkeypatch.setattr(valuation, "_SIEVE_LIMIT", 0)
+    monkeypatch.setattr(valuation, "_SIEVE", bytearray())
+    monkeypatch.setattr(valuation, "_PRIMES", [])
+    got = [p for p in range(5001) if is_prime(p)]
+    assert got == [p for p in range(5001) if _trial_division_is_prime(p)]
+    # the first trial division built the sieve; everything above it was
+    # answered by trial division again
+    assert 0 < valuation._SIEVE_LIMIT < 5000
+
+
+def test_is_prime_above_sieve_limit(monkeypatch):
+    _keep_sieve(monkeypatch)
+    primes_up_to(5000)
+    limit = valuation._SIEVE_LIMIT
+    for p in range(limit + 1, limit + 3001):
+        assert is_prime(p) == _trial_division_is_prime(p), p
+    assert is_prime(104_729) and is_prime(2**31 - 1)
+    assert not is_prime(7919**2) and not is_prime(104_729 * 7919)
+    assert not is_prime(-7) and not is_prime(-1)
+
+
+def test_legendre_rejects_composites_inside_sieve(monkeypatch):
+    _keep_sieve(monkeypatch)
+    primes_up_to(200)
+    assert valuation._SIEVE_LIMIT >= 91
+    for p in (1, 4, 91):
+        with pytest.raises(ValueError):
+            legendre_ord(p, 10)
 
 
 def test_legendre_examples():
@@ -97,7 +140,11 @@ def test_profile_lists_every_prime_up_to_max_argument():
     assert sorted(prof.orders) == primes_up_to(limit)
 
 
-@pytest.mark.parametrize("spec", [S_RATIO, T_RATIO, WZ_INT_RATIO])
+# the four shifted companion ratios of the valuation case bounds
+SHIFTED = [bounded.spec for bounded in RATIO_BOUNDS.values()]
+
+
+@pytest.mark.parametrize("spec", [S_RATIO, T_RATIO, WZ_INT_RATIO] + SHIFTED)
 def test_profile_product_equals_exact_value(spec):
     for n in range(1, 201):
         assert padic_profile(spec, n).value() == eval_ratio(spec, n)
