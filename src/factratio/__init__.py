@@ -61,6 +61,7 @@ from .valuation import (
     PadicProfile,
     binary_digit_sum,
     digit_sum,
+    factorize,
     is_prime,
     legendre_ord,
     padic_profile,

@@ -1,4 +1,4 @@
-"""Exact big-integer evaluation of the divisibility claims.
+"""Exact evaluation and valuation verdicts of the divisibility claims.
 
 Central objects:
 
@@ -11,10 +11,21 @@ modulus form divides ``multiplier * ratio(n)``; the multiplier constants
 factorizations, since the proofs work by showing the factorization covers
 the worst-case negative p-adic orders of a shifted companion ratio.
 
-Integrality is always tested by exact division with a remainder check.
-The valuation route (Legendre floor sums per prime) is kept as an
-independent second verdict: sweeps rerun any failing point through it
-before reporting, and the test suite asserts the two routes agree.
+Two routes decide a claim at n.  The primary one works prime by prime,
+as the proofs do.  Every claim ratio is an integral base ratio B over a
+linear cofactor (see ``BASES``):
+
+    S(n) = W(n) / (2(2n+1)),   W = (6n)! n! / ((3n)! (2n)!^2)
+    t(n) = G(n) / (5(10n+1)),  G = (15n)! (2n)! / ((10n)! (4n)! (3n)!)
+
+and the C-form ratio is G itself.  A base has no offsets and a
+non-negative Landau minimum, so B(n) is an integer for every n: this
+Landau reduction is what makes the route sound, and it is validated when
+the base is defined.  Only the primes of cofactor(n) * modulus(n) can
+then make ``multiplier * B / cofactor / modulus`` non-integral, and
+``valuation_verdict`` reads their orders from Legendre floor sums.  The
+second route is exact big-integer division with a remainder check; the
+registry runs it as an oracle at every failing point and at every small n.
 """
 
 from __future__ import annotations
@@ -24,8 +35,16 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import IntegralityError, InternalCheckError
+from .floors import StepFunctionSpec, landau_min
 from .forms import FactorialRatioSpec, LinearForm, form
-from .valuation import arguments_ord, binary_digit_sum, primes_up_to, ratio_ord
+from .valuation import (
+    arguments_ord,
+    binary_digit_sum,
+    factorize,
+    orders_at,
+    primes_up_to,
+    ratio_ord,
+)
 
 
 # --------------------------------------------------------------------------
@@ -146,6 +165,38 @@ VALUE_FUNCS = {
     "t-cform": t_cform,
 }
 
+
+@dataclass(frozen=True)
+class BaseRatio:
+    """An integral factorial ratio B with claim ratio = B(n) / cofactor(n).
+
+    B must be integral at every n for the valuation route to skip the
+    primes outside cofactor * modulus, so the definition is checked: no
+    offsets, and the Landau minimum of its step function is >= 0.
+    """
+
+    spec: FactorialRatioSpec
+    cofactor: LinearForm
+
+    def __post_init__(self) -> None:
+        forms = self.spec.numerator + self.spec.denominator
+        if any(f.offset for f in forms):
+            raise ValueError(f"base ratio {self.spec} has offsets")
+        shape = StepFunctionSpec(
+            tuple(f.coeff for f in self.spec.numerator if f.coeff),
+            tuple(f.coeff for f in self.spec.denominator if f.coeff),
+        )
+        if landau_min(shape) < 0:
+            raise ValueError(f"base ratio {self.spec} has a negative Landau minimum")
+
+
+# Base ratio and cofactor per value key, same keys as VALUE_FUNCS.
+BASES: dict[str, BaseRatio] = {
+    "s": BaseRatio(WZ_INT_RATIO, form(4, 2)),  # S = W / (2(2n+1))
+    "t": BaseRatio(T_CFORM, form(50, 5)),  # t = G / (5(10n+1))
+    "t-cform": BaseRatio(T_CFORM, form(0, 1)),
+}
+
 # Multiplier constants with factorizations: the valuation case analysis
 # must be fully absorbed by these exponents.
 CONSTANT_FACTORS: dict[int, dict[int, int]] = {
@@ -167,8 +218,8 @@ CLAIMS_BY_ID: dict[str, tuple[DivisibilityClaim, ...]] = {
         DivisibilityClaim("21*t(n) mod 10n+3", 21, T_RATIO, form(10, 3), "t"),
     ),
     # The fourth congruence is published as 3003*t(n) = 0 (mod 2n+1), which
-    # fails whenever 5 | 2n+1 (n = 2 is the least counterexample) because
-    # t(n) carries C(5n-1,n-1) = C(5n,n)/5.  The claim that the lemma
+    # fails at some n with 5 | 2n+1 (n = 2, 7, 12, 32, ...) because t(n)
+    # carries C(5n-1,n-1) = C(5n,n)/5.  The claim that the lemma
     # machinery actually supports, and that holds on every tested range, is
     # the C(5n,n)-normalized ratio below with the same constant and modulus.
     "thm-1.3": (
@@ -198,22 +249,31 @@ def check_divisibility(claim: DivisibilityClaim, n: int) -> bool:
 
 
 def valuation_verdict(claim: DivisibilityClaim, n: int) -> bool:
-    """Independent verdict via per-prime Legendre orders.
+    """Verdict from Legendre orders at the primes of cofactor and modulus.
 
-    True iff for every prime p the order of multiplier * ratio / modulus
-    is non-negative.  Primes outside the modulus only matter through the
-    ratio itself, whose integrality is part of the claim invariant.
+    With B the claim's base ratio and c its multiplier, the claim ratio is
+    B(n)/cofactor(n), and B(n) is an integer by the Landau reduction (see
+    ``BaseRatio``).  So a prime p can only matter when it divides
+    cofactor(n) or modulus(n), and there the route tests
+
+        ord_p B >= ord_p cofactor                       (integrality)
+        ord_p c + ord_p B - ord_p cofactor >= ord_p modulus
+
+    A failed integrality test raises IntegralityError, as ``sun_s`` does.
     """
-    modulus = claim.modulus_form(n)
-    num, den = claim.ratio.arguments(n)
-    # the modulus can exceed every factorial argument at small n
-    limit = max(*num, *den, modulus)
-    for p in primes_up_to(limit):
-        need = _multiplicity(p, modulus)
-        have = arguments_ord(p, num, den) + _multiplicity(p, claim.multiplier)
-        if have < need:
-            return False
-    return True
+    if n < claim.n_min:
+        raise ValueError(f"n={n} below claim domain n >= {claim.n_min}")
+    base = BASES[claim.value_key]
+    cofactor = factorize(base.cofactor(n))
+    need = factorize(claim.modulus_form(n))
+    num, den = base.spec.arguments(n)
+    orders = orders_at(sorted(cofactor.keys() | need.keys()), num, den)
+    for p, e in cofactor.items():
+        orders[p] -= e
+    short = [p for p, e in orders.items() if e < 0]
+    if short:
+        raise IntegralityError(f"{claim.ratio} is not an integer at n={n} (primes {short})")
+    return all(orders[p] + _multiplicity(p, claim.multiplier) >= e for p, e in need.items())
 
 
 def _multiplicity(p: int, v: int) -> int:
@@ -225,14 +285,13 @@ def _multiplicity(p: int, v: int) -> int:
     return k
 
 
-def recheck_divisibility(claim: DivisibilityClaim, n: int) -> None:
-    """Dual-path confirmation of a failing point; raises on disagreement."""
+def recheck_divisibility(claim: DivisibilityClaim, n: int, verdict: bool) -> None:
+    """Big-integer confirmation of a valuation verdict; raises on disagreement."""
     big = check_divisibility(claim, n)
-    val = valuation_verdict(claim, n)
-    if big != val:
+    if big != verdict:
         raise InternalCheckError(
             f"divisibility routes disagree for {claim.name} at n={n}: "
-            f"big-integer={big}, valuation={val}"
+            f"big-integer={big}, valuation={verdict}"
         )
 
 

@@ -28,6 +28,7 @@ from math import lcm
 
 from .errors import InternalCheckError, PreconditionError
 from .forms import LinearForm, form
+from .valuation import factorize
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,12 @@ def check_by_fractional_parts(ident: CongruenceIdentity, m: int, n: int) -> bool
 
 
 def divisors_of(v: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= v:
-        if v % i == 0:
-            out.append(i)
-            if i != v // i:
-                out.append(v // i)
-        i += 1
+    """All positive divisors of v ascending, from its prime factorization."""
+    if v < 1:
+        return []
+    out = [1]
+    for p, e in factorize(v).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 

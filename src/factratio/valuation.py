@@ -2,9 +2,10 @@
 
 The whole module is floor-sum arithmetic on machine integers; no
 factorial is ever formed here.  Primes come from one growable sieve of
-Eratosthenes kept per process: ``primes_up_to`` slices its prime list and
+Eratosthenes kept per process: ``primes_up_to`` slices its prime list,
 ``is_prime`` reads its flag bytes, falling back to trial division only
-above the sieve limit.  The classical formula
+above the sieve limit, and ``factorize`` trial-divides by its primes.
+The classical formula
 
     ord_p(n!) = sum_{i>=1} floor(n / p^i)
 
@@ -71,6 +72,31 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def factorize(v: int) -> dict[int, int]:
+    """Prime factorization {p: e} of v >= 1, primes ascending.
+
+    Trial division by the sieve primes up to isqrt(v); the cofactor left
+    when p*p exceeds what remains is itself prime.
+    """
+    if v < 1:
+        raise ValueError(f"v must be positive, got {v}")
+    if isqrt(v) > _SIEVE_LIMIT:
+        primes_up_to(isqrt(v))
+    out = {}
+    for p in _PRIMES:
+        if p * p > v:
+            break
+        if v % p == 0:
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            out[p] = e
+    if v > 1:
+        out[v] = 1
+    return out
+
+
 def legendre_ord(p: int, n: int) -> int:
     """ord_p(n!) via the floor-sum formula; rejects composite p."""
     if not is_prime(p):
@@ -110,6 +136,28 @@ def arguments_ord(p: int, num: tuple[int, ...], den: tuple[int, ...]) -> int:
     ``spec.arguments(n)`` once and pass its two halves here per prime.
     """
     return sum(legendre_ord(p, v) for v in num) - sum(legendre_ord(p, v) for v in den)
+
+
+def orders_at(primes, num: tuple[int, ...], den: tuple[int, ...]) -> dict[int, int]:
+    """``arguments_ord`` at each of ``primes``, which the caller vouches are prime.
+
+    For primes that come from ``factorize``; it makes no primality test,
+    which would otherwise cost a trial division per floor sum above the
+    sieve limit.
+    """
+    out = {}
+    for p in primes:
+        total = 0
+        for v in num:
+            while v:
+                v //= p
+                total += v
+        for v in den:
+            while v:
+                v //= p
+                total -= v
+        out[p] = total
+    return out
 
 
 def ratio_ord(p: int, spec: FactorialRatioSpec, n: int) -> int:

@@ -8,6 +8,7 @@ import pytest
 from factratio import (
     FactorialRatioSpec,
     IntegralityError,
+    InternalCheckError,
     central_product_value,
     check_divisibility,
     check_product,
@@ -24,14 +25,20 @@ from factratio import (
     sun_t,
     valuation_case_orders,
 )
+from factratio import divisibility as dv
+from factratio import registry
 from factratio.divisibility import (
+    BASES,
     CLAIMS_BY_ID,
+    BaseRatio,
     CONSTANT_FACTORS,
     DivisibilityClaim,
     RATIO_BOUNDS,
     S_RATIO,
     T_CFORM,
     T_RATIO,
+    VALUE_FUNCS,
+    WZ_INT_RATIO,
     t_cform,
     valuation_verdict,
 )
@@ -94,19 +101,88 @@ def test_published_fourth_congruence_fails_at_n2():
 
 
 def test_dual_route_verdicts_agree():
+    # the big-integer oracle over each claim's whole default range
     for claim_id in ("thm-1.1", "thm-1.2", "thm-1.3"):
+        n_max = registry.resolve_ranges(registry.get_claim(claim_id), None)["n"]
         for claim in CLAIMS_BY_ID[claim_id]:
-            for n in range(1, 201):
-                assert check_divisibility(claim, n) == valuation_verdict(claim, n)
+            for n in range(1, n_max + 1):
+                assert check_divisibility(claim, n) == valuation_verdict(claim, n), (claim.name, n)
+
+
+# multipliers outside CONSTANT_FACTORS, each failing for some n
+DEMO_CLAIMS = tuple(
+    DivisibilityClaim(f"{m}*S(n) mod 2n+9", m, S_RATIO, form(2, 9), "s") for m in (1, 2, 35, 1001)
+)
+# the fourth third-theorem congruence as published, false whenever 5 | 2n+1
+PUBLISHED_3003 = DivisibilityClaim("3003*t(n) mod 2n+1", 3003, T_RATIO, form(2, 1), "t")
 
 
 def test_valuation_route_takes_any_multiplier():
-    # multipliers outside CONSTANT_FACTORS, each failing for some n
-    for multiplier in (1, 2, 35, 1001):
-        claim = DivisibilityClaim("demo", multiplier, S_RATIO, form(2, 9), "s")
+    for claim in DEMO_CLAIMS:
         verdicts = [check_divisibility(claim, n) for n in range(1, 61)]
         assert not all(verdicts)
         assert verdicts == [valuation_verdict(claim, n) for n in range(1, 61)]
+
+
+def test_claim_ratio_is_base_over_cofactor():
+    pairs = {(c.value_key, c.ratio) for group in CLAIMS_BY_ID.values() for c in group}
+    assert {key for key, _ in pairs} == set(BASES) == set(VALUE_FUNCS)
+    for key, ratio in pairs:
+        base = BASES[key]
+        for n in range(1, 201):
+            assert eval_ratio(ratio, n) == eval_ratio(base.spec, n) / base.cofactor(n), (key, n)
+
+
+def test_unsound_base_ratios_rejected():
+    with pytest.raises(ValueError, match="offsets"):
+        BaseRatio(S_RATIO, form(0, 1))
+    # n!^2/(2n)! = 1/C(2n,n): balanced, but its Landau minimum is -1
+    with pytest.raises(ValueError, match="Landau"):
+        BaseRatio(FactorialRatioSpec.from_pairs([(1, 0), (1, 0)], [(2, 0)]), form(0, 1))
+    BaseRatio(WZ_INT_RATIO, form(4, 2))  # the sound base of S(n)
+
+
+def test_valuation_route_raises_on_non_integral_ratio(monkeypatch):
+    # W(n)/(4n+4) is not an integer at n = 1 (W(1) = 30)
+    monkeypatch.setitem(BASES, "s", BaseRatio(WZ_INT_RATIO, form(4, 4)))
+    with pytest.raises(IntegralityError):
+        valuation_verdict(CLAIMS_BY_ID["thm-1.1"][0], 1)
+
+
+def _bigint_failures(claim, n):
+    """Counterexample dict of the big-integer route alone, or None."""
+    residue = claim.multiplier * VALUE_FUNCS[claim.value_key](n) % claim.modulus_form(n)
+    if residue == 0:
+        return None
+    return {"n": n, "congruence": claim.name, "modulus": claim.modulus_form(n), "residue": residue}
+
+
+def test_registry_counterexamples_match_bigint_reference():
+    for claim in (PUBLISHED_3003, *DEMO_CLAIMS):
+        got, want = [], []
+        for n in range(1, 161):
+            checked, failures = registry._check_divisibility_group((claim,), (n,))
+            assert checked == 1
+            got += failures
+            want += [bad] if (bad := _bigint_failures(claim, n)) else []
+        assert want and got == want, claim.name
+        if claim is PUBLISHED_3003:
+            assert [bad["n"] for bad in got] == [2, 7, 12, 32, 37, 62, 157]
+
+
+def test_flipped_bigint_route_raises(monkeypatch):
+    real = dv.check_divisibility
+    monkeypatch.setattr(dv, "check_divisibility", lambda claim, n: not real(claim, n))
+    thm11 = CLAIMS_BY_ID["thm-1.1"]
+    assert registry.BIGINT_ORACLE_N_MAX >= 50
+    with pytest.raises(InternalCheckError):
+        registry._check_divisibility_group(thm11, (50,))  # passing, n <= the bound
+    # above the bound a passing point is not re-derived
+    assert registry._check_divisibility_group(thm11, (registry.BIGINT_ORACLE_N_MAX + 1,)) == (1, [])
+    # every failing point is re-derived, above the bound too
+    assert not valuation_verdict(PUBLISHED_3003, 157)
+    with pytest.raises(InternalCheckError):
+        registry._check_divisibility_group((PUBLISHED_3003,), (157,))
 
 
 def test_constant_factorizations():

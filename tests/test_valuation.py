@@ -1,7 +1,8 @@
 """Valuation layer: Legendre floor sums vs trial-division oracles."""
 
+import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -10,6 +11,7 @@ from factratio import (
     binary_digit_sum,
     digit_sum,
     eval_ratio,
+    factorize,
     is_prime,
     legendre_ord,
     padic_profile,
@@ -18,6 +20,7 @@ from factratio import (
 )
 from factratio import valuation
 from factratio.divisibility import RATIO_BOUNDS, S_RATIO, T_RATIO, WZ_INT_RATIO
+from factratio.floors import divisors_of
 
 
 def ord_p_int(p: int, v: int) -> int:
@@ -66,6 +69,64 @@ def test_is_prime_above_sieve_limit(monkeypatch):
     assert is_prime(104_729) and is_prime(2**31 - 1)
     assert not is_prime(7919**2) and not is_prime(104_729 * 7919)
     assert not is_prime(-7) and not is_prime(-1)
+
+
+def _trial_division_factors(v: int) -> dict[int, int]:
+    out = {}
+    d = 2
+    while d * d <= v:
+        while v % d == 0:
+            out[d] = out.get(d, 0) + 1
+            v //= d
+        d += 1
+    if v > 1:
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
+def _trial_division_divisors(v: int) -> list[int]:
+    small = [d for d in range(1, isqrt(v) + 1) if v % d == 0]
+    return sorted(set(small) | {v // d for d in small})
+
+
+def test_factorize_and_divisors_match_trial_division(monkeypatch):
+    # start from an empty sieve so factorize grows it only to sqrt(v), and
+    # the large prime cofactors lie above the sieve limit
+    monkeypatch.setattr(valuation, "_SIEVE_LIMIT", 0)
+    monkeypatch.setattr(valuation, "_SIEVE", bytearray())
+    monkeypatch.setattr(valuation, "_PRIMES", [])
+    rng = random.Random(20131)
+    values = list(range(1, 5001)) + [rng.randrange(1, 10**7) for _ in range(2000)]
+    values += [9_999_991, 2 * 4_999_999, 3163**2, 2**23, 7 * 11 * 13 * 17 * 19 * 23]
+    above_sieve = 0
+    for v in values:
+        factors = factorize(v)
+        assert factors == _trial_division_factors(v), v
+        assert list(factors) == sorted(factors)
+        assert prod(p**e for p, e in factors.items()) == v
+        assert divisors_of(v) == _trial_division_divisors(v), v
+        above_sieve += any(p > valuation._SIEVE_LIMIT for p in factors)
+    assert valuation._SIEVE_LIMIT < 10_000
+    assert above_sieve > 1000
+    assert factorize(9_999_991) == {9_999_991: 1}
+
+
+def test_factorize_and_divisors_edge_cases():
+    assert factorize(1) == {}
+    assert divisors_of(1) == [1]
+    assert divisors_of(0) == [] and divisors_of(-6) == []
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_orders_at_matches_arguments_ord():
+    for spec in (S_RATIO, T_RATIO, WZ_INT_RATIO):
+        for n in range(1, 80):
+            num, den = spec.arguments(n)
+            primes = primes_up_to(spec.max_argument(n))
+            assert valuation.orders_at(primes, num, den) == {
+                p: valuation.arguments_ord(p, num, den) for p in primes
+            }
 
 
 def test_legendre_rejects_composites_inside_sieve(monkeypatch):
