@@ -29,14 +29,13 @@ from .errors import (
 )
 from .floors import (
     CongruenceIdentity,
-    StepFunctionSpec,
     check_by_fractional_parts,
     check_congruence_identity,
     landau_min,
     landau_witnesses,
     sweep_congruence_identity,
 )
-from .forms import FactorialRatioSpec, LinearForm, form
+from .forms import BalancedRatio, LinearForm, form
 from .qpoly import (
     DensePoly,
     cyclotomic,
@@ -49,7 +48,6 @@ from .qpoly import (
 )
 from .qratio import (
     CycloExponentVector,
-    QRatioSpec,
     exponent_vector,
     expand,
     naive_expand,

@@ -19,7 +19,7 @@ import json
 import sys
 
 from .errors import NotPolynomialError, UsageError
-from .floors import StepFunctionSpec, landau_min, landau_witnesses
+from .floors import grid, landau_min, landau_witnesses, step
 from .qpoly import is_nonnegative, is_reciprocal, is_unimodal
 from .qratio import FAMILIES, exponent_vector, expand, spec_degree
 from .registry import list_claims
@@ -101,12 +101,12 @@ def _cmd_landau(args: argparse.Namespace) -> int:
     num = _parse_coeffs(args.num, "num")
     den = _parse_coeffs(args.den, "den")
     try:
-        spec = StepFunctionSpec(num, den)
+        spec = step(num, den)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if spec.grid() > 5_000_000:
+    if grid(spec) > 5_000_000:
         raise UsageError(
-            f"evaluation grid lcm={spec.grid()} is too fine; keep the "
+            f"evaluation grid lcm={grid(spec)} is too fine; keep the "
             "coefficient lcm under 5e6"
         )
     low = landau_min(spec)

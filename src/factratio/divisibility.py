@@ -6,10 +6,11 @@ Central objects:
     t(n) = C(15n,5n) C(5n-1,n-1) / ((10n+1) C(3n,n))
 
 both integers for every n >= 1.  Each named claim asserts that a linear
-modulus form divides ``multiplier * ratio(n)``; the multiplier constants
-(3, 21, 105, 315, 6435, 3003, 88179, 43263) ship with their prime
-factorizations, since the proofs work by showing the factorization covers
-the worst-case negative p-adic orders of a shifted companion ratio.
+modulus form divides ``multiplier * ratio(n)``.  The proofs work by
+showing that the multiplier constants (3, 21, 105, 315, 6435, 3003, 88179,
+43263) cover the worst-case negative p-adic orders of a shifted companion
+ratio; ``RATIO_BOUNDS`` records those orders with their clearing constants,
+and ``check_valuation_bounds`` checks that each constant covers them.
 
 Two routes decide a claim at n.  The primary one works prime by prime,
 as the proofs do.  Every claim ratio is an integral base ratio B over a
@@ -35,16 +36,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import IntegralityError, InternalCheckError
-from .floors import StepFunctionSpec, landau_min
-from .forms import FactorialRatioSpec, LinearForm, form
-from .valuation import (
-    arguments_ord,
-    binary_digit_sum,
-    factorize,
-    orders_at,
-    primes_up_to,
-    ratio_ord,
-)
+from .floors import STEP_6_1, STEP_15_2, landau_min
+from .forms import BalancedRatio, LinearForm, form
+from .valuation import binary_digit_sum, factorize, orders_at, padic_profile, ratio_ord
 
 
 # --------------------------------------------------------------------------
@@ -52,32 +46,32 @@ from .valuation import (
 # --------------------------------------------------------------------------
 
 # S(n) = (6n)!(n+1)! / ((3n)!(2n)!(2n+2)!)
-S_RATIO = FactorialRatioSpec.from_pairs([(6, 0), (1, 1)], [(3, 0), (2, 0), (2, 2)])
+S_RATIO = BalancedRatio.from_pairs([(6, 0), (1, 1)], [(3, 0), (2, 0), (2, 2)])
 
 # t(n) = (15n)!(5n-1)!(n)!(2n)! / ((5n)!(n-1)!(4n)!(3n)!(10n+1)!)
-T_RATIO = FactorialRatioSpec.from_pairs(
+T_RATIO = BalancedRatio.from_pairs(
     [(15, 0), (5, -1), (1, 0), (2, 0)],
     [(5, 0), (1, -1), (4, 0), (3, 0), (10, 1)],
 )
 
-# C(15n,5n) C(5n,n) / C(3n,n) = (15n)!(2n)! / ((10n)!(4n)!(3n)!)
-T_CFORM = FactorialRatioSpec.from_pairs([(15, 0), (2, 0)], [(10, 0), (4, 0), (3, 0)])
+# C(15n,5n) C(5n,n) / C(3n,n) = (15n)!(2n)! / ((10n)!(4n)!(3n)!) = G(n)
+T_CFORM = STEP_15_2
 
-# (6n)! n! / ((3n)!(2n)!^2): the integer whose 2-adic order equals the
-# binary digit sum of n.
-WZ_INT_RATIO = FactorialRatioSpec.from_pairs([(6, 0), (1, 0)], [(3, 0), (2, 0), (2, 0)])
+# W(n) = (6n)! n! / ((3n)!(2n)!^2): the integer whose 2-adic order equals
+# the binary digit sum of n.
+WZ_INT_RATIO = STEP_6_1
 
 
-def s_shift_ratio(offset: int) -> FactorialRatioSpec:
+def s_shift_ratio(offset: int) -> BalancedRatio:
     """(2n+c-1)!(6n)!(n)! / ((2n+c)!(3n)!(2n)!^2) for modulus form 2n+c."""
-    return FactorialRatioSpec.from_pairs(
+    return BalancedRatio.from_pairs(
         [(2, offset - 1), (6, 0), (1, 0)], [(2, offset), (3, 0), (2, 0), (2, 0)]
     )
 
 
-def t_shift_ratio(coeff: int, offset: int) -> FactorialRatioSpec:
+def t_shift_ratio(coeff: int, offset: int) -> BalancedRatio:
     """(M-1)!(15n)!(2n)! / (M!(10n)!(4n)!(3n)!) for modulus form M = coeff*n+offset."""
-    return FactorialRatioSpec.from_pairs(
+    return BalancedRatio.from_pairs(
         [(coeff, offset - 1), (15, 0), (2, 0)],
         [(coeff, offset), (10, 0), (4, 0), (3, 0)],
     )
@@ -87,7 +81,7 @@ def t_shift_ratio(coeff: int, offset: int) -> FactorialRatioSpec:
 # Exact evaluation
 # --------------------------------------------------------------------------
 
-def eval_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
+def eval_ratio(spec: BalancedRatio, n: int) -> Fraction:
     """Exact rational value of the ratio at n."""
     num, den = spec.arguments(n)
     top = 1
@@ -99,7 +93,7 @@ def eval_ratio(spec: FactorialRatioSpec, n: int) -> Fraction:
     return Fraction(top, bottom)
 
 
-def ratio_int(spec: FactorialRatioSpec, n: int) -> int:
+def ratio_int(spec: BalancedRatio, n: int) -> int:
     """Integer value of the ratio; raises IntegralityError otherwise."""
     value = eval_ratio(spec, n)
     if value.denominator != 1:
@@ -150,7 +144,7 @@ class DivisibilityClaim:
 
     name: str
     multiplier: int
-    ratio: FactorialRatioSpec
+    ratio: BalancedRatio
     modulus_form: LinearForm
     value_key: str  # fast evaluator registered in VALUE_FUNCS
     n_min: int = 1
@@ -175,18 +169,13 @@ class BaseRatio:
     offsets, and the Landau minimum of its step function is >= 0.
     """
 
-    spec: FactorialRatioSpec
+    spec: BalancedRatio
     cofactor: LinearForm
 
     def __post_init__(self) -> None:
-        forms = self.spec.numerator + self.spec.denominator
-        if any(f.offset for f in forms):
+        if any(f.offset for f in self.spec.numerator + self.spec.denominator):
             raise ValueError(f"base ratio {self.spec} has offsets")
-        shape = StepFunctionSpec(
-            tuple(f.coeff for f in self.spec.numerator if f.coeff),
-            tuple(f.coeff for f in self.spec.denominator if f.coeff),
-        )
-        if landau_min(shape) < 0:
+        if landau_min(self.spec) < 0:
             raise ValueError(f"base ratio {self.spec} has a negative Landau minimum")
 
 
@@ -195,19 +184,6 @@ BASES: dict[str, BaseRatio] = {
     "s": BaseRatio(WZ_INT_RATIO, form(4, 2)),  # S = W / (2(2n+1))
     "t": BaseRatio(T_CFORM, form(50, 5)),  # t = G / (5(10n+1))
     "t-cform": BaseRatio(T_CFORM, form(0, 1)),
-}
-
-# Multiplier constants with factorizations: the valuation case analysis
-# must be fully absorbed by these exponents.
-CONSTANT_FACTORS: dict[int, dict[int, int]] = {
-    3: {3: 1},
-    21: {3: 1, 7: 1},
-    105: {3: 1, 5: 1, 7: 1},
-    315: {3: 2, 5: 1, 7: 1},
-    6435: {3: 2, 5: 1, 11: 1, 13: 1},
-    3003: {3: 1, 7: 1, 11: 1, 13: 1},
-    88179: {3: 1, 7: 1, 13: 1, 17: 1, 19: 1},
-    43263: {3: 2, 11: 1, 19: 1, 23: 1},
 }
 
 CLAIMS_BY_ID: dict[str, tuple[DivisibilityClaim, ...]] = {
@@ -368,7 +344,7 @@ class BoundedRatio:
     """
 
     name: str
-    spec: FactorialRatioSpec
+    spec: BalancedRatio
     exceptions: dict[int, int]
     clearing: int
 
@@ -383,12 +359,7 @@ RATIO_BOUNDS: dict[str, BoundedRatio] = {
 
 def valuation_case_orders(name: str, n: int) -> dict[int, int]:
     """Odd-prime orders of the named shifted ratio at n."""
-    num, den = RATIO_BOUNDS[name].spec.arguments(n)
-    return {
-        p: arguments_ord(p, num, den)
-        for p in primes_up_to(max(num + den, default=0))
-        if p != 2
-    }
+    return padic_profile(RATIO_BOUNDS[name].spec, n, odd=True).orders
 
 
 def check_valuation_bounds(name: str, n: int) -> list[dict[str, int | str]]:

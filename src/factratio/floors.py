@@ -1,13 +1,15 @@
 """Floor-function step criteria and congruence-conditioned identities.
 
-Two kinds of statement live here.
+This module holds the step reading of ``forms.BalancedRatio``: with
+{a_i}, {b_j} the coefficients of its blocks (``step`` builds the zero-offset
+ratio of a coefficient shape), ``value_at`` evaluates the step function
+f(x) = sum floor(a_i x) - sum floor(b_j x).  Two kinds of statement use it.
 
-The integrality criterion: for balanced coefficient multisets {a_i}, {b_j}
-the step function f(x) = sum floor(a_i x) - sum floor(b_j x) is 1-periodic
-and piecewise constant, so its global minimum over the reals is attained
-on the finite grid k/L with L = lcm of all coefficients.  The associated
-factorial ratio prod (a_i n)! / prod (b_j n)! is integral for every n
-exactly when that minimum is >= 0.
+The integrality criterion: f is 1-periodic and piecewise constant, so its
+global minimum over the reals is attained on the finite grid k/L with
+L = lcm of all coefficients.  The associated factorial ratio
+prod (a_i n)! / prod (b_j n)! is integral for every n exactly when that
+minimum is >= 0.
 
 The exact "+1" identities: under a divisor condition m | c*n + d with m
 above a family-specific threshold, the inequality sharpens to an equality
@@ -27,51 +29,45 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InternalCheckError, PreconditionError
-from .forms import LinearForm, form
+from .forms import BalancedRatio, LinearForm, form
 from .valuation import factorize
 
 
-@dataclass(frozen=True)
-class StepFunctionSpec:
-    """Balanced coefficient multisets for sum floor(a_i x) - sum floor(b_j x)."""
-
-    numerator_coeffs: tuple[int, ...]
-    denominator_coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = self.numerator_coeffs + self.denominator_coeffs
-        if not coeffs or any(c <= 0 for c in coeffs):
-            raise ValueError("step-function coefficients must be positive")
-        if sum(self.numerator_coeffs) != sum(self.denominator_coeffs):
-            raise ValueError(
-                "unbalanced step function: "
-                f"{sum(self.numerator_coeffs)} != {sum(self.denominator_coeffs)}"
-            )
-
-    def value_at(self, k: int, L: int) -> int:
-        """f(k/L) computed in exact integer arithmetic."""
-        return sum(a * k // L for a in self.numerator_coeffs) - sum(
-            b * k // L for b in self.denominator_coeffs
-        )
-
-    def grid(self) -> int:
-        return lcm(*self.numerator_coeffs, *self.denominator_coeffs)
+def step(num: tuple[int, ...], den: tuple[int, ...]) -> BalancedRatio:
+    """The zero-offset ratio prod (a_i n)! / prod (b_j n)! of a coefficient shape."""
+    if not num + den or any(c <= 0 for c in num + den):
+        raise ValueError("step-function coefficients must be positive")
+    return BalancedRatio(tuple(map(form, num)), tuple(map(form, den)))
 
 
-def landau_min(spec: StepFunctionSpec) -> int:
+def value_at(spec: BalancedRatio, k: int, L: int) -> int:
+    """Step value F(k/L) of the spec's coefficients, in exact integer arithmetic."""
+    return sum(a * k // L for a in spec.num_coeffs) - sum(b * k // L for b in spec.den_coeffs)
+
+
+def grid(spec: BalancedRatio) -> int:
+    """L = lcm of the non-zero coefficients: F is constant on each [k/L, (k+1)/L).
+
+    A constant block (coefficient 0) adds floor(0) = 0 to F, so it does not
+    refine the grid.
+    """
+    return lcm(*(c for c in spec.num_coeffs + spec.den_coeffs if c))
+
+
+def landau_min(spec: BalancedRatio) -> int:
     """Global minimum of the step function over the reals.
 
     Non-negative exactly when prod (a_i n)!/prod (b_j n)! is an integer
     for every n >= 0.
     """
-    L = spec.grid()
-    return min(spec.value_at(k, L) for k in range(L))
+    L = grid(spec)
+    return min(value_at(spec, k, L) for k in range(L))
 
 
-def landau_witnesses(spec: StepFunctionSpec) -> list[tuple[Fraction, int]]:
+def landau_witnesses(spec: BalancedRatio) -> list[tuple[Fraction, int]]:
     """All grid points k/L attaining the minimum, ascending."""
-    L = spec.grid()
-    values = [spec.value_at(k, L) for k in range(L)]
+    L = grid(spec)
+    values = [value_at(spec, k, L) for k in range(L)]
     low = min(values)
     return [(Fraction(k, L), v) for k, v in enumerate(values) if v == low]
 
@@ -85,7 +81,7 @@ class CongruenceIdentity:
     cases that hold only for a handful of m.
     """
 
-    shape: StepFunctionSpec
+    shape: BalancedRatio
     divisor_form: LinearForm
     m_min: int
     surplus: int = 1
@@ -111,7 +107,7 @@ def check_congruence_identity(ident: CongruenceIdentity, m: int, n: int) -> bool
         raise PreconditionError(f"m={m} does not divide {ident.divisor_form}={ident.divisor_form(n)}")
     if not ident.admits(m):
         raise PreconditionError(f"m={m} outside the domain {ident.condition()}")
-    return ident.shape.value_at(n, m) == ident.surplus
+    return value_at(ident.shape, n, m) == ident.surplus
 
 
 def check_by_fractional_parts(ident: CongruenceIdentity, m: int, n: int) -> bool:
@@ -125,8 +121,8 @@ def check_by_fractional_parts(ident: CongruenceIdentity, m: int, n: int) -> bool
     Independent route used to cross-examine the floor-sum verdict: it never
     forms a floor quotient.
     """
-    lhs = sum(a * n % m for a in ident.shape.numerator_coeffs)
-    rhs = sum(b * n % m for b in ident.shape.denominator_coeffs)
+    lhs = sum(a * n % m for a in ident.shape.num_coeffs)
+    rhs = sum(b * n % m for b in ident.shape.den_coeffs)
     return lhs == rhs - ident.surplus * m
 
 
@@ -198,10 +194,15 @@ def sweep_congruence_identity(ident: CongruenceIdentity, n_max: int) -> SweepRep
     return report
 
 
-# The two step functions whose non-negativity underlies every divisibility
-# claim in the package.
-STEP_6_1 = StepFunctionSpec((6, 1), (3, 2, 2))
-STEP_15_2 = StepFunctionSpec((15, 2), (10, 4, 3))
+# The two balanced ratios behind every claim in the package, defined here
+# once:
+#     W(n) = (6n)! n! / ((3n)! (2n)!^2),
+#     G(n) = (15n)! (2n)! / ((10n)! (4n)! (3n)!).
+# Their step functions have minimum 0 (lem-2.1); the divisibility claims
+# divide them by a linear cofactor, and the q-families attach single
+# factors to their q-analogues.
+STEP_6_1 = step((6, 1), (3, 2, 2))
+STEP_15_2 = step((15, 2), (10, 4, 3))
 
 # Identity families, keyed by the sweep registry.  The (6,1 | 3,2,2) shape
 # carries the 2n+c conditions; the (15,2 | 10,4,3) shape the 2n+1 / 10n+c

@@ -1,8 +1,8 @@
-"""q-factorial ratio expressions and their cyclotomic-exponent expansion.
+"""The q reading of a balanced ratio: its cyclotomic-exponent expansion.
 
-A QRatioSpec describes an expression built from two kinds of factor:
+A ``forms.BalancedRatio`` read over q has two kinds of factor:
 
-    [f(n)]!  = (1-q)(1-q^2)...(1-q^{f(n)})     (q-factorial block)
+    [f(n)]!  = (1-q)(1-q^2)...(1-q^{f(n)})     (factorial block)
     (1-q^{g(n)})                               (single factor)
 
 as a numerator/denominator pair of multisets.  Since q^k - 1 factors as
@@ -13,9 +13,10 @@ expression equals  prod_{d>=2} Phi_d(q)^{e_d}  with
         + #{g_num : d | g_num(n)} - #{g_den : d | g_den(n)},
 
 computed by floor sums and divisibility tests only: no polynomial
-arithmetic is needed to decide polynomiality.  The expression is a
-polynomial exactly when every e_d is non-negative, and the offending d is
-the counterexample witness otherwise.
+arithmetic is needed to decide polynomiality.  For zero-offset blocks the
+floor part is the step value F(n/d) of ``floors.value_at``.  The
+expression is a polynomial exactly when every e_d is non-negative, and the
+offending d is the counterexample witness otherwise.
 
 Signs: each (1-q^k) is -(q^k - 1), so a global sign (-1)^(#num - #den)
 would be needed in general.  The factor-count balance enforced at
@@ -29,16 +30,16 @@ they are both feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd
 
 from .errors import NotPolynomialError
-from .forms import LinearForm, form
+from .floors import STEP_6_1, STEP_15_2, step
+from .forms import BalancedRatio, form
 from .qpoly import DensePoly, cyclotomic
 
 __all__ = [
-    "QRatioSpec",
     "CycloExponentVector",
     "exponent_vector",
     "expand",
@@ -52,61 +53,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QRatioSpec:
-    """Multisets of q-factorial blocks and single 1-q^k factors."""
+def _q_arguments(spec: BalancedRatio, n: int):
+    """Block and single-factor arguments at n, validated for the q reading.
 
-    qfact_num: tuple[LinearForm, ...] = ()
-    qfact_den: tuple[LinearForm, ...] = ()
-    single_num: tuple[LinearForm, ...] = ()
-    single_den: tuple[LinearForm, ...] = ()
-
-    @classmethod
-    def constant(
-        cls,
-        qfact_num: tuple[int, ...] = (),
-        qfact_den: tuple[int, ...] = (),
-        single_num: tuple[int, ...] = (),
-        single_den: tuple[int, ...] = (),
-    ) -> "QRatioSpec":
-        """Spec with fixed integer arguments (coeff-0 forms)."""
-        const = lambda vs: tuple(form(0, v) for v in vs)
-        return cls(const(qfact_num), const(qfact_den), const(single_num), const(single_den))
-
-    def arguments(self, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Evaluated factor arguments, validated.
-
-        q-factorial arguments must be >= 0 ([0]! is the empty product);
-        single-factor arguments must be >= 1 (1 - q^0 = 0 would zero the
-        expression).
-        """
-        qn = [f(n) for f in self.qfact_num]
-        qd = [f(n) for f in self.qfact_den]
-        sn = [g(n) for g in self.single_num]
-        sd = [g(n) for g in self.single_den]
-        for v in qn + qd:
-            if v < 0:
-                raise ValueError(f"negative q-factorial argument {v} at n={n}")
-        for v in sn + sd:
-            if v < 1:
-                raise ValueError(f"single factor argument {v} < 1 at n={n}")
-        num_count = sum(qn) + len(sn)
-        den_count = sum(qd) + len(sd)
-        if num_count != den_count:
-            raise ValueError(
-                f"sign imbalance at n={n}: {num_count} numerator factors vs "
-                f"{den_count} denominator factors"
-            )
-        return qn, qd, sn, sd
-
-    def max_argument(self, n: int) -> int:
-        qn, qd, sn, sd = self.arguments(n)
-        return max(qn + qd + sn + sd, default=0)
+    Block arguments must be >= 0 ([0]! is the empty product; checked by
+    ``spec.arguments``); single-factor arguments must be >= 1 (1 - q^0 = 0
+    would zero the expression); and the factor counts must balance.
+    """
+    qn, qd = spec.arguments(n)
+    sn, sd = spec.singles(n)
+    for v in sn + sd:
+        if v < 1:
+            raise ValueError(f"single factor argument {v} < 1 at n={n}")
+    num_count = sum(qn) + len(sn)
+    den_count = sum(qd) + len(sd)
+    if num_count != den_count:
+        raise ValueError(
+            f"sign imbalance at n={n}: {num_count} numerator factors vs "
+            f"{den_count} denominator factors"
+        )
+    return qn, qd, sn, sd
 
 
-def spec_degree(spec: QRatioSpec, n: int) -> int:
+def spec_degree(spec: BalancedRatio, n: int) -> int:
     """Degree of the expansion (may be computed without expanding)."""
-    qn, qd, sn, sd = spec.arguments(n)
+    qn, qd, sn, sd = _q_arguments(spec, n)
     tri = lambda m: m * (m + 1) // 2
     return (
         sum(tri(v) for v in qn)
@@ -140,13 +111,13 @@ class CycloExponentVector:
         return {str(d): self.exponents[d] for d in sorted(self.exponents)}
 
 
-def exponent_vector(spec: QRatioSpec, n: int) -> CycloExponentVector:
+def exponent_vector(spec: BalancedRatio, n: int) -> CycloExponentVector:
     """Exact cyclotomic exponents of the expression at n.
 
     Pure counting: every [m]! block contributes floor(m/d), every single
     factor contributes 1 when d divides its argument.
     """
-    qn, qd, sn, sd = spec.arguments(n)
+    qn, qd, sn, sd = _q_arguments(spec, n)
     bound = max(qn + qd + sn + sd, default=0)
     exponents: dict[int, int] = {}
     for d in range(2, bound + 1):
@@ -183,13 +154,13 @@ def expand(vector: CycloExponentVector) -> DensePoly:
     return factors[0]
 
 
-def naive_expand(spec: QRatioSpec, n: int) -> DensePoly:
+def naive_expand(spec: BalancedRatio, n: int) -> DensePoly:
     """Oracle route: multiply every numerator factor, divide factor-wise.
 
     Sequential division by 1 - q^j is sound: the full expression is a
     polynomial exactly when every intermediate division is exact.
     """
-    qn, qd, sn, sd = spec.arguments(n)
+    qn, qd, sn, sd = _q_arguments(spec, n)
     poly = DensePoly.one()
     for m in qn:
         for j in range(1, m + 1):
@@ -210,7 +181,13 @@ def naive_expand(spec: QRatioSpec, n: int) -> DensePoly:
 # The gcd-weighted product of two Gaussian binomials
 # --------------------------------------------------------------------------
 
-def gcd_product_spec(a: int, b: int, m: int, n: int, use_gcd: bool = True) -> QRatioSpec:
+def _constant(num, den, single_num=(), single_den=()) -> BalancedRatio:
+    """Spec with fixed integer arguments (coeff-0 forms): n is irrelevant."""
+    const = lambda vs: tuple(form(0, v) for v in vs)
+    return BalancedRatio(const(num), const(den), const(single_num), const(single_den))
+
+
+def gcd_product_spec(a: int, b: int, m: int, n: int, use_gcd: bool = True) -> BalancedRatio:
     """Spec of (1-q^w)/(1-q^{m+n}) * [am+bm-1, am]_q * [an+bn, an]_q.
 
     ``w = gcd(am, m+n)`` for the sharp statement, ``w = am`` for the
@@ -219,9 +196,9 @@ def gcd_product_spec(a: int, b: int, m: int, n: int, use_gcd: bool = True) -> QR
     if min(a, b, m, n) < 1:
         raise ValueError("a, b, m, n must all be positive")
     w = gcd(a * m, m + n) if use_gcd else a * m
-    return QRatioSpec.constant(
-        qfact_num=(a * m + b * m - 1, a * n + b * n),
-        qfact_den=(a * m, b * m - 1, a * n, b * n),
+    return _constant(
+        (a * m + b * m - 1, a * n + b * n),
+        (a * m, b * m - 1, a * n, b * n),
         single_num=(w,),
         single_den=(m + n,),
     )
@@ -235,11 +212,11 @@ def gcd_product_q1_value(a: int, b: int, m: int, n: int, use_gcd: bool = True) -
     )
 
 
-def qbinomial_spec(n: int, k: int) -> QRatioSpec:
-    """[n, k]_q as a QRatioSpec (in-range k only)."""
+def qbinomial_spec(n: int, k: int) -> BalancedRatio:
+    """[n, k]_q as a BalancedRatio (in-range k only)."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n for a spec, got n={n}, k={k}")
-    return QRatioSpec.constant(qfact_num=(n,), qfact_den=(k, n - k))
+    return _constant((n,), (k, n - k))
 
 
 # --------------------------------------------------------------------------
@@ -251,78 +228,58 @@ class QFamily:
     """A q-expression family parameterized by the sweep variable n."""
 
     id: str
-    spec: QRatioSpec
+    spec: BalancedRatio
     n_min: int = 1
     description: str = ""
 
 
-def _family(
-    fid: str,
-    qfact_num,
-    qfact_den,
-    single_num=(),
-    single_den=(),
-    n_min: int = 1,
-    description: str = "",
-) -> QFamily:
+def _family(fid, base, single_num=(), single_den=(), n_min=1, description="") -> QFamily:
+    """base times the single factors (1 - q^(c n + o)), given as (c, o) pairs."""
     pack = lambda pairs: tuple(form(c, o) for c, o in pairs)
-    return QFamily(
-        id=fid,
-        spec=QRatioSpec(pack(qfact_num), pack(qfact_den), pack(single_num), pack(single_den)),
-        n_min=n_min,
-        description=description,
-    )
+    spec = replace(base, single_num=pack(single_num), single_den=pack(single_den))
+    return QFamily(fid, spec, n_min, description)
 
 
-# Base blocks: F(n) = [6n]![n]!/([3n]![2n]!^2), G(n) = [15n]![2n]!/([10n]![4n]![3n]!)
-_F_NUM = ((6, 0), (1, 0))
-_F_DEN = ((3, 0), (2, 0), (2, 0))
-_G_NUM = ((15, 0), (2, 0))
-_G_DEN = ((10, 0), (4, 0), (3, 0))
-
+# Base blocks: F(n) = [6n]![n]!/([3n]![2n]!^2) and G(n) =
+# [15n]![2n]!/([10n]![4n]![3n]!), the q-analogues of floors.STEP_6_1 and
+# floors.STEP_15_2.
 FAMILIES: dict[str, QFamily] = {
     f.id: f
     for f in (
         _family(
             "wz",
-            _F_NUM,
-            _F_DEN,
+            STEP_6_1,
             description="[6n]![n]!/([3n]![2n]!^2); non-negative coefficients",
         ),
         _family(
             "wz-15-2",
-            _G_NUM,
-            _G_DEN,
+            STEP_15_2,
             description="[15n]![2n]!/([10n]![4n]![3n]!); conjectured non-negative",
         ),
         _family(
             "thm-7.2-1",
-            _F_NUM,
-            _F_DEN,
+            STEP_6_1,
             single_num=((0, 1),),
             single_den=((2, 1),),
             description="(1-q) F(n) / (1-q^{2n+1})",
         ),
         _family(
             "thm-7.2-2",
-            _F_NUM,
-            _F_DEN,
+            STEP_6_1,
             single_num=((0, 3),),
             single_den=((2, 3),),
             description="(1-q^3) F(n) / (1-q^{2n+3})",
         ),
         _family(
             "thm-7.2-3",
-            _F_NUM,
-            _F_DEN,
+            STEP_6_1,
             single_num=((0, 1), (0, 3)),
             single_den=((2, 1), (2, 3)),
             description="(1-q)(1-q^3) F(n) / ((1-q^{2n+1})(1-q^{2n+3}))",
         ),
         _family(
             "thm-7.2-4",
-            _F_NUM,
-            _F_DEN,
+            STEP_6_1,
             single_num=((0, 3), (0, 5), (0, 7)),
             single_den=((2, 3), (2, 5), (2, 7)),
             n_min=2,
@@ -330,8 +287,7 @@ FAMILIES: dict[str, QFamily] = {
         ),
         _family(
             "thm-7.2-5",
-            _F_NUM,
-            _F_DEN,
+            STEP_6_1,
             single_num=((0, 3), (0, 3), (0, 5), (0, 7)),
             single_den=((2, 1), (2, 3), (2, 5), (2, 7)),
             n_min=2,
@@ -339,24 +295,21 @@ FAMILIES: dict[str, QFamily] = {
         ),
         _family(
             "thm-7.4-1",
-            _G_NUM,
-            _G_DEN,
+            STEP_15_2,
             single_num=((0, 1),),
             single_den=((10, 1),),
             description="(1-q) G(n) / (1-q^{10n+1})",
         ),
         _family(
             "thm-7.4-2",
-            _G_NUM,
-            _G_DEN,
+            STEP_15_2,
             single_num=((0, 3), (0, 7)),
             single_den=((0, 1), (10, 3)),
             description="(1-q^3)(1-q^7) G(n) / ((1-q)(1-q^{10n+3}))",
         ),
         _family(
             "q-catalan",
-            ((2, 0),),
-            ((1, 0), (1, 0)),
+            step((2,), (1, 1)),
             single_num=((0, 1),),
             single_den=((1, 1),),
             description="(1-q)/(1-q^{n+1}) [2n, n]_q",

@@ -152,8 +152,8 @@ def _check_landau_point(point: Point):
         if low != 0:
             failures.append(
                 {
-                    "numerator": ",".join(map(str, spec.numerator_coeffs)),
-                    "denominator": ",".join(map(str, spec.denominator_coeffs)),
+                    "numerator": ",".join(map(str, spec.num_coeffs)),
+                    "denominator": ",".join(map(str, spec.den_coeffs)),
                     "minimum": low,
                 }
             )

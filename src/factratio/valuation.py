@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .forms import FactorialRatioSpec
+from .forms import BalancedRatio
 
 # Growable prime table; rebuilt at most O(log) times per process.
 # _SIEVE[i] is 1 exactly when i is prime, for 0 <= i <= _SIEVE_LIMIT.
@@ -160,8 +160,12 @@ def orders_at(primes, num: tuple[int, ...], den: tuple[int, ...]) -> dict[int, i
     return out
 
 
-def ratio_ord(p: int, spec: FactorialRatioSpec, n: int) -> int:
-    """Signed order of a factorial ratio at n; negative values allowed."""
+def ratio_ord(p: int, spec: BalancedRatio, n: int) -> int:
+    """Signed order of the spec's factorial blocks at n; negative values allowed.
+
+    The Legendre reading of the ratio: for zero offsets it equals
+    sum_{k>=1} F(n/p^k), with F the step function of ``floors.value_at``.
+    """
     return arguments_ord(p, *spec.arguments(n))
 
 
@@ -190,7 +194,9 @@ class PadicProfile:
         return {p: e for p, e in self.orders.items() if e}
 
 
-def padic_profile(spec: FactorialRatioSpec, n: int) -> PadicProfile:
+def padic_profile(spec: BalancedRatio, n: int, odd: bool = False) -> PadicProfile:
+    """Orders at every prime up to the largest argument; ``odd`` leaves out p = 2."""
     num, den = spec.arguments(n)
-    orders = {p: arguments_ord(p, num, den) for p in primes_up_to(max(num + den, default=0))}
+    primes = primes_up_to(max(num + den, default=0))
+    orders = {p: arguments_ord(p, num, den) for p in (primes[1:] if odd else primes)}
     return PadicProfile(n=n, orders=orders)

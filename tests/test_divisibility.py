@@ -6,7 +6,7 @@ from math import comb, gcd
 import pytest
 
 from factratio import (
-    FactorialRatioSpec,
+    BalancedRatio,
     IntegralityError,
     InternalCheckError,
     central_product_value,
@@ -31,7 +31,6 @@ from factratio.divisibility import (
     BASES,
     CLAIMS_BY_ID,
     BaseRatio,
-    CONSTANT_FACTORS,
     DivisibilityClaim,
     RATIO_BOUNDS,
     S_RATIO,
@@ -52,13 +51,13 @@ def test_ratio_specs_match_sequences():
 
 
 def test_trivial_ratio():
-    trivial = FactorialRatioSpec.from_pairs([(1, 0)], [(1, 0)])
+    trivial = BalancedRatio.from_pairs([(1, 0)], [(1, 0)])
     assert eval_ratio(trivial, 7) == 1
     assert ratio_int(trivial, 7) == 1
 
 
 def test_ratio_int_raises_on_nonintegers():
-    bad = FactorialRatioSpec.from_pairs([(1, 0)], [(1, 1)])  # n!/(n+1)!
+    bad = BalancedRatio.from_pairs([(1, 0)], [(1, 1)])  # n!/(n+1)!
     with pytest.raises(IntegralityError):
         ratio_int(bad, 3)
 
@@ -109,7 +108,7 @@ def test_dual_route_verdicts_agree():
                 assert check_divisibility(claim, n) == valuation_verdict(claim, n), (claim.name, n)
 
 
-# multipliers outside CONSTANT_FACTORS, each failing for some n
+# multipliers other than the claim constants, each failing for some n
 DEMO_CLAIMS = tuple(
     DivisibilityClaim(f"{m}*S(n) mod 2n+9", m, S_RATIO, form(2, 9), "s") for m in (1, 2, 35, 1001)
 )
@@ -138,8 +137,9 @@ def test_unsound_base_ratios_rejected():
         BaseRatio(S_RATIO, form(0, 1))
     # n!^2/(2n)! = 1/C(2n,n): balanced, but its Landau minimum is -1
     with pytest.raises(ValueError, match="Landau"):
-        BaseRatio(FactorialRatioSpec.from_pairs([(1, 0), (1, 0)], [(2, 0)]), form(0, 1))
+        BaseRatio(BalancedRatio.from_pairs([(1, 0), (1, 0)], [(2, 0)]), form(0, 1))
     BaseRatio(WZ_INT_RATIO, form(4, 2))  # the sound base of S(n)
+    BaseRatio(BalancedRatio.from_pairs([(1, 0), (0, 0)], [(1, 0)]), form(0, 1))  # 0! is 1
 
 
 def test_valuation_route_raises_on_non_integral_ratio(monkeypatch):
@@ -183,15 +183,6 @@ def test_flipped_bigint_route_raises(monkeypatch):
     assert not valuation_verdict(PUBLISHED_3003, 157)
     with pytest.raises(InternalCheckError):
         registry._check_divisibility_group((PUBLISHED_3003,), (157,))
-
-
-def test_constant_factorizations():
-    for value, factors in CONSTANT_FACTORS.items():
-        rebuilt = 1
-        for p, e in factors.items():
-            rebuilt *= p**e
-        assert rebuilt == value
-    assert CONSTANT_FACTORS[43263] == {3: 2, 11: 1, 19: 1, 23: 1}
 
 
 def test_product_forms_examples():

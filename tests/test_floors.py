@@ -10,7 +10,6 @@ from factratio import (
     CongruenceIdentity,
     InternalCheckError,
     PreconditionError,
-    StepFunctionSpec,
     check_by_fractional_parts,
     check_congruence_identity,
     form,
@@ -19,7 +18,7 @@ from factratio import (
     sweep_congruence_identity,
 )
 from factratio import floors
-from factratio.floors import IDENTITIES, STEP_6_1, STEP_15_2
+from factratio.floors import IDENTITIES, STEP_6_1, STEP_15_2, step
 
 LEM_2_2 = IDENTITIES["lem-2.2"][0]
 LEM_2_3 = IDENTITIES["lem-2.3"][0]
@@ -31,13 +30,13 @@ def test_landau_min_paper_specs():
 
 
 def test_landau_min_trivial_and_negative():
-    assert landau_min(StepFunctionSpec((1, 1), (1, 1))) == 0
-    assert landau_min(StepFunctionSpec((5, 1), (3, 3))) == -1
+    assert landau_min(step((1, 1), (1, 1))) == 0
+    assert landau_min(step((5, 1), (3, 3))) == -1
 
 
 def test_landau_witnesses():
     assert (Fraction(0), 0) in landau_witnesses(STEP_6_1)
-    ws = landau_witnesses(StepFunctionSpec((5, 1), (3, 3)))
+    ws = landau_witnesses(step((5, 1), (3, 3)))
     assert (Fraction(2, 3), -1) in ws
     assert all(v == -1 for _, v in ws)
     assert ws == sorted(ws)
@@ -47,17 +46,17 @@ def test_landau_witnesses():
 
 def test_landau_rejects_unbalanced():
     with pytest.raises(ValueError):
-        StepFunctionSpec((6, 1), (3, 2))
+        step((6, 1), (3, 2))
     with pytest.raises(ValueError):
-        StepFunctionSpec((6, 0), (3, 3))
+        step((6, 0), (3, 3))
 
 
 @pytest.mark.parametrize("t", [2, 3])
 @pytest.mark.parametrize("spec", [STEP_6_1, STEP_15_2])
 def test_landau_min_scaling_invariance(spec, t):
-    scaled = StepFunctionSpec(
-        tuple(t * a for a in spec.numerator_coeffs),
-        tuple(t * b for b in spec.denominator_coeffs),
+    scaled = step(
+        tuple(t * a for a in spec.num_coeffs),
+        tuple(t * b for b in spec.den_coeffs),
     )
     assert landau_min(scaled) == landau_min(spec)
 
@@ -79,8 +78,8 @@ def test_nonnegative_minimum_implies_integrality():
 
 
 def test_negative_minimum_yields_noninteger_witness():
-    spec = StepFunctionSpec((5, 1), (3, 3))
-    L = spec.grid()
+    spec = step((5, 1), (3, 3))
+    L = floors.grid(spec)
     assert any(not _ratio_is_integer((5, 1), (3, 3), n) for n in range(1, L + 1))
 
 
@@ -102,7 +101,7 @@ def test_identity_preconditions_are_not_failures():
 
 def test_identity_false_is_distinct_from_precondition():
     perturbed = CongruenceIdentity(
-        shape=StepFunctionSpec((6, 1), (3, 2, 2)), divisor_form=form(2, 3), m_min=5, surplus=2
+        shape=step((6, 1), (3, 2, 2)), divisor_form=form(2, 3), m_min=5, surplus=2
     )
     assert check_congruence_identity(perturbed, 5, 1) is False
 
@@ -122,7 +121,7 @@ def test_sweep_counts_skipped_pairs():
 
 def test_perturbed_identity_sweep_fails():
     perturbed = CongruenceIdentity(
-        shape=StepFunctionSpec((6, 1), (3, 2, 2)), divisor_form=form(2, 3), m_min=5, surplus=2
+        shape=step((6, 1), (3, 2, 2)), divisor_form=form(2, 3), m_min=5, surplus=2
     )
     report = sweep_congruence_identity(perturbed, 50)
     assert not report.ok
@@ -144,8 +143,8 @@ def test_floor_and_fractional_routes_agree():
 def _fractional_parts_reference(shape, surplus, m, n):
     """sum {a n/m} == sum {b n/m} - surplus, in exact rationals."""
     frac = lambda a: Fraction(a * n, m) - (a * n) // m
-    lhs = sum(frac(a) for a in shape.numerator_coeffs)
-    rhs = sum(frac(b) for b in shape.denominator_coeffs)
+    lhs = sum(frac(a) for a in shape.num_coeffs)
+    rhs = sum(frac(b) for b in shape.den_coeffs)
     return lhs == rhs - surplus
 
 
@@ -155,7 +154,7 @@ def _random_balanced_shape(rng):
     total = sum(num)
     cuts = sorted(rng.sample(range(1, total), min(rng.randint(0, 4), total - 1)))
     den = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    return StepFunctionSpec(tuple(num), tuple(den))
+    return step(tuple(num), tuple(den))
 
 
 def test_residue_route_matches_fractional_parts_reference():
@@ -198,7 +197,7 @@ def test_published_extension_condition_is_false():
     # The 10n+7 variant printed for the m in {7,13,17} extension fails
     # immediately; the corrected registry entry uses 10n+9.
     printed = CongruenceIdentity(
-        shape=StepFunctionSpec((15, 2), (10, 4, 3)),
+        shape=step((15, 2), (10, 4, 3)),
         divisor_form=form(10, 7),
         m_min=7,
         m_allowed=frozenset({7, 13, 17}),

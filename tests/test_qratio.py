@@ -6,8 +6,8 @@ from math import gcd
 import pytest
 
 from factratio import (
+    BalancedRatio,
     NotPolynomialError,
-    QRatioSpec,
     check_product,
     exponent_vector,
     expand,
@@ -41,19 +41,19 @@ def test_exponent_vector_qbinomial_42():
 
 
 def test_exponent_vector_empty_spec():
-    vector = exponent_vector(QRatioSpec(), 1)
+    vector = exponent_vector(BalancedRatio((), ()), 1)
     assert vector.exponents == {}
     assert expand(vector).coeffs == (1,)
 
 
 def test_sign_imbalance_rejected():
-    spec = QRatioSpec.constant(qfact_num=(3,), qfact_den=(2,))
+    spec = BalancedRatio.from_pairs([(0, 3)], [(0, 2)])
     with pytest.raises(ValueError, match="imbalance"):
         exponent_vector(spec, 1)
 
 
 def test_single_factor_argument_zero_rejected():
-    spec = QRatioSpec.constant(single_num=(0,), single_den=(1,), qfact_num=(1,), qfact_den=(1,))
+    spec = BalancedRatio.from_pairs([(0, 1)], [(0, 1)], [(0, 0)], [(0, 1)])
     with pytest.raises(ValueError):
         exponent_vector(spec, 1)
 

@@ -7,7 +7,7 @@ from math import isqrt, prod
 import pytest
 
 from factratio import (
-    FactorialRatioSpec,
+    BalancedRatio,
     binary_digit_sum,
     digit_sum,
     eval_ratio,
@@ -176,7 +176,7 @@ def test_ratio_ord_spot_values():
 
 
 def test_ratio_ord_can_be_negative():
-    inv_central = FactorialRatioSpec.from_pairs([(1, 0), (1, 0)], [(2, 0)])
+    inv_central = BalancedRatio.from_pairs([(1, 0), (1, 0)], [(2, 0)])
     # (n!)^2/(2n)! = 1/C(2n,n); at n=2 the value is 1/6
     assert ratio_ord(2, inv_central, 2) == -1
     assert ratio_ord(3, inv_central, 2) == -1
@@ -191,7 +191,7 @@ def test_padic_profile_examples():
     assert prof2.value() == 231
     assert prof2.nonzero() == {3: 1, 7: 1, 11: 1}
 
-    trivial = FactorialRatioSpec.from_pairs([(1, 0)], [(1, 0)])
+    trivial = BalancedRatio.from_pairs([(1, 0)], [(1, 0)])
     assert padic_profile(trivial, 17).nonzero() == {}
 
 
@@ -227,16 +227,16 @@ def test_ord2_identity_matches_digit_sum():
 
 def test_spec_balance_validated():
     with pytest.raises(ValueError):
-        FactorialRatioSpec.from_pairs([(6, 0)], [(3, 0), (2, 0)])
+        BalancedRatio.from_pairs([(6, 0)], [(3, 0), (2, 0)])
 
 
 def test_negative_argument_rejected():
-    spec = FactorialRatioSpec.from_pairs([(1, -1), (1, 1)], [(2, 0)])
+    spec = BalancedRatio.from_pairs([(1, -1), (1, 1)], [(2, 0)])
     with pytest.raises(ValueError):
         spec.arguments(0)
     assert spec.arguments(1) == ((0, 2), (2,))
 
 
 def test_eval_ratio_is_exact_rational():
-    inv_central = FactorialRatioSpec.from_pairs([(1, 0), (1, 0)], [(2, 0)])
+    inv_central = BalancedRatio.from_pairs([(1, 0), (1, 0)], [(2, 0)])
     assert eval_ratio(inv_central, 2) == Fraction(1, 6)
