@@ -27,6 +27,12 @@ then make ``multiplier * B / cofactor / modulus`` non-integral, and
 ``valuation_verdict`` reads their orders from Legendre floor sums.  The
 second route is exact big-integer division with a remainder check; the
 registry runs it as an oracle at every failing point and at every small n.
+
+The central corollary is decided the same way, at the primes of 2(m+n)
+(``central_valuation_verdict``), with the ``Fraction`` value
+``central_product_value`` as its oracle.  The two-binomial product is
+checked by an integer kernel (``check_product``) with the ``Fraction``
+forms of ``product_forms`` as its oracle.
 """
 
 from __future__ import annotations
@@ -224,7 +230,7 @@ def check_divisibility(claim: DivisibilityClaim, n: int) -> bool:
     return (claim.multiplier * value) % claim.modulus_form(n) == 0
 
 
-def valuation_verdict(claim: DivisibilityClaim, n: int) -> bool:
+def valuation_verdict(claim: DivisibilityClaim, n: int, shared: dict | None = None) -> bool:
     """Verdict from Legendre orders at the primes of cofactor and modulus.
 
     With B the claim's base ratio and c its multiplier, the claim ratio is
@@ -236,19 +242,29 @@ def valuation_verdict(claim: DivisibilityClaim, n: int) -> bool:
         ord_p c + ord_p B - ord_p cofactor >= ord_p modulus
 
     A failed integrality test raises IntegralityError, as ``sun_s`` does.
+    ``shared`` is an optional dict that the caller keeps for one n.  The
+    base arguments and the orders at the cofactor primes are stored there
+    per base, so the claims of a group that share a base compute them once.
     """
     if n < claim.n_min:
         raise ValueError(f"n={n} below claim domain n >= {claim.n_min}")
-    base = BASES[claim.value_key]
-    cofactor = factorize(base.cofactor(n))
-    need = factorize(claim.modulus_form(n))
-    num, den = base.spec.arguments(n)
-    orders = orders_at(sorted(cofactor.keys() | need.keys()), num, den)
-    for p, e in cofactor.items():
-        orders[p] -= e
-    short = [p for p, e in orders.items() if e < 0]
+    if shared is None:
+        shared = {}
+    if claim.value_key not in shared:
+        base = BASES[claim.value_key]
+        num, den = base.spec.arguments(n)
+        cofactor = factorize(base.cofactor(n))
+        base_orders = orders_at(cofactor, num, den)
+        for p, e in cofactor.items():
+            base_orders[p] -= e
+        shared[claim.value_key] = num, den, base_orders
+    num, den, base_orders = shared[claim.value_key]
+    short = [p for p, e in base_orders.items() if e < 0]
     if short:
         raise IntegralityError(f"{claim.ratio} is not an integer at n={n} (primes {short})")
+    need = factorize(claim.modulus_form(n))
+    orders = orders_at([p for p in need if p not in base_orders], num, den)
+    orders.update(base_orders)
     return all(orders[p] + _multiplicity(p, claim.multiplier) >= e for p, e in need.items())
 
 
@@ -292,42 +308,50 @@ def product_forms(a: int, b: int, m: int, n: int) -> tuple[Fraction, Fraction]:
 
 
 def check_product(a: int, b: int, m: int, n: int) -> tuple[bool, int | None]:
-    """True plus the common integer value when both forms agree and divide."""
-    first, second = product_forms(a, b, m, n)
-    if first != second or first.denominator != 1:
+    """True plus the common integer value when both forms agree and divide.
+
+    The integer kernel: both numerators come from ``math.comb``, the forms
+    are compared by cross-multiplication and the first one is divided with
+    ``divmod``; ``product_forms`` is the ``Fraction`` route.
+    """
+    if min(a, b, m, n) < 1:
+        raise ValueError("a, b, m, n must all be positive")
+    tail = comb(a * n + b * n, a * n)
+    top1 = a * b * m * comb(a * m + b * m, a * m) * tail
+    bottom1 = (a + b) * (m + n)
+    top2 = a * m * comb(a * m + b * m - 1, a * m) * tail
+    bottom2 = m + n
+    if top1 * bottom2 != top2 * bottom1:
         return False, None
-    return True, first.numerator
+    value, rest = divmod(top1, bottom1)
+    if rest:
+        return False, None
+    return True, value
 
 
-class _CentralCache:
-    """Incrementally extended C(2n, n); exact one-step updates."""
-
-    def __init__(self) -> None:
-        self.n = 1
-        self.value = 2
-
-    def get(self, n: int) -> int:
-        if n == self.n:
-            return self.value
-        if n == self.n + 1:
-            # C(2n+2, n+1) = C(2n, n) * 2(2n+1) / (n+1)
-            num = self.value * 2 * (2 * self.n + 1)
-            self.value = num // (self.n + 1)
-            self.n += 1
-            return self.value
-        self.n = n
-        self.value = comb(2 * n, n)
-        return self.value
-
-
-_CENTRAL = _CentralCache()
-
-
-def central_product_value(m: int, n: int) -> Fraction:
-    """m/(2(m+n)) * C(2m,m) * C(2n,n); integral for all positive m, n."""
+def central_product_value(m: int, n: int, multiplier: int | None = None) -> Fraction:
+    """c/(2(m+n)) * C(2m,m) * C(2n,n) with c = m unless given; integral for c = m."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    return Fraction(m * comb(2 * m, m) * _CENTRAL.get(n), 2 * (m + n))
+    c = m if multiplier is None else multiplier
+    return Fraction(c * comb(2 * m, m) * comb(2 * n, n), 2 * (m + n))
+
+
+def central_valuation_verdict(m: int, n: int, multiplier: int | None = None) -> bool:
+    """Whether c/(2(m+n)) * C(2m,m) * C(2n,n) is an integer (c = m unless given),
+    from Legendre orders at the primes of 2(m+n).
+
+    c * C(2m,m) * C(2n,n) is an integer, so only a prime p of 2(m+n) can
+    make the quotient non-integral, and there the route tests
+
+        ord_p c + ord_p C(2m,m) + ord_p C(2n,n) >= ord_p 2(m+n)
+    """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    c = m if multiplier is None else multiplier
+    need = factorize(2 * (m + n))
+    orders = orders_at(need, (2 * m, 2 * n), (m, m, n, n))
+    return all(orders[p] + _multiplicity(p, c) >= e for p, e in need.items())
 
 
 # --------------------------------------------------------------------------

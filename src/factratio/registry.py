@@ -23,9 +23,10 @@ through a stored reference, so those names can be rebound at run time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import divisibility as dv
 from . import floors
@@ -90,17 +91,18 @@ def _abmn(default: int, cap: int) -> tuple[ParamSpec, ...]:
 # Checkers: (claim data, point) -> (checks run, counterexample dicts)
 # --------------------------------------------------------------------------
 
-# The big-integer route re-derives every divisibility verdict at n up to
-# this bound, so each sweep exercises the direct definition; above it, it
-# runs only at failing points.
+# The big-integer route re-derives every thm-1.1/1.2/1.3 verdict, and the
+# Fraction route every cor-1.5 verdict, at n up to this bound, so each sweep
+# exercises the direct definition; above it, they run only at failing points.
 BIGINT_ORACLE_N_MAX = 100
 
 
 def _check_divisibility_group(group, point: Point):
     (n,) = point
     failures = []
+    shared: dict = {}  # per-base work at this n, see dv.valuation_verdict
     for claim in group:
-        ok = dv.valuation_verdict(claim, n)
+        ok = dv.valuation_verdict(claim, n, shared)
         if ok and n > BIGINT_ORACLE_N_MAX:
             continue
         dv.recheck_divisibility(claim, n, ok)  # raises if the two routes disagree
@@ -118,16 +120,27 @@ def _check_divisibility_group(group, point: Point):
     return len(group), failures
 
 
+# The Fraction route re-derives every thm-1.4 verdict on the box
+# max(a, b, m, n) <= PRODUCT_ORACLE_MAX; outside it, only at failing points.
+PRODUCT_ORACLE_MAX = 4
+
+
 def _check_product_point(point: Point):
     a, b, m, n = point
-    ok, _ = dv.check_product(a, b, m, n)
-    if ok:
+    ok, value = dv.check_product(a, b, m, n)
+    if ok and max(point) > PRODUCT_ORACLE_MAX:
         return 1, []
     first, second = dv.product_forms(a, b, m, n)
     if first != second:
         raise InternalCheckError(
             f"the two product forms disagree at a={a}, b={b}, m={m}, n={n}"
         )
+    if ok != (first.denominator == 1) or (ok and value != first.numerator):
+        raise InternalCheckError(
+            f"integer and Fraction product routes disagree at a={a}, b={b}, m={m}, n={n}"
+        )
+    if ok:
+        return 1, []
     return 1, [
         {"a": a, "b": b, "m": m, "n": n, "form1": str(first), "form2": str(second)}
     ]
@@ -135,13 +148,14 @@ def _check_product_point(point: Point):
 
 def _check_central_point(point: Point):
     m, n = point
-    value = dv.central_product_value(m, n)
-    if value.denominator == 1:
+    ok = dv.central_valuation_verdict(m, n)
+    if ok and n > BIGINT_ORACLE_N_MAX:
         return 1, []
-    # independent route: the general product at a=b=1
-    ok, _ = dv.check_product(1, 1, m, n)
-    if ok:
+    value = dv.central_product_value(m, n)
+    if ok != (value.denominator == 1):
         raise InternalCheckError(f"central product routes disagree at m={m}, n={n}")
+    if ok:
+        return 1, []
     return 1, [{"m": m, "n": n, "value": str(value)}]
 
 
@@ -537,12 +551,48 @@ def resolve_ranges(claim: ClaimRecord, ranges: dict[str, int] | None) -> dict[st
     return resolved
 
 
-def points_for(claim: ClaimRecord, ranges: dict[str, int]) -> list[Point]:
-    """Parameter points in ascending lexicographic order."""
-    grid = itertools.product(*(range(p.minimum, ranges[p.name] + 1) for p in claim.params))
+def grid_size(claim: ClaimRecord, ranges: dict[str, int]) -> int:
+    """Number of points of the unfiltered grid, before any constraint."""
+    return math.prod(ranges[p.name] - p.minimum + 1 for p in claim.params)
+
+
+def points_for(
+    claim: ClaimRecord, ranges: dict[str, int], start: int = 0, stop: int | None = None
+) -> list[Point]:
+    """Parameter points in ascending lexicographic order.
+
+    ``start`` and ``stop`` select the index slice [start, stop) of the
+    unfiltered grid; the constraint then filters the slice.  The slice is
+    built from its decoded first point, so its cost does not grow with
+    ``start``.
+    """
+    axes = [range(p.minimum, ranges[p.name] + 1) for p in claim.params]
+    size = grid_size(claim, ranges)
+    stop = size if stop is None else min(stop, size)
+    points = _grid_slice(axes, start, stop) if start < stop else ()
     if claim.constraint is not None:
-        return [point for point in grid if claim.constraint(point)]
-    return list(grid)
+        return [point for point in points if claim.constraint(point)]
+    return list(points)
+
+
+def _grid_slice(axes: list[range], start: int, stop: int) -> Iterator[Point]:
+    """Points of product(*axes) at lexicographic index start <= i < stop."""
+    if len(axes) < 2:
+        yield from itertools.product(*(axis[start:stop] for axis in axes))
+        return
+    head, tail = axes[0], axes[1:]
+    stride = math.prod(map(len, tail))
+    first, offset = divmod(start, stride)
+    last, end = divmod(stop, stride)
+    if first == last:
+        yield from ((head[first], *rest) for rest in _grid_slice(tail, offset, end))
+        return
+    if offset:
+        yield from ((head[first], *rest) for rest in _grid_slice(tail, offset, stride))
+        first += 1
+    yield from itertools.product(head[first:last], *tail)
+    if end:
+        yield from ((head[last], *rest) for rest in _grid_slice(tail, 0, end))
 
 
 def check_point(claim_id: str, point: Point) -> tuple[int, list[dict]]:

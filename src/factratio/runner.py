@@ -1,10 +1,13 @@
 """Sweep driver: runs a claim over its parameter ranges.
 
-Points are generated in ascending lexicographic order and results merged
-in exactly that order, so the report content never depends on the worker
-count.  Workers are stateless separate processes; only (claim id, point)
-tuples cross the boundary, and each worker resolves the checker from its
-own imported registry.
+The lexicographic index range [0, grid size) of the unfiltered parameter
+grid is cut into contiguous slices.  Only (claim id, ranges, lo, hi)
+crosses the process boundary: a worker rebuilds the slice's points with
+``points_for``, resolves the checker from its own imported registry, and
+returns one summed (checked, failures) per slice.  The parent keeps a few
+slices per worker in flight and merges the results in slice order, so the
+report content never depends on the worker count, and memory is bounded
+by the slices in flight, not by the grid.
 """
 
 from __future__ import annotations
@@ -12,11 +15,19 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import time
+from collections import deque
+from typing import Iterable, Iterator
 
-from .registry import ClaimRecord, check_point, get_claim, points_for, resolve_ranges
+from .registry import ClaimRecord, check_point, get_claim, grid_size, points_for, resolve_ranges
 from .reports import RunReport
 
 DEFAULT_WORKERS_ENV = "FACTRATIO_WORKERS"
+
+SLICE_POINTS = 4096  # largest slice, in unfiltered grid points
+SLICES_PER_WORKER = 8  # slices per worker on grids too small to fill SLICE_POINTS
+IN_FLIGHT_PER_WORKER = 4  # submitted but unmerged slices per worker
+
+Task = tuple[str, dict[str, int], int, int]
 
 
 def default_workers() -> int:
@@ -27,9 +38,31 @@ def default_workers() -> int:
         return 1
 
 
-def _eval_point(task: tuple[str, tuple[int, ...]]) -> tuple[int, list[dict]]:
-    claim_id, point = task
-    return check_point(claim_id, point)
+def _eval_slice(task: Task) -> tuple[int, list[dict]]:
+    """Check every point of one index slice; the one path for all worker counts."""
+    claim_id, ranges, lo, hi = task
+    checked = 0
+    failures: list[dict] = []
+    for point in points_for(get_claim(claim_id), ranges, lo, hi):
+        try:
+            count, bad = check_point(claim_id, point)
+        except Exception as exc:
+            exc.add_note(f"while checking {claim_id} at {point}")
+            raise
+        checked += count
+        failures += bad
+    return checked, failures
+
+
+def _in_order(pool, tasks: Iterable[Task], depth: int) -> Iterator[tuple[int, list[dict]]]:
+    """Results of ``_eval_slice`` in task order, with at most ``depth`` in flight."""
+    pending: deque[concurrent.futures.Future] = deque()
+    for task in tasks:
+        pending.append(pool.submit(_eval_slice, task))
+        if len(pending) >= depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def run_claim(
@@ -43,18 +76,12 @@ def run_claim(
         workers = default_workers()
     workers = max(1, workers)
 
-    points = points_for(claim, resolved)
-    tasks = [(claim.id, point) for point in points]
+    size = grid_size(claim, resolved)
+    step = max(1, min(SLICE_POINTS, -(-size // (workers * SLICES_PER_WORKER))))
+    bounds = range(0, size, step)
+    tasks = ((claim.id, resolved, lo, min(lo + step, size)) for lo in bounds)
 
     start = time.perf_counter()
-    if workers == 1 or len(points) < 2:
-        outcomes = [_eval_point(task) for task in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_eval_point, tasks, chunksize=chunk))
-    wall = time.perf_counter() - start
-
     report = RunReport(
         claim_id=claim.id,
         kind=claim.kind,
@@ -62,11 +89,19 @@ def run_claim(
         anchor=claim.anchor,
         conjecture=claim.conjecture,
         ranges=resolved,
-        wall_time_s=wall,
     )
+    if workers == 1 or len(bounds) < 2:
+        _merge(report, map(_eval_slice, tasks))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            _merge(report, _in_order(pool, tasks, workers * IN_FLIGHT_PER_WORKER))
+    report.wall_time_s = time.perf_counter() - start
+    report.passed = report.checked - report.failed
+    return report
+
+
+def _merge(report: RunReport, outcomes: Iterable[tuple[int, list[dict]]]) -> None:
     for checked, failures in outcomes:
         report.checked += checked
         report.failed += len(failures)
         report.counterexamples.extend(failures)
-    report.passed = report.checked - report.failed
-    return report

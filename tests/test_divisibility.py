@@ -10,6 +10,7 @@ from factratio import (
     IntegralityError,
     InternalCheckError,
     central_product_value,
+    central_valuation_verdict,
     check_divisibility,
     check_product,
     check_two_binomial_conjecture,
@@ -216,6 +217,96 @@ def test_central_specializations():
         assert Fraction(630 * c, n + 5) == central_product_value(5, n)
         for m in (1, 2, 3, 4, 5):
             assert central_product_value(m, n).denominator == 1
+
+
+def test_group_verdicts_with_shared_work_match_bigint_route():
+    # one shared dict per n, as the registry keeps it for a claim group
+    for n in range(1, 301):
+        shared = {}
+        for claim in (*CLAIMS_BY_ID["thm-1.3"], PUBLISHED_3003, *DEMO_CLAIMS):
+            assert valuation_verdict(claim, n, shared) == check_divisibility(claim, n), (claim.name, n)
+        assert set(shared) == {"s", "t", "t-cform"}
+
+
+def test_product_kernel_matches_fraction_route():
+    # thm-1.4's default 12^4 grid
+    for point in registry.points_for(registry.get_claim("thm-1.4"), {"a": 12, "b": 12, "m": 12, "n": 12}):
+        first, second = product_forms(*point)
+        assert first == second and first.denominator == 1
+        assert check_product(*point) == (True, first.numerator), point
+
+
+def test_central_valuation_matches_fraction_route(monkeypatch):
+    # cor-1.5's default range, m <= 5 and n <= 5000.  C(2n, n) is stepped
+    # exactly, C(2n+2, n+1) = C(2n, n) * 2(2n+1)/(n+1), and handed to the
+    # Fraction route in place of math.comb, which takes milliseconds there.
+    central = [1]
+    for n in range(5000):
+        central.append(central[-1] * 2 * (2 * n + 1) // (n + 1))
+    assert central[5000] == comb(10_000, 5000)
+    monkeypatch.setattr(dv, "comb", lambda a, b: central[b] if a == 2 * b else comb(a, b))
+    for m in range(1, 6):
+        for n in range(1, 5001):
+            assert central_valuation_verdict(m, n)
+            assert central_product_value(m, n).denominator == 1, (m, n)
+
+
+def test_central_routes_agree_without_the_multiplier():
+    # C(2m,m) C(2n,n) / (2(m+n)) fails at m = n = 2: 36/8
+    by_valuation, by_fraction = set(), set()
+    for m in range(1, 11):
+        for n in range(1, 301):
+            if not central_valuation_verdict(m, n, multiplier=1):
+                by_valuation.add((m, n))
+            if central_product_value(m, n, multiplier=1).denominator != 1:
+                by_fraction.add((m, n))
+    assert (2, 2) in by_fraction
+    assert by_valuation == by_fraction
+
+
+def test_flipped_central_route_raises(monkeypatch):
+    real = dv.central_valuation_verdict
+    monkeypatch.setattr(dv, "central_valuation_verdict", lambda m, n: not real(m, n))
+    assert registry.BIGINT_ORACLE_N_MAX >= 50
+    with pytest.raises(InternalCheckError):
+        registry.check_point("cor-1.5", (3, 50))  # flipped to failing, n <= the bound
+    # a point the flipped route calls failing is re-derived above the bound too
+    with pytest.raises(InternalCheckError):
+        registry.check_point("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX + 1))
+
+
+def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
+    def skewed(m, n):
+        return Fraction(1, 2)
+
+    monkeypatch.setattr(dv, "central_product_value", skewed)
+    with pytest.raises(InternalCheckError):
+        registry.check_point("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX))
+    assert registry.check_point("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX + 1)) == (1, [])
+
+
+def test_flipped_product_kernel_raises(monkeypatch):
+    real = dv.check_product
+
+    def flipped(a, b, m, n):
+        ok, _ = real(a, b, m, n)
+        return (False, None) if ok else (True, 0)
+
+    monkeypatch.setattr(dv, "check_product", flipped)
+    box = registry.PRODUCT_ORACLE_MAX
+    with pytest.raises(InternalCheckError):
+        registry.check_point("thm-1.4", (box, 1, 2, box))  # inside the oracle box
+    with pytest.raises(InternalCheckError):
+        registry.check_point("thm-1.4", (box + 1, 1, 2, 3))  # failing: re-derived
+
+
+def test_product_kernel_value_is_checked_in_the_box(monkeypatch):
+    real = dv.check_product
+    monkeypatch.setattr(dv, "check_product", lambda *p: (True, real(*p)[1] + 1))
+    with pytest.raises(InternalCheckError):
+        registry.check_point("thm-1.4", (1, 2, 3, 4))
+    # outside the box a passing point is not re-derived
+    assert registry.check_point("thm-1.4", (5, 2, 3, 4)) == (1, [])
 
 
 def test_gcd_reductions_along_sweeps():

@@ -1,5 +1,6 @@
 """Claim registry, sweep runner, report serialization, CLI contract."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,7 +20,15 @@ from factratio import (
 )
 from factratio import divisibility, registry
 from factratio.cli import main
-from factratio.registry import CLAIMS, KINDS, check_point, get_claim, points_for, resolve_ranges
+from factratio.registry import (
+    CLAIMS,
+    KINDS,
+    check_point,
+    get_claim,
+    grid_size,
+    points_for,
+    resolve_ranges,
+)
 
 EXPECTED_IDS = {
     "thm-1.1",
@@ -102,6 +111,58 @@ def test_points_ordering():
     assert points_for(get_claim("lem-2.1"), {}) == [()]
     central = points_for(get_claim("cor-1.5"), {"m": 2, "n": 3})
     assert central == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("claim_id", sorted(EXPECTED_IDS))
+def test_points_for_slices_concatenate_to_the_grid(claim_id):
+    claim = get_claim(claim_id)
+    ranges = {p.name: min(p.minimum + 3, p.cap) for p in claim.params}
+    whole = points_for(claim, ranges)
+    size = grid_size(claim, ranges)
+    assert len(whole) == size or claim.constraint is not None
+    for step in (1, 2, 7, size + 1):
+        sliced = [
+            point for lo in range(0, size, step) for point in points_for(claim, ranges, lo, lo + step)
+        ]
+        assert sliced == whole, step
+    assert points_for(claim, ranges, size, size + 5) == []
+
+
+def test_points_for_slice_starts_deep_in_the_grid():
+    claim = get_claim("thm-1.4")
+    ranges = {"a": 64, "b": 64, "m": 64, "n": 64}
+    lo = grid_size(claim, ranges) - 70
+    assert points_for(claim, ranges, lo, lo + 3) == [(64, 64, 63, 59), (64, 64, 63, 60), (64, 64, 63, 61)]
+    assert points_for(claim, ranges, lo + 69)[-1] == (64, 64, 64, 64)
+
+
+@pytest.mark.parametrize(
+    "claim_id, ranges",
+    [
+        ("thm-1.4", {"a": 5, "b": 5, "m": 5, "n": 5}),
+        ("cor-1.5", {"m": 3, "n": 200}),
+        ("conj-7.1", {"a": 6, "b": 5, "n": 12}),
+        ("parity-power-of-2", {"n": 3000}),
+    ],
+)
+def test_reports_do_not_depend_on_worker_count(claim_id, ranges):
+    r1, r2, r3 = (emit_report(run_claim(claim_id, ranges, workers=w), "json") for w in (1, 2, 3))
+    assert r1 == r2 == r3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checker_errors_name_claim_and_point(monkeypatch, workers):
+    record = CLAIMS["thm-1.1"]
+
+    def broken(point):
+        if point == (37,):
+            raise InternalCheckError("routes disagree")
+        return record.check(point)
+
+    monkeypatch.setitem(CLAIMS, "thm-1.1", dataclasses.replace(record, check=broken))
+    with pytest.raises(InternalCheckError) as info:
+        run_claim("thm-1.1", {"n": 60}, workers=workers)
+    assert "while checking thm-1.1 at (37,)" in info.value.__notes__
 
 
 def test_run_claim_small_sweeps():
