@@ -156,6 +156,11 @@ class DivisibilityClaim:
     n_min: int = 1
     note: str = ""
 
+    def __post_init__(self) -> None:
+        # ord_p of the multiplier is read by repeated division, which never ends at 0
+        if self.multiplier < 1:
+            raise ValueError(f"{self.name}: the multiplier must be positive, not {self.multiplier}")
+
 
 # Fast big-integer evaluators for the claim ratios (module level so that
 # worker processes can resolve them by key).
@@ -307,26 +312,40 @@ def product_forms(a: int, b: int, m: int, n: int) -> tuple[Fraction, Fraction]:
     return first, second
 
 
-def check_product(a: int, b: int, m: int, n: int) -> tuple[bool, int | None]:
+def check_product(
+    a: int, b: int, m: int, n: int, shared: dict | None = None, value: bool = True
+) -> tuple[bool, int | None]:
     """True plus the common integer value when both forms agree and divide.
 
-    The integer kernel: both numerators come from ``math.comb``, the forms
-    are compared by cross-multiplication and the first one is divided with
-    ``divmod``; ``product_forms`` is the ``Fraction`` route.
+    The integer kernel; ``product_forms`` is the ``Fraction`` route.  With
+    H = C(am+bm, am) the two forms agree exactly when
+    b H = (a+b) C(am+bm-1, am), which does not involve n, so the head
+    abm H and that comparison are settled once per (a, b, m), and the tail
+    C(an+bn, an) once per (a, b, n).  ``shared`` is an optional dict that
+    keeps them for a slice of points.  Integrality is decided from head and
+    tail reduced mod (a+b)(m+n); the value, a big product and division, is
+    formed only when ``value`` is true and is None otherwise.
     """
     if min(a, b, m, n) < 1:
         raise ValueError("a, b, m, n must all be positive")
-    tail = comb(a * n + b * n, a * n)
-    top1 = a * b * m * comb(a * m + b * m, a * m) * tail
-    bottom1 = (a + b) * (m + n)
-    top2 = a * m * comb(a * m + b * m - 1, a * m) * tail
-    bottom2 = m + n
-    if top1 * bottom2 != top2 * bottom1:
+    if shared is None:
+        shared = {}
+    key = ("head", a, b, m)
+    if key not in shared:
+        top = comb(a * m + b * m, a * m)
+        agree = b * top == (a + b) * comb(a * m + b * m - 1, a * m)
+        shared[key] = a * b * m * top if agree else None
+    head = shared[key]
+    if head is None:
         return False, None
-    value, rest = divmod(top1, bottom1)
-    if rest:
+    key = ("tail", a, b, n)
+    tail = shared.get(key)
+    if tail is None:
+        tail = shared[key] = comb(a * n + b * n, a * n)
+    modulus = (a + b) * (m + n)
+    if head % modulus * (tail % modulus) % modulus:
         return False, None
-    return True, value
+    return True, head * tail // modulus if value else None
 
 
 def central_product_value(m: int, n: int, multiplier: int | None = None) -> Fraction:
@@ -337,7 +356,9 @@ def central_product_value(m: int, n: int, multiplier: int | None = None) -> Frac
     return Fraction(c * comb(2 * m, m) * comb(2 * n, n), 2 * (m + n))
 
 
-def central_valuation_verdict(m: int, n: int, multiplier: int | None = None) -> bool:
+def central_valuation_verdict(
+    m: int, n: int, multiplier: int | None = None, shared: dict | None = None
+) -> bool:
     """Whether c/(2(m+n)) * C(2m,m) * C(2n,n) is an integer (c = m unless given),
     from Legendre orders at the primes of 2(m+n).
 
@@ -345,13 +366,28 @@ def central_valuation_verdict(m: int, n: int, multiplier: int | None = None) -> 
     make the quotient non-integral, and there the route tests
 
         ord_p c + ord_p C(2m,m) + ord_p C(2n,n) >= ord_p 2(m+n)
+
+    ``shared`` is an optional dict that keeps ord_p(c C(2m,m)) per
+    (m, c, p) for a slice of points, so a point computes only the orders of
+    C(2n,n).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     c = m if multiplier is None else multiplier
+    if c < 1:
+        raise ValueError(f"the multiplier must be positive, got {c}")
+    if shared is None:
+        shared = {}
     need = factorize(2 * (m + n))
-    orders = orders_at(need, (2 * m, 2 * n), (m, m, n, n))
-    return all(orders[p] + _multiplicity(p, c) >= e for p, e in need.items())
+    tail = orders_at(need, (2 * n,), (n, n))
+    for p, e in need.items():
+        head = shared.get((m, c, p))
+        if head is None:
+            head = orders_at((p,), (2 * m,), (m, m))[p] + _multiplicity(p, c)
+            shared[(m, c, p)] = head
+        if head + tail[p] < e:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------

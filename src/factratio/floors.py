@@ -136,17 +136,22 @@ def divisors_of(v: int) -> list[int]:
     return sorted(out)
 
 
-def check_identity_at(ident: CongruenceIdentity, n: int) -> tuple[int, int, list[int]]:
+def check_identity_at(
+    ident: CongruenceIdentity, n: int, divisors: list[int] | None = None
+) -> tuple[int, int, list[int]]:
     """Every divisor m of divisor_form(n), by both routes.
 
     Returns (checked, skipped, failing m ascending).  Divisors outside the
     identity's domain are counted as skipped, never as failures.  The floor
     sum and the fractional-parts restatement must agree at every checked m;
-    a disagreement raises InternalCheckError.
+    a disagreement raises InternalCheckError.  ``divisors`` is the divisor
+    list of divisor_form(n) when the caller already has it.
     """
     checked = skipped = 0
     failing = []
-    for m in divisors_of(ident.divisor_form(n)):
+    if divisors is None:
+        divisors = divisors_of(ident.divisor_form(n))
+    for m in divisors:
         if not ident.admits(m):
             skipped += 1
             continue

@@ -5,7 +5,10 @@ parameters (with defaults and hard caps, sized so the full default suite
 runs in minutes on one core and no q-expansion exceeds 20000
 coefficients), a statement string, an optional constraint on the
 parameter grid, and its checker ``check(point)``, a module-level checker
-with the claim's own data bound by ``functools.partial``.  Checkers return
+with the claim's own data bound by ``functools.partial``.  A record with
+``takes_shared`` has a checker ``check(point, shared)`` instead: ``shared``
+is the memo dict of the point's index slice, where the checker keeps work
+that many points of the slice reuse.  Checkers return
 
     (number of individual checks, list of counterexample dicts)
 
@@ -66,6 +69,7 @@ class ClaimRecord:
     conjecture: bool = False
     note: str = ""
     constraint: Callable[[Point], bool] | None = None  # keeps a grid point
+    takes_shared: bool = False  # check(point, shared), see check_point
 
 
 KINDS = (
@@ -125,10 +129,11 @@ def _check_divisibility_group(group, point: Point):
 PRODUCT_ORACLE_MAX = 4
 
 
-def _check_product_point(point: Point):
+def _check_product_point(point: Point, shared: dict):
     a, b, m, n = point
-    ok, value = dv.check_product(a, b, m, n)
-    if ok and max(point) > PRODUCT_ORACLE_MAX:
+    in_box = max(point) <= PRODUCT_ORACLE_MAX
+    ok, value = dv.check_product(a, b, m, n, shared=shared, value=in_box)
+    if ok and not in_box:
         return 1, []
     first, second = dv.product_forms(a, b, m, n)
     if first != second:
@@ -146,9 +151,9 @@ def _check_product_point(point: Point):
     ]
 
 
-def _check_central_point(point: Point):
+def _check_central_point(point: Point, shared: dict):
     m, n = point
-    ok = dv.central_valuation_verdict(m, n)
+    ok = dv.central_valuation_verdict(m, n, shared=shared)
     if ok and n > BIGINT_ORACLE_N_MAX:
         return 1, []
     value = dv.central_product_value(m, n)
@@ -178,8 +183,12 @@ def _check_floor_sweep(identities, point: Point):
     (n,) = point
     checked = 0
     failures = []
+    divisors: dict[int, list[int]] = {}  # lem-5.2 has two 10n+9 conditions
     for ident in identities:
-        count, _, bad = floors.check_identity_at(ident, n)
+        v = ident.divisor_form(n)
+        if v not in divisors:
+            divisors[v] = floors.divisors_of(v)
+        count, _, bad = floors.check_identity_at(ident, n, divisors[v])
         checked += count
         failures += [{"n": n, "m": m, "condition": ident.condition()} for m in bad]
     return checked, failures
@@ -351,6 +360,7 @@ _RECORDS = (
         "abm/((a+b)(m+n)) * C(am+bm,am) * C(an+bn,an) in Z",
         _abmn(12, 64),
         _check_product_point,
+        takes_shared=True,
     ),
     ClaimRecord(
         "cor-1.5",
@@ -360,6 +370,7 @@ _RECORDS = (
         "m/(2(m+n)) * C(2m,m) * C(2n,n) in Z",
         (ParamSpec("m", 5, 64), ParamSpec("n", 5000, 100_000)),
         _check_central_point,
+        takes_shared=True,
     ),
     ClaimRecord(
         "lem-2.1",
@@ -595,6 +606,15 @@ def _grid_slice(axes: list[range], start: int, stop: int) -> Iterator[Point]:
         yield from ((head[last], *rest) for rest in _grid_slice(tail, 0, end))
 
 
-def check_point(claim_id: str, point: Point) -> tuple[int, list[dict]]:
-    """Run one parameter point of a claim; used directly by worker processes."""
-    return CLAIMS[claim_id].check(point)
+def check_point(
+    claim_id: str, point: Point, shared: dict | None = None
+) -> tuple[int, list[dict]]:
+    """Run one parameter point of a claim; used directly by worker processes.
+
+    ``shared`` is the memo dict of the point's slice, handed to a checker
+    whose record ``takes_shared``; without it the call uses a fresh dict.
+    """
+    record = CLAIMS[claim_id]
+    if not record.takes_shared:
+        return record.check(point)
+    return record.check(point, {} if shared is None else shared)

@@ -4,10 +4,14 @@ The lexicographic index range [0, grid size) of the unfiltered parameter
 grid is cut into contiguous slices.  Only (claim id, ranges, lo, hi)
 crosses the process boundary: a worker rebuilds the slice's points with
 ``points_for``, resolves the checker from its own imported registry, and
-returns one summed (checked, failures) per slice.  The parent keeps a few
-slices per worker in flight and merges the results in slice order, so the
-report content never depends on the worker count, and memory is bounded
-by the slices in flight, not by the grid.
+returns one summed (checked, failures) per slice.  Each slice carries one
+memo dict, passed to every ``check_point`` call of the slice: checkers
+that take it keep there the work that many points of the slice reuse
+(thm-1.4 its binomials per (a, b, m) and per (a, b, n), cor-1.5 its orders
+of m C(2m,m)), and the memo is dropped with the slice.  The parent keeps a
+few slices per worker in flight and merges the results in slice order, so
+the report content never depends on the worker count, and memory is
+bounded by the slices in flight, not by the grid.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ def _eval_slice(task: Task) -> tuple[int, list[dict]]:
     claim_id, ranges, lo, hi = task
     checked = 0
     failures: list[dict] = []
+    shared: dict = {}  # the slice's memo, see check_point
     for point in points_for(get_claim(claim_id), ranges, lo, hi):
         try:
-            count, bad = check_point(claim_id, point)
+            count, bad = check_point(claim_id, point, shared)
         except Exception as exc:
             exc.add_note(f"while checking {claim_id} at {point}")
             raise

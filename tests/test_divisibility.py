@@ -1,5 +1,6 @@
 """Big-integer divisibility claims, product identities, conjecture sweeps."""
 
+import signal
 from fractions import Fraction
 from math import comb, gcd
 
@@ -115,6 +116,33 @@ DEMO_CLAIMS = tuple(
 )
 # the fourth third-theorem congruence as published, false whenever 5 | 2n+1
 PUBLISHED_3003 = DivisibilityClaim("3003*t(n) mod 2n+1", 3003, T_RATIO, form(2, 1), "t")
+
+
+def _within(seconds, fn, *args, **kwargs):
+    """fn(*args, **kwargs) under an alarm, so that a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("multiplier", [0, -3])
+def test_non_positive_multiplier_is_rejected(multiplier):
+    # ord_p of a multiplier 0 would be read by division that never ends
+    name = f"{multiplier}*S(n) mod 2n+3"
+    with pytest.raises(ValueError, match="multiplier"):
+        _within(5, DivisibilityClaim, name, multiplier, S_RATIO, form(2, 3), "s")
+    with pytest.raises(ValueError, match="multiplier"):
+        _within(5, central_valuation_verdict, 3, 5, multiplier=multiplier)
+    with pytest.raises(ValueError, match="multiplier"):
+        _within(5, central_valuation_verdict, 3, 5, multiplier=multiplier, shared={})
 
 
 def test_valuation_route_takes_any_multiplier():
@@ -266,7 +294,7 @@ def test_central_routes_agree_without_the_multiplier():
 
 def test_flipped_central_route_raises(monkeypatch):
     real = dv.central_valuation_verdict
-    monkeypatch.setattr(dv, "central_valuation_verdict", lambda m, n: not real(m, n))
+    monkeypatch.setattr(dv, "central_valuation_verdict", lambda m, n, shared=None: not real(m, n))
     assert registry.BIGINT_ORACLE_N_MAX >= 50
     with pytest.raises(InternalCheckError):
         registry.check_point("cor-1.5", (3, 50))  # flipped to failing, n <= the bound
@@ -288,7 +316,7 @@ def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
 def test_flipped_product_kernel_raises(monkeypatch):
     real = dv.check_product
 
-    def flipped(a, b, m, n):
+    def flipped(a, b, m, n, shared=None, value=True):
         ok, _ = real(a, b, m, n)
         return (False, None) if ok else (True, 0)
 
@@ -302,7 +330,7 @@ def test_flipped_product_kernel_raises(monkeypatch):
 
 def test_product_kernel_value_is_checked_in_the_box(monkeypatch):
     real = dv.check_product
-    monkeypatch.setattr(dv, "check_product", lambda *p: (True, real(*p)[1] + 1))
+    monkeypatch.setattr(dv, "check_product", lambda *p, **kw: (True, real(*p)[1] + 1))
     with pytest.raises(InternalCheckError):
         registry.check_point("thm-1.4", (1, 2, 3, 4))
     # outside the box a passing point is not re-derived

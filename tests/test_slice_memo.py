@@ -1,0 +1,161 @@
+"""The per-slice memo: checkers that keep shared work in one dict per slice.
+
+thm-1.4 keeps its binomials per (a, b, m) and per (a, b, n), cor-1.5 its
+orders of c C(2m,m) per (m, c, p).  A slice must report exactly what
+independent per-point calls report, wherever the slice starts and ends
+and in whatever order the memo is filled.
+"""
+
+import random
+from fractions import Fraction
+from math import comb
+
+from factratio import divisibility as dv
+from factratio import floors, registry
+from factratio.registry import check_point, get_claim, grid_size, points_for
+from factratio.runner import _eval_slice
+
+
+def _per_point(claim_id, ranges, lo, hi):
+    """What the slice should return: one check_point call per point, fresh dicts."""
+    checked, failures = 0, []
+    for point in points_for(get_claim(claim_id), ranges, lo, hi):
+        count, bad = check_point(claim_id, point)
+        checked += count
+        failures += bad
+    return checked, failures
+
+
+def test_shared_product_kernel_matches_fresh_calls():
+    # a few (a, b) blocks, each drawn on a 6 x 6 (m, n) sub-grid and all
+    # shuffled together, so one memo is filled and read across blocks
+    rng = random.Random(2013)
+    points = []
+    for block in range(8):
+        top = 4 if block < 2 else 64  # two blocks reach into the oracle box
+        a, b = rng.randint(1, top), rng.randint(1, top)
+        ms = rng.sample(range(1, 5), 2) + rng.sample(range(5, 65), 4)
+        ns = rng.sample(range(1, 5), 2) + rng.sample(range(5, 65), 4)
+        points += [(a, b, m, n) for m in ms for n in ns]
+    rng.shuffle(points)
+    shared = {}
+    in_box = 0
+    for point in points:
+        a, b, m, n = point
+        box = max(point) <= registry.PRODUCT_ORACLE_MAX
+        ok, value = dv.check_product(a, b, m, n, shared=shared, value=box)
+        fresh_ok, fresh_value = dv.check_product(a, b, m, n)
+        assert ok == fresh_ok, point
+        # the definition, without memo or residues
+        direct = a * b * m * comb(a * m + b * m, a * m) * comb(a * n + b * n, a * n)
+        assert ok == (direct % ((a + b) * (m + n)) == 0), point
+        if box:
+            in_box += 1
+            first, second = dv.product_forms(a, b, m, n)
+            assert value == fresh_value == first.numerator == second.numerator, point
+        else:
+            assert value is None
+    assert in_box >= 4
+    assert len(shared) <= 2 * len(points)
+
+
+def test_shared_central_verdicts_match_fresh_calls():
+    # multiplier 1 fails at many points (first at m = n = 2), multiplier m never
+    rng = random.Random(2013)
+    points = [(m, n) for m in rng.sample(range(1, 65), 8) for n in rng.sample(range(1, 3000), 30)]
+    points += [(m, n) for m in range(1, 6) for n in range(1, 21)]
+    rng.shuffle(points)
+    shared = {}
+    failing = 0
+    for m, n in points:
+        for c in (1, m):
+            ok = dv.central_valuation_verdict(m, n, multiplier=c, shared=shared)
+            assert ok == dv.central_valuation_verdict(m, n, multiplier=c), (m, n, c)
+            if n <= registry.BIGINT_ORACLE_N_MAX:
+                assert ok == (dv.central_product_value(m, n, multiplier=c).denominator == 1)
+            failing += not ok
+    assert failing > 10
+
+
+def test_slice_cut_mid_run_matches_per_point_calls():
+    cases = [
+        # starts inside the (1, 1, 2) run and ends inside the (5, 5, 1) run
+        ("thm-1.4", {"a": 5, "b": 5, "m": 5, "n": 5}, 7, 603),
+        # starts and ends inside an m run
+        ("cor-1.5", {"m": 4, "n": 300}, 150, 1050),
+    ]
+    for claim_id, ranges, lo, hi in cases:
+        assert 0 < lo < hi < grid_size(get_claim(claim_id), ranges)
+        got = _eval_slice((claim_id, ranges, lo, hi))
+        assert got == _per_point(claim_id, ranges, lo, hi)
+        assert got[0] == hi - lo
+
+
+def test_slice_failures_match_per_point_calls_for_central(monkeypatch):
+    # run cor-1.5 with multiplier 1 on both routes, so that it fails
+    verdict, value = dv.central_valuation_verdict, dv.central_product_value
+    monkeypatch.setattr(
+        dv,
+        "central_valuation_verdict",
+        lambda m, n, shared=None: verdict(m, n, multiplier=1, shared=shared),
+    )
+    monkeypatch.setattr(dv, "central_product_value", lambda m, n: value(m, n, multiplier=1))
+    ranges = {"m": 4, "n": 150}
+    checked, failures = _eval_slice(("cor-1.5", ranges, 75, 525))
+    assert (checked, failures) == _per_point("cor-1.5", ranges, 75, 525)
+    assert any(bad["n"] > registry.BIGINT_ORACLE_N_MAX for bad in failures)
+    for bad in failures:
+        assert list(bad) == ["m", "n", "value"]
+        assert bad["value"] == str(value(bad["m"], bad["n"], multiplier=1))
+
+
+def test_non_integral_shared_head_gives_the_same_counterexamples(monkeypatch):
+    # Make the head of (a, b, m) = (2, 3, 5) non-integral: C(25, 10) += 5
+    # and C(24, 10) += 3 keep b C(25, 10) = (a+b) C(24, 10), so the two
+    # displayed forms still agree, but 30 (C(25, 10) + 5) C(5n, 2n) / (5(5+n))
+    # is no longer an integer at every n.  Both routes read dv.comb.
+    bumps = {(25, 10): 5, (24, 10): 3}
+    monkeypatch.setattr(dv, "comb", lambda N, K: comb(N, K) + bumps.get((N, K), 0))
+    ranges = {"a": 3, "b": 3, "m": 6, "n": 6}
+    lo, hi = 5, grid_size(get_claim("thm-1.4"), ranges) - 7
+    checked, failures = _eval_slice(("thm-1.4", ranges, lo, hi))
+    assert (checked, failures) == _per_point("thm-1.4", ranges, lo, hi)
+
+    expected = []
+    for a, b, m, n in points_for(get_claim("thm-1.4"), ranges, lo, hi):
+        first, second = dv.product_forms(a, b, m, n)
+        assert first == second
+        if first.denominator != 1:
+            expected.append(
+                {"a": a, "b": b, "m": m, "n": n, "form1": str(first), "form2": str(second)}
+            )
+    assert failures == expected
+    for bad in failures:
+        assert list(bad) == ["a", "b", "m", "n", "form1", "form2"]
+    assert {(bad["a"], bad["b"], bad["m"]) for bad in failures} >= {(2, 3, 5)}
+    head = Fraction(30 * (comb(25, 10) + 5) * comb(15, 6), 5 * 8)  # (2, 3, 5) at n = 3
+    assert {"a": 2, "b": 3, "m": 5, "n": 3, "form1": str(head), "form2": str(head)} in failures
+
+
+def test_cap_block_through_one_slice():
+    # a = b = 64 with m, n in 1..64: the largest operands of the thm-1.4 cap
+    ranges = {"a": 64, "b": 64, "m": 64, "n": 64}
+    size = grid_size(get_claim("thm-1.4"), ranges)
+    assert _eval_slice(("thm-1.4", ranges, size - 4096, size)) == (4096, [])
+
+
+def test_floor_sweep_enumerates_each_divisor_list_once(monkeypatch):
+    # lem-5.2's two 10n+9 conditions read one divisor list
+    calls = []
+    real = floors.divisors_of
+    monkeypatch.setattr(floors, "divisors_of", lambda v: calls.append(v) or real(v))
+    for n in (1, 7, 1234):
+        calls.clear()
+        checked, failures = check_point("lem-5.2", (n,))
+        assert sorted(calls) == [2 * n + 1, 10 * n + 7, 10 * n + 9]
+        want_checked, want = 0, []
+        for ident in floors.IDENTITIES["lem-5.2"]:
+            count, _, bad = floors.check_identity_at(ident, n)
+            want_checked += count
+            want += [{"n": n, "m": m, "condition": ident.condition()} for m in bad]
+        assert (checked, failures) == (want_checked, want)
