@@ -10,18 +10,25 @@ General multiplication is Kronecker substitution: both operands are
 packed into single integers with one byte-aligned slot per coefficient,
 multiplied once with Python's big-integer multiply, and the product's
 coefficients are read back from the slots.  Factors of the shape 1 - q^j
-get dedicated O(length) multiply/divide helpers, since every q-expression
-in the package is a ratio of products of such factors.  Division by a
-general polynomial is schoolbook long division over Z, refusing to divide
-when a leading coefficient does not divide exactly (sufficient here: every
-divisor is monic up to sign).
+get dedicated O(length) multiply/divide kernels, since every q-expression
+in the package is a ratio of products of such factors; the cyclotomic
+polynomials are built from them too, by the Moebius product.  There is no
+division by a general polynomial.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 from .errors import InternalCheckError, NotPolynomialError, PreconditionError
+from .valuation import factorize
+
+
+def _check_power(j: int) -> None:
+    if j < 1:
+        raise ValueError(f"need j >= 1, got {j}")
 
 
 class DensePoly:
@@ -52,16 +59,8 @@ class DensePoly:
     @classmethod
     def one_minus_power(cls, j: int) -> "DensePoly":
         """1 - q^j (j >= 1)."""
-        if j < 1:
-            raise ValueError(f"need j >= 1, got {j}")
+        _check_power(j)
         return cls((1,) + (0,) * (j - 1) + (-1,))
-
-    @classmethod
-    def power_minus_one(cls, j: int) -> "DensePoly":
-        """q^j - 1 (j >= 1)."""
-        if j < 1:
-            raise ValueError(f"need j >= 1, got {j}")
-        return cls((-1,) + (0,) * (j - 1) + (1,))
 
     # -- basics ------------------------------------------------------------
 
@@ -149,66 +148,33 @@ class DensePoly:
             [int.from_bytes(data[i : i + k], "little") - half for i in range(0, k * n, k)]
         )
 
-    def __divmod__(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlen = len(other.coeffs)
-        lead = other.coeffs[-1]
-        if len(rem) < dlen:
-            return DensePoly.zero(), self
-        quot = [0] * (len(rem) - dlen + 1)
-        for top in range(len(rem) - 1, dlen - 2, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                # leading term does not divide over Z: stop, leave remainder
-                break
-            pos = top - dlen + 1
-            quot[pos] = q
-            for i, d in enumerate(other.coeffs):
-                rem[pos + i] -= q * d
-        return DensePoly(quot), DensePoly(rem)
-
-    def exact_div(self, other: "DensePoly") -> "DensePoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise NotPolynomialError(f"inexact polynomial division (remainder degree {r.degree})")
-        return q
-
     def mul_one_minus_power(self, j: int) -> "DensePoly":
-        """self * (1 - q^j) in O(length)."""
+        """self * (1 - q^j) in one pass: coefficient i is c_i - c_{i-j}."""
+        _check_power(j)
         if self.is_zero():
             return self
-        out = list(self.coeffs) + [0] * j
-        for i, c in enumerate(self.coeffs):
-            out[i + j] -= c
-        return DensePoly(out)
+        pad = (0,) * j
+        return DensePoly(map(sub, self.coeffs + pad, pad + self.coeffs))
 
     def div_one_minus_power(self, j: int) -> tuple["DensePoly", bool]:
         """(quotient, exact) for division by 1 - q^j, in O(length).
 
-        Coefficient recurrence: q_i = n_i + q_{i-j}; the division is exact
-        when the recurrence vanishes beyond the quotient's degree.
+        Coefficient recurrence: q_i = n_i + q_{i-j}, so within each residue
+        class mod j the quotient is the running sum of the numerator.  The
+        division is exact when the sums vanish beyond the quotient's degree;
+        otherwise the quotient is the partial one below that degree.
         """
+        _check_power(j)
         if self.is_zero():
             return self, True
         n = self.coeffs
         qlen = len(n) - j
         if qlen <= 0:
             return DensePoly.zero(), False
-        out = [0] * qlen
-        exact = True
-        for i in range(len(n)):
-            val = n[i] + (out[i - j] if i >= j else 0)
-            if i < qlen:
-                out[i] = val
-            elif val != 0:
-                exact = False
-                break
-        return DensePoly(out), exact
+        out = [0] * len(n)
+        for r in range(j):
+            out[r::j] = accumulate(n[r::j])
+        return DensePoly(out[:qlen]), not any(out[qlen:])
 
     # -- evaluation / serialization ----------------------------------------
 
@@ -240,13 +206,27 @@ def _pack(coeffs: tuple[int, ...], k: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> DensePoly:
-    """d-th cyclotomic polynomial, by exact division of q^d - 1."""
+    """d-th cyclotomic polynomial.
+
+    Phi_1 = q - 1; for d > 1 the Moebius product
+    Phi_d = prod_{k | d} (1 - q^k)^mu(d/k), over the k with d/k squarefree.
+    """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    poly = DensePoly.power_minus_one(d)
-    for e in range(1, d):
-        if d % e == 0:
-            poly = poly.exact_div(cyclotomic(e))
+    if d == 1:
+        return DensePoly((-1, 1))
+    factors = [(d, 1)]  # (k, mu(d/k))
+    for p in factorize(d):
+        factors += [(k // p, -mu) for k, mu in factors]
+    poly = DensePoly.one()
+    for k, mu in factors:
+        if mu > 0:
+            poly = poly.mul_one_minus_power(k)
+    for k, mu in factors:
+        if mu < 0:
+            poly, exact = poly.div_one_minus_power(k)
+            if not exact:
+                raise InternalCheckError(f"Moebius product for Phi_{d} does not divide")
     return poly
 
 

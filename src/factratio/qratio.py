@@ -23,13 +23,15 @@ would be needed in general.  The factor-count balance enforced at
 evaluation time pins that sign to +1, which is also exactly the condition
 e_1 = 0.
 
-``naive_expand`` is the independent oracle: multiply out every numerator
-factor, then divide factor by factor.  Both routes must agree wherever
-they are both feasible.
+``naive_expand`` is the independent oracle: cancel the factors numerator
+and denominator share, multiply out the rest of the numerator, then divide
+factor by factor.  Both routes must agree wherever they are both
+feasible.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd
@@ -155,25 +157,31 @@ def expand(vector: CycloExponentVector) -> DensePoly:
 
 
 def naive_expand(spec: BalancedRatio, n: int) -> DensePoly:
-    """Oracle route: multiply every numerator factor, divide factor-wise.
+    """Oracle route: cancel equal factors, multiply out, divide factor-wise.
 
-    Sequential division by 1 - q^j is sound: the full expression is a
-    polynomial exactly when every intermediate division is exact.
+    Cancelling the (1 - q^j) factors that numerator and denominator share
+    leaves the rational function unchanged.  If it is a polynomial P, the
+    remaining numerator is P times the remaining denominator, so every
+    division is exact.  If not, some division fails, and the failing j is a
+    multiple of a d with e_d < 0.
     """
     qn, qd, sn, sd = _q_arguments(spec, n)
-    poly = DensePoly.one()
+    net = Counter(sn)
+    net.subtract(sd)
     for m in qn:
-        for j in range(1, m + 1):
+        net.update(range(1, m + 1))
+    for m in qd:
+        net.subtract(range(1, m + 1))
+    poly = DensePoly.one()
+    for j, e in net.items():
+        for _ in range(e):
             poly = poly.mul_one_minus_power(j)
-    for j in sn:
-        poly = poly.mul_one_minus_power(j)
-    divisors: list[int] = [j for m in qd for j in range(1, m + 1)]
-    divisors.extend(sd)
     # large j first keeps intermediate degrees low
-    for j in sorted(divisors, reverse=True):
-        poly, exact = poly.div_one_minus_power(j)
-        if not exact:
-            raise NotPolynomialError(f"division by 1-q^{j} leaves a remainder", factor=j)
+    for j in sorted((j for j, e in net.items() if e < 0), reverse=True):
+        for _ in range(-net[j]):
+            poly, exact = poly.div_one_minus_power(j)
+            if not exact:
+                raise NotPolynomialError(f"division by 1-q^{j} leaves a remainder", factor=j)
     return poly
 
 

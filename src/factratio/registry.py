@@ -1,9 +1,9 @@
 """The claim registry: every named statement mapped to an executable check.
 
 Each ClaimRecord is the whole description of one claim: its sweep
-parameters (with defaults and hard caps, sized so the full default suite
-runs in minutes on one core and no q-expansion exceeds 20000
-coefficients), a statement string, an optional constraint on the
+parameters (with defaults and hard caps; the defaults are sized so the
+full default suite runs in minutes on one core and no q-expansion exceeds
+20000 coefficients), a statement string, an optional constraint on the
 parameter grid, and its checker ``check(point)``, a module-level checker
 with the claim's own data bound by ``functools.partial``.  A record with
 ``takes_shared`` has a checker ``check(point, shared)`` instead: ``shared``

@@ -129,7 +129,7 @@ def test_criterion_06_q_layer_exactness():
         for d in range(1, k + 1):
             if k % d == 0:
                 prod = prod * cyclotomic(d)
-        assert prod == DensePoly.power_minus_one(k)
+        assert prod == -DensePoly.one_minus_power(k)
 
     from factratio import NotPolynomialError
 

@@ -1,7 +1,7 @@
 """Dense polynomial arithmetic, cyclotomics, Gaussian binomials, predicates."""
 
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -35,32 +35,41 @@ def test_arithmetic_small():
     assert (-p).coeffs == (-1, -1)
 
 
-def test_divmod_generic():
-    num = DensePoly((-1, 0, 0, 1))  # q^3 - 1
-    den = DensePoly((-1, 1))  # q - 1
-    q, r = divmod(num, den)
-    assert r.is_zero()
-    assert q.coeffs == (1, 1, 1)
-    q2, r2 = divmod(DensePoly((1, 1)), DensePoly((1, 1, 1)))
-    assert q2.is_zero() and r2.coeffs == (1, 1)
+def _recurrence_div(coeffs, j):
+    """Division by 1 - q^j by the plain recurrence q_i = n_i + q_{i-j}."""
+    if not coeffs:
+        return DensePoly.zero(), True
+    qlen = len(coeffs) - j
+    if qlen <= 0:
+        return DensePoly.zero(), False
+    out = []
+    for i, c in enumerate(coeffs):
+        out.append(c + (out[i - j] if i >= j else 0))
+    return DensePoly(out[:qlen]), not any(out[qlen:])
 
 
 def test_one_minus_power_helpers_match_generic_ops():
     rng = random.Random(7)
-    for _ in range(80):
-        coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 25))]
-        p = DensePoly(coeffs)
-        j = rng.randint(1, 8)
-        fast = p.mul_one_minus_power(j)
-        slow = p * DensePoly.one_minus_power(j)
-        assert fast == slow
-        back, exact = fast.div_one_minus_power(j)
-        assert exact and back == p
-        # non-multiples usually fail to divide; when they do divide the
-        # quotient must reproduce the product
-        q, ok = p.div_one_minus_power(j)
-        if ok:
-            assert q.mul_one_minus_power(j) == p
+    for mag in (6, 2**31, 10**40):
+        for _ in range(40):
+            length = rng.randint(0, 25)
+            p = DensePoly(_random_coeffs(rng, length, mag) if length else ())
+            for j in range(1, length + 4):
+                fast = p.mul_one_minus_power(j)
+                assert fast == p * DensePoly.one_minus_power(j)
+                assert fast.div_one_minus_power(j) == (p, True)
+                # usually inexact: the partial quotient must match as well
+                assert p.div_one_minus_power(j) == _recurrence_div(p.coeffs, j)
+    assert not any(DensePoly((1, 2, 3)).div_one_minus_power(j)[1] for j in range(1, 5))
+    assert DensePoly((1, 1, 0, -1, -1)).div_one_minus_power(3) == (DensePoly((1, 1)), True)
+
+
+@pytest.mark.parametrize("j", [0, -1])
+def test_one_minus_power_kernels_reject_non_positive_j(j):
+    for p in (DensePoly((1, 2, 3)), DensePoly.zero()):
+        for kernel in (p.mul_one_minus_power, p.div_one_minus_power, DensePoly.one_minus_power):
+            with pytest.raises(ValueError, match=f"need j >= 1, got {j}"):
+                kernel(j)
 
 
 def _schoolbook(a, b):
@@ -130,7 +139,13 @@ def test_cyclotomic_product_is_qk_minus_one():
         for d in range(1, k + 1):
             if k % d == 0:
                 prod = prod * cyclotomic(d)
-        assert prod == DensePoly.power_minus_one(k)
+        assert prod == -DensePoly.one_minus_power(k)
+
+
+def test_cyclotomic_degree_is_euler_phi():
+    for d in range(1, 401):
+        phi = sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+        assert cyclotomic(d).degree == phi, d
 
 
 def test_qbinomial_examples():

@@ -1,5 +1,7 @@
 """Cyclotomic-exponent expansion of q-ratio expressions vs the division oracle."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -7,10 +9,12 @@ import pytest
 
 from factratio import (
     BalancedRatio,
+    DensePoly,
     NotPolynomialError,
     check_product,
     exponent_vector,
     expand,
+    form,
     naive_expand,
     qbinomial,
 )
@@ -24,6 +28,8 @@ from factratio.qratio import (
     qbinomial_spec,
     spec_degree,
 )
+
+from test_floors import _random_balanced_shape
 
 
 def test_exponent_vector_gcd_product_example():
@@ -85,6 +91,55 @@ def test_expansion_matches_oracle_for_families(fid):
                 naive_expand(family.spec, n)
             continue
         assert primary == naive_expand(family.spec, n)
+
+
+def _uncancelled_expand(spec, n):
+    """Every numerator factor multiplied out, then every denominator factor
+    divided, largest first; None when a division leaves a remainder."""
+    qn, qd = spec.arguments(n)
+    sn, sd = spec.singles(n)
+    poly = DensePoly.one()
+    for j in [j for m in qn for j in range(1, m + 1)] + list(sn):
+        poly = poly.mul_one_minus_power(j)
+    for j in sorted([j for m in qd for j in range(1, m + 1)] + list(sd), reverse=True):
+        poly, exact = poly.div_one_minus_power(j)
+        if not exact:
+            return None
+    return poly
+
+
+def _cancellation_cases():
+    for family in FAMILIES.values():
+        for n in range(family.n_min, 9):
+            yield family.spec, n
+    rng = random.Random(20141)
+    for _ in range(16):
+        singles = [(rng.randint(0, 3), rng.randint(1, 6)) for _ in range(rng.randint(0, 6))]
+        half = len(singles) // 2
+        spec = replace(
+            _random_balanced_shape(rng),
+            single_num=tuple(form(c, o) for c, o in singles[:half]),
+            single_den=tuple(form(c, o) for c, o in singles[half : 2 * half]),
+        )
+        for n in (1, 2, 3):
+            yield spec, n
+
+
+def test_naive_expand_cancellation_matches_uncancelled_reference():
+    outcomes = set()
+    for spec, n in _cancellation_cases():
+        expected = _uncancelled_expand(spec, n)
+        try:
+            got = naive_expand(spec, n)
+        except NotPolynomialError as exc:
+            assert expected is None, (spec, n)
+            negative = [d for d, e in exponent_vector(spec, n).exponents.items() if e < 0]
+            assert any(exc.factor % d == 0 for d in negative), (spec, n, exc.factor)
+            outcomes.add("raise")
+            continue
+        assert got == expected, (spec, n)
+        outcomes.add("poly")
+    assert outcomes == {"raise", "poly"}
 
 
 def test_spec_degree_matches_expansion():
