@@ -318,13 +318,14 @@ def check_product(
     """True plus the common integer value when both forms agree and divide.
 
     The integer kernel; ``product_forms`` is the ``Fraction`` route.  With
-    H = C(am+bm, am) the two forms agree exactly when
-    b H = (a+b) C(am+bm-1, am), which does not involve n, so the head
-    abm H and that comparison are settled once per (a, b, m), and the tail
-    C(an+bn, an) once per (a, b, n).  ``shared`` is an optional dict that
+    H = C(am+bm, am) and L = C(am+bm-1, am) the two forms agree exactly when
+    b H = (a+b) L, which does not involve n.  Then abm H = (a+b) amL, so
+    both forms equal head tail / (m+n) with head = amL and tail
+    C(an+bn, an).  The comparison and head are settled once per (a, b, m),
+    and the tail once per (a, b, n); ``shared`` is an optional dict that
     keeps them for a slice of points.  Integrality is decided from head and
-    tail reduced mod (a+b)(m+n); the value, a big product and division, is
-    formed only when ``value`` is true and is None otherwise.
+    tail reduced mod m+n; the value, a big product and division, is formed
+    only when ``value`` is true and is None otherwise.
     """
     if min(a, b, m, n) < 1:
         raise ValueError("a, b, m, n must all be positive")
@@ -332,9 +333,9 @@ def check_product(
         shared = {}
     key = ("head", a, b, m)
     if key not in shared:
-        top = comb(a * m + b * m, a * m)
-        agree = b * top == (a + b) * comb(a * m + b * m - 1, a * m)
-        shared[key] = a * b * m * top if agree else None
+        low = comb(a * m + b * m - 1, a * m)
+        agree = b * comb(a * m + b * m, a * m) == (a + b) * low
+        shared[key] = a * m * low if agree else None
     head = shared[key]
     if head is None:
         return False, None
@@ -342,7 +343,7 @@ def check_product(
     tail = shared.get(key)
     if tail is None:
         tail = shared[key] = comb(a * n + b * n, a * n)
-    modulus = (a + b) * (m + n)
+    modulus = m + n
     if head % modulus * (tail % modulus) % modulus:
         return False, None
     return True, head * tail // modulus if value else None

@@ -6,10 +6,12 @@ canonical form has no trailing zeros, and the zero polynomial is the
 empty tuple with degree -1.  All arithmetic is exact; there is no
 floating point anywhere in this module.
 
-General multiplication is Kronecker substitution: both operands are
-packed into single integers with one byte-aligned slot per coefficient,
-multiplied once with Python's big-integer multiply, and the product's
-coefficients are read back from the slots.  Factors of the shape 1 - q^j
+General multiplication is Kronecker substitution: a polynomial can hold its
+coefficients as slots, one k-byte offset-binary slot per coefficient, and a
+product of two polynomials is formed with one big-integer multiply and stays
+in slots.  A chain of products therefore never converts its intermediate
+results to Python ints; the coefficient tuple is read out of the slots once,
+the first time someone asks for ``coeffs``.  Factors of the shape 1 - q^j
 get dedicated O(length) multiply/divide kernels, since every q-expression
 in the package is a ratio of products of such factors; the cyclotomic
 polynomials are built from them too, by the Moebius product.  There is no
@@ -32,16 +34,24 @@ def _check_power(j: int) -> None:
 
 
 class DensePoly:
-    """Immutable dense polynomial over the integers."""
+    """Immutable dense polynomial over the integers.
 
-    __slots__ = ("coeffs",)
+    It holds its coefficient tuple, its Kronecker slots ``(bytes, k)``, or
+    both once either has been derived from the other.  A slot is the
+    offset-binary byte string of c + 2^(8k-1), little-endian, with
+    -2^(8k-1) <= c < 2^(8k-1).  Slots are only ever made for nonzero
+    polynomials, with a nonzero last coefficient.
+    """
+
+    __slots__ = ("_coeffs", "_slots")
 
     def __init__(self, coeffs=()):  # trailing zeros trimmed
         cs = tuple(coeffs)
         end = len(cs)
         while end and cs[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coeffs", cs[:end])
+        object.__setattr__(self, "_coeffs", cs[:end])
+        object.__setattr__(self, "_slots", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensePoly is immutable")
@@ -62,18 +72,54 @@ class DensePoly:
         _check_power(j)
         return cls((1,) + (0,) * (j - 1) + (-1,))
 
+    @classmethod
+    def _from_slots(cls, data: bytes, k: int) -> "DensePoly":
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_coeffs", None)
+        object.__setattr__(poly, "_slots", (data, k))
+        return poly
+
+    # -- representations -----------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Ascending coefficients; read out of the slots on first use."""
+        cs = self._coeffs
+        if cs is None:
+            cs = _unpack(*self._slots)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    def _packed(self) -> tuple[bytes, int]:
+        """The slots of a nonzero polynomial, packed on first use."""
+        slots = self._slots
+        if slots is None:
+            cs = self._coeffs
+            k = max(max(cs), -min(cs)).bit_length() // 8 + 1  # |c| < 2^(8k-1)
+            half = 1 << (8 * k - 1)
+            slots = (b"".join([(c + half).to_bytes(k, "little") for c in cs]), k)
+            object.__setattr__(self, "_slots", slots)
+        return slots
+
+    def _length(self) -> int:
+        cs = self._coeffs
+        if cs is None:
+            data, k = self._slots
+            return len(data) // k
+        return len(cs)
+
     # -- basics ------------------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Degree; -1 is the zero polynomial's sentinel."""
-        return len(self.coeffs) - 1
+        return self._length() - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._length()
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._length())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DensePoly) and self.coeffs == other.coeffs
@@ -82,16 +128,18 @@ class DensePoly:
         return hash(self.coeffs)
 
     def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        cs = self.coeffs
+        return cs[i] if 0 <= i < len(cs) else 0
 
     def __repr__(self) -> str:
         return f"DensePoly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return "0"
         parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(cs):
             if c == 0:
                 continue
             mag = abs(c)
@@ -124,29 +172,30 @@ class DensePoly:
         return self + (-other)
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
-        """Exact product by Kronecker substitution.
+        """Exact product by Kronecker substitution; the result stays packed.
 
-        Each operand is packed into one integer, sum c_i 2^(w i), with
-        byte-aligned w-bit slots; w leaves a sign bit above the largest
-        possible product coefficient, min(len a, len b) max|a| max|b|.
-        One big-integer multiply then forms every coefficient at once.
-        Adding 2^(w-1) to each slot makes every digit of the product
-        non-negative and smaller than 2^w, so no slot borrows from its
-        neighbour, and each coefficient is its slot minus 2^(w-1).
+        With X = 2^(8k), each operand's slots are widened to k bytes and read
+        as one integer, sum (c_i + 2^(8ka-1)) X^i, from which the offsets are
+        subtracted; one big-integer multiply then forms every coefficient at
+        once.  k leaves a sign bit above the largest product coefficient the
+        operands' slot widths allow, min(len a, len b) 2^(8ka-1) 2^(8kb-1).
+        Adding 2^(8k-1) per slot makes every base-X digit of the product
+        non-negative and smaller than X, so no slot borrows from its
+        neighbour and the digits are the product's offset-binary slots.
+        They are narrowed to the fewest bytes that hold every coefficient.
+        The leading coefficient is the product of two nonzero ones, so the
+        product needs no trimming.
         """
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        la, lb = self._length(), other._length()
+        if not la or not lb:
             return DensePoly.zero()
-        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-        k = bound.bit_length() // 8 + 1  # slot bytes: bound < 2^(8k-1)
-        n = len(a) + len(b) - 1
-        packed = _pack(a, k) * _pack(b, k)
-        offset = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
-        data = (packed + offset).to_bytes(k * n, "little")
-        half = 1 << (8 * k - 1)
-        return DensePoly(
-            [int.from_bytes(data[i : i + k], "little") - half for i in range(0, k * n, k)]
-        )
+        da, ka = self._packed()
+        db, kb = other._packed()
+        k = (min(la, lb) << (8 * (ka + kb) - 2)).bit_length() // 8 + 1
+        n = la + lb - 1
+        product = _widen(da, ka, la, k) * _widen(db, kb, lb, k)
+        data = (product + _offsets(n, k, k)).to_bytes(k * n, "little")
+        return DensePoly._from_slots(*_narrow(data, k))
 
     def mul_one_minus_power(self, j: int) -> "DensePoly":
         """self * (1 - q^j) in one pass: coefficient i is c_i - c_{i-j}."""
@@ -193,11 +242,54 @@ class DensePoly:
         return [str(c) for c in self.coeffs]
 
 
-def _pack(coeffs: tuple[int, ...], k: int) -> int:
-    """sum c_i 2^(8k i) for signed c_i with |c_i| < 2^(8k)."""
-    pos = b"".join([(c if c > 0 else 0).to_bytes(k, "little") for c in coeffs])
-    neg = b"".join([(-c if c < 0 else 0).to_bytes(k, "little") for c in coeffs])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+# Kronecker slots.  In offset binary the top byte of a slot is the top byte
+# of the coefficient's two's complement with its high bit flipped.
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+_SIGN_FILL = bytes(0 if b < 0x80 else 0xFF for b in range(256))
+
+
+def _offsets(n: int, kd: int, k: int) -> int:
+    """sum 2^(8kd-1) 2^(8ki) over i < n: the offsets of kd-byte slots set k bytes apart."""
+    return int.from_bytes((bytes(kd - 1) + b"\x80" + bytes(k - kd)) * n, "little")
+
+
+def _widen(data: bytes, kd: int, n: int, k: int) -> int:
+    """sum c_i 2^(8ki) for the n coefficients held in kd-byte slots (kd <= k)."""
+    if kd < k:
+        buf = bytearray(k * n)
+        for t in range(kd):
+            buf[t::k] = data[t::kd]
+        data = buf
+    return int.from_bytes(data, "little") - _offsets(n, kd, k)
+
+
+def _narrow(data: bytes, k: int) -> tuple[bytes, int]:
+    """The same coefficients in the fewest bytes per slot.
+
+    A slot can lose its top byte when that byte of the two's complement is
+    the sign extension of the byte below it; each test covers every slot at
+    once through strided slices and ``bytes.translate``.
+    """
+    top = data[k - 1 :: k].translate(_FLIP)  # two's complement top bytes
+    w = k
+    while w > 1 and top == data[w - 2 :: k].translate(_SIGN_FILL):
+        w -= 1
+        top = data[w - 1 :: k]
+    if w == k:
+        return data, k
+    buf = bytearray(len(data) // k * w)
+    for t in range(w - 1):
+        buf[t::w] = data[t::k]
+    buf[w - 1 :: w] = top.translate(_FLIP)
+    return bytes(buf), w
+
+
+def _unpack(data: bytes, k: int) -> tuple[int, ...]:
+    """The coefficients held in k-byte offset-binary slots."""
+    half = 1 << (8 * k - 1)
+    return tuple(
+        [int.from_bytes(data[i : i + k], "little") - half for i in range(0, len(data), k)]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +349,8 @@ def qbinomial(n: int, k: int) -> DensePoly:
 
 def is_reciprocal(p: DensePoly) -> bool:
     """p_i == p_{d-i} for all i; vacuously true for the zero polynomial."""
-    return p.coeffs == p.coeffs[::-1]
+    cs = p.coeffs
+    return cs == cs[::-1]
 
 
 def is_nonnegative(p: DensePoly) -> bool:
@@ -280,12 +373,13 @@ def unimodality_witness(p: DensePoly) -> int | None:
     neg = first_negative_index(p)
     if neg is not None:
         return neg
+    cs = p.coeffs
     falling = False
-    for i in range(1, len(p.coeffs)):
-        if p.coeffs[i] > p.coeffs[i - 1]:
+    for i in range(1, len(cs)):
+        if cs[i] > cs[i - 1]:
             if falling:
                 return i
-        elif p.coeffs[i] < p.coeffs[i - 1]:
+        elif cs[i] < cs[i - 1]:
             falling = True
     return None
 

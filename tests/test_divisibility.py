@@ -1,5 +1,6 @@
 """Big-integer divisibility claims, product identities, conjecture sweeps."""
 
+import random
 import signal
 from fractions import Fraction
 from math import comb, gcd
@@ -228,6 +229,44 @@ def test_product_forms_agree_and_integral():
                     first, second = product_forms(a, b, m, n)
                     assert first == second
                     assert first.denominator == 1
+
+
+def test_product_kernel_outside_oracle_box_matches_forms(monkeypatch):
+    """The kernel decides mod m+n alone; check it, with its value, against
+    the Fraction forms at random points beyond the registry's oracle box,
+    first as they are (always integral), then with C(am+bm, am) and
+    C(am+bm-1, am) bumped so that the forms still agree but need not be
+    integral."""
+    rng = random.Random(1414)
+    points = []
+    while len(points) < 300:
+        point = tuple(rng.randint(1, 40) for _ in range(4))
+        if max(point) > registry.PRODUCT_ORACLE_MAX:
+            points.append(point)
+    for a, b, m, n in points:
+        first, second = product_forms(a, b, m, n)
+        assert check_product(a, b, m, n) == (True, first.numerator) and first == second
+
+    heads = {point[:3] for point in points[:40]}
+
+    def bumped(N, K):
+        # adding 7(a+b) to C(am+bm, am) and 7b to C(am+bm-1, am) keeps b H = (a+b) L
+        for a, b, m in heads:
+            if (N, K) == (a * m + b * m, a * m):
+                return comb(N, K) + (a + b) * 7
+            if (N, K) == (a * m + b * m - 1, a * m):
+                return comb(N, K) + b * 7
+        return comb(N, K)
+
+    monkeypatch.setattr(dv, "comb", bumped)
+    failing = 0
+    for a, b, m, n in points[:40]:
+        first, second = product_forms(a, b, m, n)
+        assert first == second
+        integral = first.denominator == 1
+        assert check_product(a, b, m, n) == (integral, first.numerator if integral else None)
+        failing += not integral
+    assert 5 < failing < 35
 
 
 def test_product_rejects_nonpositive():

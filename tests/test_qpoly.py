@@ -17,6 +17,7 @@ from factratio import (
     qbinomial,
     rsw_filter,
 )
+from factratio import qpoly
 from factratio.qpoly import first_negative_index, unimodality_witness
 
 
@@ -113,6 +114,89 @@ def test_mul_by_zero_and_constants():
     assert (p * DensePoly.zero()).is_zero()
     assert (DensePoly.zero() * p).is_zero()
     assert (p * DensePoly((-1,))).coeffs == (-3, 0, 5)
+
+
+def _schoolbook_chain(polys):
+    out = (1,)
+    for p in polys:
+        if not p.coeffs:
+            return DensePoly.zero()
+        out = _schoolbook(out, p.coeffs).coeffs
+    return DensePoly(out)
+
+
+def _tree_product(rng, polys):
+    """Multiply adjacent pairs in random order; no product is read on the way."""
+    items = list(polys)
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        items[i : i + 2] = [items[i] * items[i + 1]]
+    return items[0]
+
+
+CHAIN_MAGNITUDES = (1, 127, 128, 255, 256, 2**15, 2**31, 2**63, 2**64, 10**30)
+
+
+def test_packed_chain_matches_schoolbook(monkeypatch):
+    """Chains of 2-6 products stay packed until read and equal the
+    schoolbook product of the coefficient tuples."""
+    rng = random.Random(1313)
+    eager_only = [DensePoly.zero(), DensePoly((1,)), DensePoly((-1,)), DensePoly((-128,))]
+    for _ in range(300):
+        polys = []
+        for _ in range(rng.randint(2, 6)):
+            if rng.random() < 0.1:
+                polys.append(rng.choice(eager_only))
+                continue
+            mag = rng.choice(CHAIN_MAGNITUDES)
+            polys.append(DensePoly(_random_coeffs(rng, rng.randint(1, 12), mag)))
+        expected = _schoolbook_chain(polys)
+        product = _tree_product(rng, polys)
+
+        # size and truth come from the slots: unpacking is forbidden here
+        with monkeypatch.context() as m:
+            m.setattr(qpoly, "_unpack", lambda data, k: pytest.fail("unpacked"))
+            assert product.degree == expected.degree
+            assert bool(product) == bool(expected)
+            assert product.is_zero() == expected.is_zero()
+
+        assert product == expected and expected == product
+        assert hash(product) == hash(expected)
+        assert product.coeffs == expected.coeffs
+        if expected:
+            j = rng.randint(1, 8)
+            assert product.mul_one_minus_power(j) == expected.mul_one_minus_power(j)
+            assert (product * DensePoly.one_minus_power(j)).div_one_minus_power(j) == (
+                expected,
+                True,
+            )
+            assert product.div_one_minus_power(j) == expected.div_one_minus_power(j)
+
+
+def test_packed_chain_extreme_slots():
+    """Slots at the edge of their width: offset binary holds -2^(8k-1)
+    itself, and a coefficient one past it needs one more byte."""
+    for mag in CHAIN_MAGNITUDES:
+        for sign in (1, -1):
+            c = DensePoly((sign * mag,))
+            p = DensePoly((sign * mag, -sign * mag, sign * mag))
+            chain = [c, p, c, p, c]
+            assert _tree_product(random.Random(mag), chain) == _schoolbook_chain(chain)
+    minus_128 = DensePoly((-128,)) * DensePoly((1,))  # narrows to one byte
+    assert minus_128._packed()[1] == 1
+    assert (minus_128 * minus_128).coeffs == (16384,)
+    assert (minus_128 * DensePoly((-1,))).coeffs == (128,)
+
+
+def test_packed_cyclotomic_product_narrows_to_one_byte():
+    """prod_{d | k} Phi_d = q^k - 1, coefficients 0 and +-1: every slot
+    width the product tree passes through narrows back to one byte."""
+    for k in range(1, 301):
+        divisors = [d for d in range(1, k + 1) if k % d == 0]
+        product = _tree_product(random.Random(k), [cyclotomic(d) for d in divisors])
+        if len(divisors) > 1:
+            assert product._packed()[1] == 1, k
+        assert product == -DensePoly.one_minus_power(k), k
 
 
 def test_evaluate():

@@ -18,6 +18,7 @@ from factratio import (
     naive_expand,
     qbinomial,
 )
+from factratio import qpoly
 from factratio.qpoly import first_negative_index, is_reciprocal
 from factratio.qratio import (
     FAMILIES,
@@ -243,3 +244,23 @@ def test_q_catalan_family_matches_direct_construction():
     for n in range(1, 9):
         poly = expand(exponent_vector(FAMILIES["q-catalan"].spec, n))
         assert poly == q_catalan(n)
+
+
+def test_expand_unpacks_only_when_read(monkeypatch):
+    """The product tree keeps every intermediate product packed; the
+    coefficients are unpacked once, when first read."""
+    calls = []
+    unpack = qpoly._unpack
+
+    def counted(data, k):
+        calls.append(k)
+        return unpack(data, k)
+
+    monkeypatch.setattr(qpoly, "_unpack", counted)
+    poly = expand(exponent_vector(FAMILIES["wz"].spec, 12))
+    assert poly.degree == 1440 and poly
+    assert calls == []
+    coeffs = poly.coeffs
+    assert poly.coeffs is coeffs and len(calls) == 1
+    assert poly == naive_expand(FAMILIES["wz"].spec, 12)
+    assert len(calls) == 1
