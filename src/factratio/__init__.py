@@ -51,6 +51,7 @@ from .qratio import (
     CycloExponentVector,
     exponent_vector,
     expand,
+    expand_many,
     naive_expand,
 )
 from .registry import ClaimRecord, get_claim, list_claims

@@ -11,7 +11,9 @@ coefficients as slots, one k-byte offset-binary slot per coefficient, and a
 product of two polynomials is formed with one big-integer multiply and stays
 in slots.  A chain of products therefore never converts its intermediate
 results to Python ints; the coefficient tuple is read out of the slots once,
-the first time someone asks for ``coeffs``.  Factors of the shape 1 - q^j
+the first time someone asks for ``coeffs``.  ``first_negative_index``,
+``is_reciprocal`` and ``coefficient_sum`` answer from the slots' bytes and
+do not read it out at all.  Factors of the shape 1 - q^j
 get dedicated O(length) multiply/divide kernels, since every q-expression
 in the package is a ratio of products of such factors; the cyclotomic
 polynomials are built from them too, by the Moebius product.  There is no
@@ -235,6 +237,15 @@ class DensePoly:
         return out
 
     def coefficient_sum(self) -> int:
+        """The value at q = 1.
+
+        On slots alone it is sum_t 256^t sum(byte plane t) minus the
+        offsets, len 2^(8k-1); the coefficients are not unpacked.
+        """
+        if self._coeffs is None:
+            data, k = self._slots
+            planes = sum(sum(data[t::k]) << (8 * t) for t in range(k))
+            return planes - (len(data) // k << (8 * k - 1))
         return sum(self.coeffs)
 
     def to_json_coeffs(self) -> list[str]:
@@ -246,6 +257,7 @@ class DensePoly:
 # of the coefficient's two's complement with its high bit flipped.
 _FLIP = bytes(b ^ 0x80 for b in range(256))
 _SIGN_FILL = bytes(0 if b < 0x80 else 0xFF for b in range(256))
+_NEGATIVE = bytes(b < 0x80 for b in range(256))  # 1 on the top byte of c < 0
 
 
 def _offsets(n: int, kd: int, k: int) -> int:
@@ -347,8 +359,18 @@ def qbinomial(n: int, k: int) -> DensePoly:
 # Coefficient predicates
 # --------------------------------------------------------------------------
 
+# A polynomial held only in slots is answered from its bytes, without
+# unpacking: slots are equal exactly when all their bytes are, and a
+# coefficient is negative exactly when its slot's top byte is below 0x80.
+
 def is_reciprocal(p: DensePoly) -> bool:
-    """p_i == p_{d-i} for all i; vacuously true for the zero polynomial."""
+    """p_i == p_{d-i} for all i; vacuously true for the zero polynomial.
+
+    On slots alone: every strided byte plane is a palindrome.
+    """
+    if p._coeffs is None:
+        data, k = p._slots
+        return all(plane == plane[::-1] for plane in (data[t::k] for t in range(k)))
     cs = p.coeffs
     return cs == cs[::-1]
 
@@ -358,6 +380,14 @@ def is_nonnegative(p: DensePoly) -> bool:
 
 
 def first_negative_index(p: DensePoly) -> int | None:
+    """Index of the first negative coefficient, or None.
+
+    On slots alone: the first top byte below 0x80.
+    """
+    if p._coeffs is None:
+        data, k = p._slots
+        i = data[k - 1 :: k].translate(_NEGATIVE).find(1)
+        return i if i >= 0 else None
     for i, c in enumerate(p.coeffs):
         if c < 0:
             return i

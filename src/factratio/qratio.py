@@ -23,10 +23,15 @@ would be needed in general.  The factor-count balance enforced at
 evaluation time pins that sign to +1, which is also exactly the condition
 e_1 = 0.
 
+``expand_many`` multiplies out the Phi_d products of several vectors at
+once: the families swept at one n share most of their factors, so the part
+they have in common is expanded once and each family's few remaining
+factors are multiplied onto it.  ``expand`` is its one-vector case.
+
 ``naive_expand`` is the independent oracle: cancel the factors numerator
 and denominator share, multiply out the rest of the numerator, then divide
-factor by factor.  Both routes must agree wherever they are both
-feasible.
+factor by factor.  It uses neither ``cyclotomic`` nor general
+multiplication.  Both routes must agree wherever they are both feasible.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd
+from operator import add, sub
 
 from .errors import NotPolynomialError
 from .floors import STEP_6_1, STEP_15_2, step
@@ -45,6 +51,7 @@ __all__ = [
     "CycloExponentVector",
     "exponent_vector",
     "expand",
+    "expand_many",
     "naive_expand",
     "spec_degree",
     "QFamily",
@@ -116,44 +123,80 @@ class CycloExponentVector:
 def exponent_vector(spec: BalancedRatio, n: int) -> CycloExponentVector:
     """Exact cyclotomic exponents of the expression at n.
 
-    Pure counting: every [m]! block contributes floor(m/d), every single
-    factor contributes 1 when d divides its argument.
+    Pure counting: every [m]! block contributes floor(m/d) to each e_d, in
+    one list pass over d per block, and every single factor contributes 1
+    to e_d for each divisor d >= 2 of its argument.
     """
     qn, qd, sn, sd = _q_arguments(spec, n)
     bound = max(qn + qd + sn + sd, default=0)
-    exponents: dict[int, int] = {}
-    for d in range(2, bound + 1):
-        e = (
-            sum(v // d for v in qn)
-            - sum(v // d for v in qd)
-            + sum(1 for v in sn if v % d == 0)
-            - sum(1 for v in sd if v % d == 0)
-        )
-        if e:
-            exponents[d] = e
+    ds = range(2, bound + 1)
+    e = [0] * len(ds)  # e[d - 2] = e_d
+    for blocks, op in ((qn, add), (qd, sub)):
+        for v in blocks:
+            e = list(map(op, e, [v // d for d in ds]))
+    for singles, sign in ((sn, 1), (sd, -1)):
+        for v in singles:
+            for d in range(2, v + 1):
+                if v % d == 0:
+                    e[d - 2] += sign
+    exponents = {d: x for d, x in zip(ds, e) if x}
     return CycloExponentVector(exponents=exponents, bound=bound)
+
+
+def _tree_product(factors: list[DensePoly]) -> list[DensePoly]:
+    """The product of factors as a one-element list, or [] for no factors.
+
+    Factors are multiplied pairwise in a balanced product tree, so most
+    products are between operands of similar size, which is where the
+    big-integer multiply behind ``DensePoly.__mul__`` is fastest.
+    """
+    while len(factors) > 1:
+        pairs = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[len(pairs) * 2 :]
+    return factors
+
+
+def _cyclotomic_factors(pairs) -> list[DensePoly]:
+    """Phi_d repeated e_d times, for the (d, e_d) pairs in ascending d."""
+    return [cyclotomic(d) for d, e in sorted(pairs) for _ in range(e)]
+
+
+def expand_many(vectors: list[CycloExponentVector]) -> list[DensePoly]:
+    """Multiply out prod Phi_d^{e_d} for each vector; requires every e_d >= 0.
+
+    The vectors are those of one point's families, which share most of
+    their factors.  The common part prod Phi_d^{c_d}, c_d = min over the
+    vectors of e_d, is expanded once; each vector's rest
+    prod Phi_d^{e_d - c_d} is expanded in the same product tree and
+    multiplied onto it.  With one vector the rest is empty and the common
+    part is the result.
+    """
+    for vector in vectors:
+        bad = vector.first_negative()
+        if bad is not None:
+            raise NotPolynomialError(
+                f"negative cyclotomic exponent e_{bad} = {vector.exponents[bad]}", d=bad
+            )
+    common = {
+        d: min(v.exponents.get(d, 0) for v in vectors)
+        for d in (vectors[0].exponents if vectors else ())
+    }
+    base = _tree_product(_cyclotomic_factors(common.items()))
+    out = []
+    for vector in vectors:
+        rest = [(d, e - common.get(d, 0)) for d, e in vector.exponents.items()]
+        product = _tree_product(base + _tree_product(_cyclotomic_factors(rest)))
+        out.append(product[0] if product else DensePoly.one())
+    return out
 
 
 def expand(vector: CycloExponentVector) -> DensePoly:
     """Multiply out prod Phi_d^{e_d}; requires every e_d >= 0.
 
-    The factors Phi_d (each repeated e_d times) are multiplied pairwise in
-    a balanced product tree, so most products are between operands of
-    similar size, which is where the big-integer multiply behind
-    ``DensePoly.__mul__`` is fastest.
+    The one-vector case of ``expand_many``: the factors Phi_d, each
+    repeated e_d times, are multiplied in its balanced product tree.
     """
-    bad = vector.first_negative()
-    if bad is not None:
-        raise NotPolynomialError(
-            f"negative cyclotomic exponent e_{bad} = {vector.exponents[bad]}", d=bad
-        )
-    factors = [
-        cyclotomic(d) for d in sorted(vector.exponents) for _ in range(vector.exponents[d])
-    ] or [DensePoly.one()]
-    while len(factors) > 1:
-        pairs = [x * y for x, y in zip(factors[::2], factors[1::2])]
-        factors = pairs + factors[len(pairs) * 2 :]
-    return factors[0]
+    return expand_many([vector])[0]
 
 
 def naive_expand(spec: BalancedRatio, n: int) -> DensePoly:

@@ -342,3 +342,82 @@ def test_printed_catalan_form_is_not_polynomial():
     num = qbinomial(4, 2).mul_one_minus_power(1)
     _, exact = num.div_one_minus_power(5)
     assert not exact
+
+
+def _slot_case(poly):
+    """A slots-only copy of a nonzero poly and an eager copy of its coefficients."""
+    data, k = poly._packed()
+    return DensePoly._from_slots(data, k), DensePoly(qpoly._unpack(data, k))
+
+
+def _slot_cases(rng):
+    # one-byte slots at the edges of offset binary, built from the bytes
+    yield DensePoly._from_slots(bytes([0x00, 0x7F, 0x80, 0xFF]), 1)  # -128, -1, 0, 127
+    yield DensePoly._from_slots(bytes([0xFF, 0x80, 0x7F, 0x00]), 1)  # 127, 0, -1, -128
+    for c in (-128, -1, 1, 127, 128, 2**63, -(2**64), 10**30):
+        yield DensePoly((c,)) * DensePoly.one()  # constants
+    for mag in (1, 127, 2**63, 2**64, 10**30):
+        head = [rng.randint(0, mag) for _ in range(rng.randint(1, 9))]
+        # a negative coefficient first, last, or only in the middle
+        yield DensePoly([-mag] + head) * DensePoly.one()
+        yield DensePoly(head + [-mag]) * DensePoly.one()
+        yield DensePoly(head + [-1] + head[::-1] + [mag]) * DensePoly.one()
+        p = DensePoly(_random_coeffs(rng, rng.randint(1, 12), mag))
+        yield p * DensePoly(p.coeffs[::-1])  # reciprocal
+        q = DensePoly(_random_coeffs(rng, rng.randint(1, 12), mag))
+        yield _tree_product(rng, [p, q, DensePoly(q.coeffs[::-1]), DensePoly(p.coeffs[::-1])])
+    for _ in range(200):
+        polys = [
+            DensePoly(_random_coeffs(rng, rng.randint(1, 12), rng.choice(CHAIN_MAGNITUDES)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        yield _tree_product(rng, polys) * DensePoly.one()
+    for _ in range(40):
+        p, r = _random_reciprocal_unimodal(rng), _random_reciprocal_unimodal(rng)
+        yield p * r
+
+
+def _near_reciprocal(rng, poly):
+    """The slots of a reciprocal poly with one byte plane of one slot changed."""
+    data, k = poly._packed()
+    length = len(data) // k
+    i = rng.choice([i for i in range(length - 1) if 2 * i != length - 1])
+    buf = bytearray(data)
+    buf[i * k + rng.randrange(k)] ^= rng.randint(1, 255)
+    return DensePoly._from_slots(bytes(buf), k)
+
+
+def test_slot_predicates_match_coefficient_tuples(monkeypatch):
+    """first_negative_index, is_reciprocal and coefficient_sum read a
+    slots-only polynomial's bytes and agree with the coefficient tuple."""
+    rng = random.Random(1414)
+    seen = set()
+    cases = list(_slot_cases(rng))
+    reciprocal = [p for p in cases if p.degree > 0 and is_reciprocal(DensePoly(p.coeffs))]
+    cases += [_near_reciprocal(rng, p) for p in reciprocal]
+    for case in cases:
+        packed, eager = _slot_case(case)
+        assert packed._coeffs is None and eager._slots is None
+        with monkeypatch.context() as m:
+            m.setattr(qpoly, "_unpack", lambda data, k: pytest.fail("unpacked"))
+            got = (
+                first_negative_index(packed),
+                is_nonnegative(packed),
+                is_reciprocal(packed),
+                packed.coefficient_sum(),
+            )
+        expected = (
+            first_negative_index(eager),
+            is_nonnegative(eager),
+            is_reciprocal(eager),
+            eager.coefficient_sum(),
+        )
+        assert got == expected, eager
+        assert eager.coefficient_sum() == eager.evaluate(1)
+        seen.add((packed._slots[1] > 1, expected[0], expected[2]))
+    # both verdicts of each predicate, on one-byte and wide slots
+    neg = {(wide, first is None) for wide, first, _ in seen}
+    rec = {(wide, r) for wide, _, r in seen}
+    assert neg == rec == {(False, False), (False, True), (True, False), (True, True)}
+    firsts = {first for _, first, _ in seen}
+    assert 0 in firsts and len(firsts) > 3

@@ -14,6 +14,7 @@ from factratio import (
     check_product,
     exponent_vector,
     expand,
+    expand_many,
     form,
     naive_expand,
     qbinomial,
@@ -22,6 +23,7 @@ from factratio import qpoly
 from factratio.qpoly import first_negative_index, is_reciprocal
 from factratio.qratio import (
     FAMILIES,
+    _q_arguments,
     THM_7_2_FAMILY_IDS,
     THM_7_4_FAMILY_IDS,
     gcd_product_q1_value,
@@ -109,19 +111,24 @@ def _uncancelled_expand(spec, n):
     return poly
 
 
+def _random_q_spec(rng):
+    """A balanced shape with as many numerator as denominator single factors."""
+    singles = [(rng.randint(0, 3), rng.randint(1, 6)) for _ in range(rng.randint(0, 6))]
+    half = len(singles) // 2
+    return replace(
+        _random_balanced_shape(rng),
+        single_num=tuple(form(c, o) for c, o in singles[:half]),
+        single_den=tuple(form(c, o) for c, o in singles[half : 2 * half]),
+    )
+
+
 def _cancellation_cases():
     for family in FAMILIES.values():
         for n in range(family.n_min, 9):
             yield family.spec, n
     rng = random.Random(20141)
     for _ in range(16):
-        singles = [(rng.randint(0, 3), rng.randint(1, 6)) for _ in range(rng.randint(0, 6))]
-        half = len(singles) // 2
-        spec = replace(
-            _random_balanced_shape(rng),
-            single_num=tuple(form(c, o) for c, o in singles[:half]),
-            single_den=tuple(form(c, o) for c, o in singles[half : 2 * half]),
-        )
+        spec = _random_q_spec(rng)
         for n in (1, 2, 3):
             yield spec, n
 
@@ -264,3 +271,106 @@ def test_expand_unpacks_only_when_read(monkeypatch):
     assert poly.coeffs is coeffs and len(calls) == 1
     assert poly == naive_expand(FAMILIES["wz"].spec, 12)
     assert len(calls) == 1
+
+
+def _per_d_exponents(spec, n):
+    """e_d by four sums per d, straight from the definition."""
+    qn, qd, sn, sd = _q_arguments(spec, n)
+    bound = max(qn + qd + sn + sd, default=0)
+    exponents = {}
+    for d in range(2, bound + 1):
+        e = (
+            sum(v // d for v in qn)
+            - sum(v // d for v in qd)
+            + sum(1 for v in sn if v % d == 0)
+            - sum(1 for v in sd if v % d == 0)
+        )
+        if e:
+            exponents[d] = e
+    return exponents, bound
+
+
+def test_exponent_vector_matches_per_d_definition():
+    cases = [(f.spec, n) for f in FAMILIES.values() for n in range(f.n_min, 31)]
+    rng = random.Random(1402)
+    cases += [(_random_q_spec(rng), n) for _ in range(16) for n in range(1, 13)]
+    for spec, n in cases:
+        vector = exponent_vector(spec, n)
+        assert (vector.exponents, vector.bound) == _per_d_exponents(spec, n), (spec, n)
+
+
+def _polynomial_vectors(fids, n):
+    """The polynomial vectors of the families defined at n, as the registry
+    passes them to expand_many."""
+    vectors = [exponent_vector(FAMILIES[f].spec, n) for f in fids if n >= FAMILIES[f].n_min]
+    return [v for v in vectors if v.is_polynomial()]
+
+
+def _expand_many_groups():
+    for n in range(1, 13):
+        yield _polynomial_vectors(THM_7_2_FAMILY_IDS, n)
+    for n in range(1, 9):
+        yield _polynomial_vectors(THM_7_4_FAMILY_IDS, n)
+    for n in range(1, 7):
+        yield _polynomial_vectors(sorted(FAMILIES), n)
+    rng = random.Random(1403)
+    for _ in range(30):
+        vectors = _polynomial_vectors(
+            rng.sample(sorted(FAMILIES), rng.randint(1, 4)), rng.randint(1, 6)
+        )
+        if vectors and rng.random() < 0.3:
+            vectors.append(rng.choice(vectors))  # a repeated vector leaves no rest
+        yield vectors
+
+
+def _multiplications(vectors):
+    """__mul__ calls of expand_many: one tree for the common part, one per
+    rest, and one to join each nonempty rest onto a nonempty common part."""
+    count = lambda exponents: sum(exponents.values())
+    common = {
+        d: min(v.exponents.get(d, 0) for v in vectors) for d in vectors[0].exponents
+    }
+    c = count(common)
+    calls = max(c - 1, 0)
+    for v in vectors:
+        r = count(v.exponents) - c
+        calls += max(r - 1, 0) + (1 if r and c else 0)
+    return calls
+
+
+def test_expand_many_matches_expand_per_vector(monkeypatch):
+    """The shared expansion equals one expansion per vector, and multiplies
+    the common part out once per call, not once per vector."""
+    calls = []
+    mul = DensePoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    shared = 0
+    for vectors in _expand_many_groups():
+        expected = [expand(v) for v in vectors]
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(DensePoly, "__mul__", counted)
+            got = expand_many(vectors)
+        assert got == expected
+        if not vectors:
+            continue
+        assert len(calls) == _multiplications(vectors)
+        separate = sum(max(sum(v.exponents.values()) - 1, 0) for v in vectors)
+        assert len(calls) <= separate
+        shared += len(calls) < separate
+    assert expand_many([]) == []
+    assert shared > 20
+
+
+def test_expand_many_rejects_negative_exponent():
+    from factratio.qratio import CycloExponentVector
+
+    good = exponent_vector(FAMILIES["wz"].spec, 2)
+    bad = CycloExponentVector(exponents={3: 1, 5: -2}, bound=5)
+    with pytest.raises(NotPolynomialError) as err:
+        expand_many([good, bad])
+    assert err.value.d == 5

@@ -367,13 +367,18 @@ def test_workers_env_default(monkeypatch):
         ("thm-6.1", (1, 1, 1, 1), lambda poly: DensePoly((1, 2))),
         # reciprocal and non-negative, but the q = 1 value is doubled
         ("cor-6.2", (1, 1, 1, 1), lambda poly: poly * DensePoly((2,))),
+        # one family's polynomial of the shared expansion turns negative
+        ("conj-7.3", (3,), lambda polys: polys[:2] + [-polys[2]] + polys[3:]),
+        ("conj-7.5", (2,), lambda polys: [polys[0], polys[1] - DensePoly((0, 0, 10**6))]),
     ],
 )
 def test_expand_only_failures_are_rechecked_by_division(monkeypatch, claim_id, point, alter):
     """A counting-route expansion that the division route does not reproduce
     raises instead of being reported as a counterexample."""
-    real_expand = registry.expand
-    monkeypatch.setattr(registry, "expand", lambda vector: alter(real_expand(vector)))
+    # the positivity sweeps over several families expand them together
+    kernel = "expand_many" if claim_id in ("conj-7.3", "conj-7.5") else "expand"
+    real = getattr(registry, kernel)
+    monkeypatch.setattr(registry, kernel, lambda arg: alter(real(arg)))
     with pytest.raises(InternalCheckError):
         check_point(claim_id, point)
 
