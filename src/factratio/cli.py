@@ -163,7 +163,7 @@ def _cmd_qpoly(args: argparse.Namespace) -> int:
         "reciprocal": is_reciprocal(poly),
         "unimodal": is_unimodal(poly),
         "nonnegative": is_nonnegative(poly),
-        "q1_value": str(poly.evaluate(1)),
+        "q1_value": str(poly.coefficient_sum()),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import IntegralityError, InternalCheckError
+from .errors import IntegralityError
 from .floors import STEP_6_1, STEP_15_2, landau_min
 from .forms import BalancedRatio, LinearForm, form
-from .valuation import binary_digit_sum, factorize, orders_at, padic_profile, ratio_ord
+from .valuation import binary_digit_sum, factorize, orders_at, primes_up_to, ratio_ord
 
 
 # --------------------------------------------------------------------------
@@ -146,15 +146,13 @@ def t_cform(n: int) -> int:
 
 @dataclass(frozen=True)
 class DivisibilityClaim:
-    """modulus_form(n) divides multiplier * ratio(n) for all n >= n_min."""
+    """modulus_form(n) divides multiplier * ratio(n) for all n >= 1."""
 
     name: str
     multiplier: int
     ratio: BalancedRatio
     modulus_form: LinearForm
     value_key: str  # fast evaluator registered in VALUE_FUNCS
-    n_min: int = 1
-    note: str = ""
 
     def __post_init__(self) -> None:
         # ord_p of the multiplier is read by repeated division, which never ends at 0
@@ -219,7 +217,6 @@ CLAIMS_BY_ID: dict[str, tuple[DivisibilityClaim, ...]] = {
             T_CFORM,
             form(2, 1),
             "t-cform",
-            note="normalized from the published 3003*t(n), false at n=2",
         ),
         DivisibilityClaim("88179*t(n) mod 10n+7", 88179, T_RATIO, form(10, 7), "t"),
         DivisibilityClaim("43263*t(n) mod 10n+9", 43263, T_RATIO, form(10, 9), "t"),
@@ -229,8 +226,8 @@ CLAIMS_BY_ID: dict[str, tuple[DivisibilityClaim, ...]] = {
 
 def check_divisibility(claim: DivisibilityClaim, n: int) -> bool:
     """Big-integer verdict: modulus | multiplier * ratio value."""
-    if n < claim.n_min:
-        raise ValueError(f"n={n} below claim domain n >= {claim.n_min}")
+    if n < 1:
+        raise ValueError(f"n={n} below claim domain n >= 1")
     value = VALUE_FUNCS[claim.value_key](n)
     return (claim.multiplier * value) % claim.modulus_form(n) == 0
 
@@ -251,8 +248,8 @@ def valuation_verdict(claim: DivisibilityClaim, n: int, shared: dict | None = No
     base arguments and the orders at the cofactor primes are stored there
     per base, so the claims of a group that share a base compute them once.
     """
-    if n < claim.n_min:
-        raise ValueError(f"n={n} below claim domain n >= {claim.n_min}")
+    if n < 1:
+        raise ValueError(f"n={n} below claim domain n >= 1")
     if shared is None:
         shared = {}
     if claim.value_key not in shared:
@@ -280,16 +277,6 @@ def _multiplicity(p: int, v: int) -> int:
         k += 1
         v //= p
     return k
-
-
-def recheck_divisibility(claim: DivisibilityClaim, n: int, verdict: bool) -> None:
-    """Big-integer confirmation of a valuation verdict; raises on disagreement."""
-    big = check_divisibility(claim, n)
-    if big != verdict:
-        raise InternalCheckError(
-            f"divisibility routes disagree for {claim.name} at n={n}: "
-            f"big-integer={big}, valuation={verdict}"
-        )
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +407,8 @@ RATIO_BOUNDS: dict[str, BoundedRatio] = {
 
 def valuation_case_orders(name: str, n: int) -> dict[int, int]:
     """Odd-prime orders of the named shifted ratio at n."""
-    return padic_profile(RATIO_BOUNDS[name].spec, n, odd=True).orders
+    num, den = RATIO_BOUNDS[name].spec.arguments(n)
+    return orders_at(primes_up_to(max(num + den))[1:], num, den)
 
 
 def check_valuation_bounds(name: str, n: int) -> list[dict[str, int | str]]:

@@ -12,12 +12,12 @@ product of two polynomials is formed with one big-integer multiply and stays
 in slots.  A chain of products therefore never converts its intermediate
 results to Python ints; the coefficient tuple is read out of the slots once,
 the first time someone asks for ``coeffs``.  ``first_negative_index``,
-``is_reciprocal`` and ``coefficient_sum`` answer from the slots' bytes and
-do not read it out at all.  Factors of the shape 1 - q^j
-get dedicated O(length) multiply/divide kernels, since every q-expression
-in the package is a ratio of products of such factors; the cyclotomic
-polynomials are built from them too, by the Moebius product.  There is no
-division by a general polynomial.
+``is_reciprocal`` and ``coefficient_sum`` read only the slots' bytes, and a
+polynomial held as a tuple is packed for them on first use.  Factors of the
+shape 1 - q^j get dedicated O(length) multiply/divide kernels, since every
+q-expression in the package is a ratio of products of such factors; the
+cyclotomic polynomials are built from them too, by the Moebius product.
+There is no division by a general polynomial.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class DensePoly:
     It holds its coefficient tuple, its Kronecker slots ``(bytes, k)``, or
     both once either has been derived from the other.  A slot is the
     offset-binary byte string of c + 2^(8k-1), little-endian, with
-    -2^(8k-1) <= c < 2^(8k-1).  Slots are only ever made for nonzero
-    polynomials, with a nonzero last coefficient.
+    -2^(8k-1) <= c < 2^(8k-1).  The last slot holds a nonzero coefficient;
+    the zero polynomial packs to ``(b"", 1)``.
     """
 
     __slots__ = ("_coeffs", "_slots")
@@ -93,11 +93,11 @@ class DensePoly:
         return cs
 
     def _packed(self) -> tuple[bytes, int]:
-        """The slots of a nonzero polynomial, packed on first use."""
+        """The slots, packed on first use."""
         slots = self._slots
         if slots is None:
             cs = self._coeffs
-            k = max(max(cs), -min(cs)).bit_length() // 8 + 1  # |c| < 2^(8k-1)
+            k = max(map(abs, cs), default=0).bit_length() // 8 + 1  # |c| < 2^(8k-1)
             half = 1 << (8 * k - 1)
             slots = (b"".join([(c + half).to_bytes(k, "little") for c in cs]), k)
             object.__setattr__(self, "_slots", slots)
@@ -136,42 +136,10 @@ class DensePoly:
     def __repr__(self) -> str:
         return f"DensePoly({list(self.coeffs)!r})"
 
-    def __str__(self) -> str:
-        cs = self.coeffs
-        if not cs:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(cs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                base = "q" if i == 1 else f"q^{i}"
-                term = base if mag == 1 else f"{mag}*{base}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "DensePoly":
         return DensePoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "DensePoly") -> "DensePoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return DensePoly(out)
-
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        return self + (-other)
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         """Exact product by Kronecker substitution; the result stays packed.
@@ -229,24 +197,14 @@ class DensePoly:
 
     # -- evaluation / serialization ----------------------------------------
 
-    def evaluate(self, x):
-        """Value at x by Horner's rule; x may be int or Fraction."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def coefficient_sum(self) -> int:
-        """The value at q = 1.
+        """The value at q = 1, read from the slots without unpacking them.
 
-        On slots alone it is sum_t 256^t sum(byte plane t) minus the
-        offsets, len 2^(8k-1); the coefficients are not unpacked.
+        It is sum_t 256^t sum(byte plane t) minus the offsets, len 2^(8k-1).
         """
-        if self._coeffs is None:
-            data, k = self._slots
-            planes = sum(sum(data[t::k]) << (8 * t) for t in range(k))
-            return planes - (len(data) // k << (8 * k - 1))
-        return sum(self.coeffs)
+        data, k = self._packed()
+        planes = sum(sum(data[t::k]) << (8 * t) for t in range(k))
+        return planes - (len(data) // k << (8 * k - 1))
 
     def to_json_coeffs(self) -> list[str]:
         """Ascending coefficients as decimal strings."""
@@ -359,20 +317,17 @@ def qbinomial(n: int, k: int) -> DensePoly:
 # Coefficient predicates
 # --------------------------------------------------------------------------
 
-# A polynomial held only in slots is answered from its bytes, without
-# unpacking: slots are equal exactly when all their bytes are, and a
+# These read a polynomial's slots, packing a tuple-held one on first use, and
+# never unpack them: slots are equal exactly when all their bytes are, and a
 # coefficient is negative exactly when its slot's top byte is below 0x80.
 
 def is_reciprocal(p: DensePoly) -> bool:
     """p_i == p_{d-i} for all i; vacuously true for the zero polynomial.
 
-    On slots alone: every strided byte plane is a palindrome.
+    Read from the slots: every strided byte plane is a palindrome.
     """
-    if p._coeffs is None:
-        data, k = p._slots
-        return all(plane == plane[::-1] for plane in (data[t::k] for t in range(k)))
-    cs = p.coeffs
-    return cs == cs[::-1]
+    data, k = p._packed()
+    return all(plane == plane[::-1] for plane in (data[t::k] for t in range(k)))
 
 
 def is_nonnegative(p: DensePoly) -> bool:
@@ -382,16 +337,11 @@ def is_nonnegative(p: DensePoly) -> bool:
 def first_negative_index(p: DensePoly) -> int | None:
     """Index of the first negative coefficient, or None.
 
-    On slots alone: the first top byte below 0x80.
+    Read from the slots: the first top byte below 0x80.
     """
-    if p._coeffs is None:
-        data, k = p._slots
-        i = data[k - 1 :: k].translate(_NEGATIVE).find(1)
-        return i if i >= 0 else None
-    for i, c in enumerate(p.coeffs):
-        if c < 0:
-            return i
-    return None
+    data, k = p._packed()
+    i = data[k - 1 :: k].translate(_NEGATIVE).find(1)
+    return i if i >= 0 else None
 
 
 def unimodality_witness(p: DensePoly) -> int | None:

@@ -3,22 +3,24 @@
 The whole module is floor-sum arithmetic on machine integers; no
 factorial is ever formed here.  Primes come from one growable sieve of
 Eratosthenes kept per process: ``primes_up_to`` slices its prime list,
-``is_prime`` reads its flag bytes, falling back to trial division only
-above the sieve limit, and ``factorize`` trial-divides by its primes.
-The classical formula
+``is_prime`` reads its flag bytes, factorizing only above the sieve limit,
+and ``factorize`` trial-divides by its primes.  The classical formula
 
     ord_p(n!) = sum_{i>=1} floor(n / p^i)
 
 drives everything: the order of a factorial ratio is the signed sum of
 the orders of its factorial blocks (and may be negative for ratios whose
-value is a non-integer rational).  A p-adic profile aggregates the order
-over every prime up to the largest factorial argument; the product
-``prod p^order`` then reconstructs the exact ratio value, which is the
-cross-check invariant the test suite leans on.
+value is a non-integer rational).  ``orders_at`` is the one kernel that
+takes those sums at many primes; ``legendre_ord`` and ``ratio_ord`` take
+them at one prime, with a primality check.  A p-adic profile aggregates
+the order over every prime up to the largest factorial argument; the
+product ``prod p^order`` then reconstructs the exact ratio value, which is
+the cross-check invariant the test suite leans on.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -45,31 +47,16 @@ def primes_up_to(limit: int) -> list[int]:
         _PRIMES = [i for i, flag in enumerate(sieve) if flag]
         _SIEVE = sieve
         _SIEVE_LIMIT = new_limit
-    if limit >= _SIEVE_LIMIT:
-        return list(_PRIMES)
-    # bisect by value; the table is sorted
-    lo, hi = 0, len(_PRIMES)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _PRIMES[mid] <= limit:
-            lo = mid + 1
-        else:
-            hi = mid
-    return _PRIMES[:lo]
+    return _PRIMES[: bisect_right(_PRIMES, limit)]
 
 
 def is_prime(p: int) -> bool:
-    """Sieve lookup up to the sieve limit, trial division above it."""
+    """Sieve lookup up to the sieve limit, factorization above it."""
     if p < 2:
         return False
     if p <= _SIEVE_LIMIT:
         return _SIEVE[p] == 1
-    for q in primes_up_to(isqrt(p)):
-        if q * q > p:
-            break
-        if p % q == 0:
-            return False
-    return True
+    return factorize(p) == {p: 1}
 
 
 def factorize(v: int) -> dict[int, int]:
@@ -129,21 +116,12 @@ def digit_sum(n: int, base: int) -> int:
     return total
 
 
-def arguments_ord(p: int, num: tuple[int, ...], den: tuple[int, ...]) -> int:
-    """Signed ord_p of prod(v! for v in num) / prod(v! for v in den).
-
-    Callers that need several primes at one n evaluate
-    ``spec.arguments(n)`` once and pass its two halves here per prime.
-    """
-    return sum(legendre_ord(p, v) for v in num) - sum(legendre_ord(p, v) for v in den)
-
-
 def orders_at(primes, num: tuple[int, ...], den: tuple[int, ...]) -> dict[int, int]:
-    """``arguments_ord`` at each of ``primes``, which the caller vouches are prime.
+    """Signed ord_p of prod(v! for v in num) / prod(v! for v in den) at each p.
 
-    For primes that come from ``factorize``; it makes no primality test,
-    which would otherwise cost a trial division per floor sum above the
-    sieve limit.
+    The caller vouches that ``primes`` are prime (they come from the sieve
+    or from ``factorize``); no primality test is made, which would otherwise
+    cost a factorization per floor sum above the sieve limit.
     """
     out = {}
     for p in primes:
@@ -166,7 +144,8 @@ def ratio_ord(p: int, spec: BalancedRatio, n: int) -> int:
     The Legendre reading of the ratio: for zero offsets it equals
     sum_{k>=1} F(n/p^k), with F the step function of ``floors.value_at``.
     """
-    return arguments_ord(p, *spec.arguments(n))
+    num, den = spec.arguments(n)
+    return sum(legendre_ord(p, v) for v in num) - sum(legendre_ord(p, v) for v in den)
 
 
 @dataclass(frozen=True)
@@ -194,9 +173,8 @@ class PadicProfile:
         return {p: e for p, e in self.orders.items() if e}
 
 
-def padic_profile(spec: BalancedRatio, n: int, odd: bool = False) -> PadicProfile:
-    """Orders at every prime up to the largest argument; ``odd`` leaves out p = 2."""
+def padic_profile(spec: BalancedRatio, n: int) -> PadicProfile:
+    """Orders at every prime up to the largest argument."""
     num, den = spec.arguments(n)
     primes = primes_up_to(max(num + den, default=0))
-    orders = {p: arguments_ord(p, num, den) for p in (primes[1:] if odd else primes)}
-    return PadicProfile(n=n, orders=orders)
+    return PadicProfile(n=n, orders=orders_at(primes, num, den))

@@ -173,7 +173,7 @@ def test_criterion_07_gcd_product_sweep():
                         exponent_vector(gcd_product_spec(a, b, m, n, use_gcd=False), 1)
                     )
                     ok, value = check_product(a, b, m, n)
-                    assert ok and poly.evaluate(1) == value
+                    assert ok and poly.coefficient_sum() == value
     elapsed = time.time() - start
     ok = rep_gcd.failed == 0 and rep_cor.failed == 0
     _line("7", ok, f"gcd form and corollary form polynomial+non-negative for "

@@ -19,7 +19,7 @@ from factratio import (
     naive_expand,
     qbinomial,
 )
-from factratio import qpoly
+from factratio import qpoly, qratio
 from factratio.qpoly import first_negative_index, is_reciprocal
 from factratio.qratio import (
     FAMILIES,
@@ -150,6 +150,25 @@ def test_naive_expand_cancellation_matches_uncancelled_reference():
     assert outcomes == {"raise", "poly"}
 
 
+def test_naive_expand_uses_neither_cyclotomic_nor_mul(monkeypatch):
+    """The division route shares no kernel with expand but the (1 - q^j)
+    ones: it builds no cyclotomic polynomial and makes no general product."""
+
+    def fail(*args):
+        pytest.fail("naive_expand reached a kernel of the cyclotomic route")
+
+    cases = [(fid, n) for fid, family in FAMILIES.items() for n in range(family.n_min, 7)]
+    with monkeypatch.context() as m:
+        m.setattr(qratio, "cyclotomic", fail)
+        m.setattr(qpoly, "cyclotomic", fail)
+        m.setattr(DensePoly, "__mul__", fail)
+        polys = [naive_expand(FAMILIES[fid].spec, n) for fid, n in cases]
+        for fid in ("thm-7.2-4", "thm-7.2-5"):  # false at n = 1 (mod 9)
+            with pytest.raises(NotPolynomialError):
+                naive_expand(FAMILIES[fid].spec, 10)
+    assert polys == [expand(exponent_vector(FAMILIES[fid].spec, n)) for fid, n in cases]
+
+
 def test_spec_degree_matches_expansion():
     for fid in ("wz", "thm-7.2-1", "thm-7.4-2", "q-catalan"):
         family = FAMILIES[fid]
@@ -169,7 +188,7 @@ def test_gcd_product_small_sweep():
                     poly = expand(vector)
                     assert first_negative_index(poly) is None
                     assert is_reciprocal(poly)
-                    assert poly.evaluate(1) == gcd_product_q1_value(a, b, m, n)
+                    assert poly.coefficient_sum() == gcd_product_q1_value(a, b, m, n)
 
 
 def test_corollary_variant_q1_matches_product_integer():
@@ -182,7 +201,7 @@ def test_corollary_variant_q1_matches_product_integer():
                     assert first_negative_index(poly) is None
                     ok, value = check_product(a, b, m, n)
                     assert ok
-                    assert poly.evaluate(1) == value
+                    assert poly.coefficient_sum() == value
                     assert gcd_product_q1_value(a, b, m, n, use_gcd=False) == value
 
 
@@ -242,7 +261,7 @@ def test_family_q1_values_match_integer_ratios():
 
     for n in range(1, 5):
         poly = expand(exponent_vector(FAMILIES["wz"].spec, n))
-        assert poly.evaluate(1) == eval_ratio(WZ_INT_RATIO, n)
+        assert poly.coefficient_sum() == eval_ratio(WZ_INT_RATIO, n)
 
 
 def test_q_catalan_family_matches_direct_construction():

@@ -369,7 +369,14 @@ def test_workers_env_default(monkeypatch):
         ("cor-6.2", (1, 1, 1, 1), lambda poly: poly * DensePoly((2,))),
         # one family's polynomial of the shared expansion turns negative
         ("conj-7.3", (3,), lambda polys: polys[:2] + [-polys[2]] + polys[3:]),
-        ("conj-7.5", (2,), lambda polys: [polys[0], polys[1] - DensePoly((0, 0, 10**6))]),
+        (
+            "conj-7.5",
+            (2,),
+            lambda polys: [
+                polys[0],
+                DensePoly([c - 10**6 * (i == 2) for i, c in enumerate(polys[1].coeffs)]),
+            ],
+        ),
     ],
 )
 def test_expand_only_failures_are_rechecked_by_division(monkeypatch, claim_id, point, alter):

@@ -119,13 +119,14 @@ def test_factorize_and_divisors_edge_cases():
         factorize(0)
 
 
-def test_orders_at_matches_arguments_ord():
+def test_orders_at_matches_legendre_sums():
     for spec in (S_RATIO, T_RATIO, WZ_INT_RATIO):
         for n in range(1, 80):
             num, den = spec.arguments(n)
             primes = primes_up_to(spec.max_argument(n))
             assert valuation.orders_at(primes, num, den) == {
-                p: valuation.arguments_ord(p, num, den) for p in primes
+                p: sum(legendre_ord(p, v) for v in num) - sum(legendre_ord(p, v) for v in den)
+                for p in primes
             }
 
 
