@@ -16,7 +16,6 @@ from .divisibility import (
     eval_ratio,
     parity_matches,
     product_forms,
-    ratio_int,
     sun_s,
     sun_t,
     valuation_case_orders,
@@ -32,9 +31,9 @@ from .floors import (
     CongruenceIdentity,
     check_by_fractional_parts,
     check_congruence_identity,
+    check_identity_at,
     landau_min,
     landau_witnesses,
-    sweep_congruence_identity,
 )
 from .forms import BalancedRatio, LinearForm, form
 from .qpoly import (

@@ -8,8 +8,9 @@
     factratio qpoly --family <id> --n N [--emit coeffs|exponents|summary]
 
 Exit codes: 0 all checks passed, 1 at least one counterexample,
-2 usage or validation error.  FACTRATIO_WORKERS sets the default worker
-count for verify.
+2 usage or validation error (an unwritable --out path included), 3 two
+independent routes disagreed (an internal error, never a counterexample).
+FACTRATIO_WORKERS sets the default worker count for verify.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import NotPolynomialError, UsageError
+from .errors import InternalCheckError, NotPolynomialError, UsageError
 from .floors import grid, landau_min, landau_witnesses, step
 from .qpoly import is_nonnegative, is_reciprocal, is_unimodal
 from .qratio import FAMILIES, exponent_vector, expand, spec_degree
@@ -29,8 +30,11 @@ from .runner import run_claim
 
 def _write_output(data: bytes, path: str | None) -> None:
     if path:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(data.decode())
 
@@ -218,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", *getattr(exc, "__notes__", ()), sep="\n", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

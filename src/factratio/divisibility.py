@@ -99,14 +99,6 @@ def eval_ratio(spec: BalancedRatio, n: int) -> Fraction:
     return Fraction(top, bottom)
 
 
-def ratio_int(spec: BalancedRatio, n: int) -> int:
-    """Integer value of the ratio; raises IntegralityError otherwise."""
-    value = eval_ratio(spec, n)
-    if value.denominator != 1:
-        raise IntegralityError(f"{spec} is not an integer at n={n}")
-    return value.numerator
-
-
 def sun_s(n: int) -> int:
     """S(n), by direct big-integer evaluation of the binomial formula."""
     if n < 1:

@@ -24,7 +24,7 @@ reported as identity failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -164,39 +164,6 @@ def check_identity_at(
         if not ok:
             failing.append(m)
     return checked, skipped, failing
-
-
-@dataclass
-class SweepReport:
-    """Outcome of an exhaustive (m, n) sweep of one identity."""
-
-    identity: CongruenceIdentity
-    n_max: int
-    checked: int = 0
-    skipped: int = 0
-    failures: list[tuple[int, int]] = field(default_factory=list)  # (n, m)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def sweep_congruence_identity(ident: CongruenceIdentity, n_max: int) -> SweepReport:
-    """Check every pair with m | divisor_form(n), m in the domain, n <= n_max.
-
-    Divisors outside the domain are counted as skipped, never as failures:
-    the downstream proofs rely on knowing how many moduli fall outside the
-    identity's domain.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
-    report = SweepReport(identity=ident, n_max=n_max)
-    for n in range(1, n_max + 1):
-        checked, skipped, failing = check_identity_at(ident, n)
-        report.checked += checked
-        report.skipped += skipped
-        report.failures += [(n, m) for m in failing]
-    return report
 
 
 # The two balanced ratios behind every claim in the package, defined here

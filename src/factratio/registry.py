@@ -2,13 +2,13 @@
 
 Each ClaimRecord is the whole description of one claim: its sweep
 parameters (with defaults and hard caps; the defaults are sized so the
-full default suite runs in minutes on one core and no q-expansion exceeds
+full default suite runs in seconds on one core and no q-expansion exceeds
 20000 coefficients), a statement string, an optional constraint on the
-parameter grid, and its checker ``check(point)``, a module-level checker
-with the claim's own data bound by ``functools.partial``.  A record with
-``takes_shared`` has a checker ``check(point, shared)`` instead: ``shared``
-is the memo dict of the point's index slice, where the checker keeps work
-that many points of the slice reuse.  Checkers return
+parameter grid, and its checker ``check(point, shared)``, a module-level
+checker with the claim's own data bound by ``functools.partial``.
+``shared`` is the memo dict of the point's index slice, where a checker
+keeps work that many points of the slice reuse; checkers with no such
+work ignore it.  Checkers return
 
     (number of individual checks, list of counterexample dicts)
 
@@ -67,11 +67,10 @@ class ClaimRecord:
     description: str
     anchor: str
     params: tuple[ParamSpec, ...]
-    check: Callable[[Point], tuple[int, list[dict]]]
+    check: Callable[[Point, dict], tuple[int, list[dict]]]
     conjecture: bool = False
     note: str = ""
     constraint: Callable[[Point], bool] | None = None  # keeps a grid point
-    takes_shared: bool = False  # check(point, shared), see check_point
 
 
 KINDS = (
@@ -94,7 +93,7 @@ def _abmn(default: int, cap: int) -> tuple[ParamSpec, ...]:
 
 
 # --------------------------------------------------------------------------
-# Checkers: (claim data, point) -> (checks run, counterexample dicts)
+# Checkers: (claim data, point, slice memo) -> (checks run, counterexample dicts)
 # --------------------------------------------------------------------------
 
 # The big-integer route re-derives every thm-1.1/1.2/1.3 verdict, and the
@@ -103,12 +102,12 @@ def _abmn(default: int, cap: int) -> tuple[ParamSpec, ...]:
 BIGINT_ORACLE_N_MAX = 100
 
 
-def _check_divisibility_group(group, point: Point):
+def _check_divisibility_group(group, point: Point, shared: dict):
     (n,) = point
     failures = []
-    shared: dict = {}  # per-base work at this n, see dv.valuation_verdict
+    bases: dict = {}  # per-base work at this n, see dv.valuation_verdict
     for claim in group:
-        ok = dv.valuation_verdict(claim, n, shared)
+        ok = dv.valuation_verdict(claim, n, bases)
         if ok and n > BIGINT_ORACLE_N_MAX:
             continue
         big = dv.check_divisibility(claim, n)
@@ -171,7 +170,7 @@ def _check_central_point(point: Point, shared: dict):
     return 1, [{"m": m, "n": n, "value": str(value)}]
 
 
-def _check_landau_point(point: Point):
+def _check_landau_point(point: Point, shared: dict):
     failures = []
     for spec in (floors.STEP_6_1, floors.STEP_15_2):
         low = floors.landau_min(spec)
@@ -186,7 +185,7 @@ def _check_landau_point(point: Point):
     return 2, failures
 
 
-def _check_floor_sweep(identities, point: Point):
+def _check_floor_sweep(identities, point: Point, shared: dict):
     (n,) = point
     checked = 0
     failures = []
@@ -201,7 +200,7 @@ def _check_floor_sweep(identities, point: Point):
     return checked, failures
 
 
-def _check_val_bounds(point: Point):
+def _check_val_bounds(point: Point, shared: dict):
     (n,) = point
     failures = []
     for name in sorted(dv.RATIO_BOUNDS):
@@ -210,14 +209,14 @@ def _check_val_bounds(point: Point):
     return len(dv.RATIO_BOUNDS), failures
 
 
-def _check_conjecture_product(point: Point):
+def _check_conjecture_product(point: Point, shared: dict):
     a, b, n = point
     if dv.check_two_binomial_conjecture(a, b, n):
         return 1, []
     return 1, [{"a": a, "b": b, "n": n}]
 
 
-def _check_parity(point: Point):
+def _check_parity(point: Point, shared: dict):
     (n,) = point
     if dv.parity_matches(n):
         return 1, []
@@ -238,7 +237,7 @@ def _confirm_expansion(spec, n: int, poly, message: str) -> None:
         raise InternalCheckError(message)
 
 
-def _check_family_polynomiality(family_ids, point: Point):
+def _check_family_polynomiality(family_ids, point: Point, shared: dict):
     (n,) = point
     checked = 0
     failures = []
@@ -257,7 +256,7 @@ def _check_family_polynomiality(family_ids, point: Point):
     return checked, failures
 
 
-def _check_family_positivity(family_ids, point: Point):
+def _check_family_positivity(family_ids, point: Point, shared: dict):
     """The families' polynomials at n come from one ``expand_many`` call,
     which expands the Phi_d part they share once."""
     (n,) = point
@@ -283,7 +282,7 @@ def _check_family_positivity(family_ids, point: Point):
     return len(fids), failures
 
 
-def _check_unimodality(point: Point):
+def _check_unimodality(point: Point, shared: dict):
     (n,) = point
     spec = FAMILIES["wz"].spec
     poly = expand(exponent_vector(spec, n))
@@ -298,7 +297,7 @@ def _check_unimodality(point: Point):
     return 2, failures
 
 
-def _check_gcd_product(use_gcd: bool, point: Point):
+def _check_gcd_product(use_gcd: bool, point: Point, shared: dict):
     a, b, m, n = point
     spec = gcd_product_spec(a, b, m, n, use_gcd=use_gcd)
     failures = []
@@ -367,7 +366,6 @@ _RECORDS = (
         "abm/((a+b)(m+n)) * C(am+bm,am) * C(an+bn,an) in Z",
         _abmn(12, 64),
         _check_product_point,
-        takes_shared=True,
     ),
     ClaimRecord(
         "cor-1.5",
@@ -377,7 +375,6 @@ _RECORDS = (
         "m/(2(m+n)) * C(2m,m) * C(2n,n) in Z",
         (ParamSpec("m", 5, 64), ParamSpec("n", 5000, 100_000)),
         _check_central_point,
-        takes_shared=True,
     ),
     ClaimRecord(
         "lem-2.1",
@@ -618,10 +615,7 @@ def check_point(
 ) -> tuple[int, list[dict]]:
     """Run one parameter point of a claim; used directly by worker processes.
 
-    ``shared`` is the memo dict of the point's slice, handed to a checker
-    whose record ``takes_shared``; without it the call uses a fresh dict.
+    ``shared`` is the memo dict of the point's slice; without it the call
+    uses a fresh dict.
     """
-    record = CLAIMS[claim_id]
-    if not record.takes_shared:
-        return record.check(point)
-    return record.check(point, {} if shared is None else shared)
+    return CLAIMS[claim_id].check(point, {} if shared is None else shared)

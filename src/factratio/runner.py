@@ -23,9 +23,11 @@ from collections import deque
 from typing import Iterable, Iterator
 
 from .registry import ClaimRecord, check_point, get_claim, grid_size, points_for, resolve_ranges
+from .errors import UsageError
 from .reports import RunReport
 
 DEFAULT_WORKERS_ENV = "FACTRATIO_WORKERS"
+MAX_WORKERS = 64  # hard cap: a pool forks all its workers at the first submit
 
 SLICE_POINTS = 4096  # largest slice, in unfiltered grid points
 SLICES_PER_WORKER = 8  # slices per worker on grids too small to fill SLICE_POINTS
@@ -79,6 +81,8 @@ def run_claim(
     resolved = resolve_ranges(claim, ranges)
     if workers is None:
         workers = default_workers()
+    if workers > MAX_WORKERS:
+        raise UsageError(f"workers={workers} exceeds the hard cap {MAX_WORKERS}")
     workers = max(1, workers)
 
     size = grid_size(claim, resolved)

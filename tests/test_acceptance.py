@@ -27,10 +27,10 @@ from factratio import (
 )
 from factratio.cli import main
 from factratio.divisibility import WZ_INT_RATIO
-from factratio.floors import IDENTITIES, STEP_6_1, STEP_15_2
+from factratio.floors import STEP_6_1, STEP_15_2
 from factratio.qpoly import DensePoly, cyclotomic, qbinomial
 from factratio.qratio import FAMILIES, exponent_vector, expand, naive_expand
-from factratio import landau_min, sweep_congruence_identity
+from factratio import landau_min
 
 
 def _line(criterion: str, ok: bool, detail: str) -> None:
@@ -92,10 +92,9 @@ def test_criterion_04_floor_machinery():
     total_failures = 0
     swept = 0
     for claim_id in ("lem-2.2", "lem-2.3", "lem-5.1", "lem-5.2"):
-        for ident in IDENTITIES[claim_id]:
-            report = sweep_congruence_identity(ident, 500)
-            total_failures += len(report.failures)
-            swept += report.checked
+        report = run_claim(claim_id, {"n": 500})
+        total_failures += report.failed
+        swept += report.checked
     ok = total_failures == 0
     _line("4", ok, f"landau minima 0; {swept} identity pairs to n=500 "
                    f"(incl. both extension cases), {total_failures} failures")

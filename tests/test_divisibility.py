@@ -22,7 +22,6 @@ from factratio import (
     parity_matches,
     primes_up_to,
     product_forms,
-    ratio_int,
     ratio_ord,
     sun_s,
     sun_t,
@@ -56,13 +55,6 @@ def test_ratio_specs_match_sequences():
 def test_trivial_ratio():
     trivial = BalancedRatio.from_pairs([(1, 0)], [(1, 0)])
     assert eval_ratio(trivial, 7) == 1
-    assert ratio_int(trivial, 7) == 1
-
-
-def test_ratio_int_raises_on_nonintegers():
-    bad = BalancedRatio.from_pairs([(1, 0)], [(1, 1)])  # n!/(n+1)!
-    with pytest.raises(IntegralityError):
-        ratio_int(bad, 3)
 
 
 def test_sequence_spot_values():
@@ -191,7 +183,7 @@ def test_registry_counterexamples_match_bigint_reference():
     for claim in (PUBLISHED_3003, *DEMO_CLAIMS):
         got, want = [], []
         for n in range(1, 161):
-            checked, failures = registry._check_divisibility_group((claim,), (n,))
+            checked, failures = registry._check_divisibility_group((claim,), (n,), {})
             assert checked == 1
             got += failures
             want += [bad] if (bad := _bigint_failures(claim, n)) else []
@@ -206,13 +198,13 @@ def test_flipped_bigint_route_raises(monkeypatch):
     thm11 = CLAIMS_BY_ID["thm-1.1"]
     assert registry.BIGINT_ORACLE_N_MAX >= 50
     with pytest.raises(InternalCheckError):
-        registry._check_divisibility_group(thm11, (50,))  # passing, n <= the bound
+        registry._check_divisibility_group(thm11, (50,), {})  # passing, n <= the bound
     # above the bound a passing point is not re-derived
-    assert registry._check_divisibility_group(thm11, (registry.BIGINT_ORACLE_N_MAX + 1,)) == (1, [])
+    assert registry._check_divisibility_group(thm11, (registry.BIGINT_ORACLE_N_MAX + 1,), {}) == (1, [])
     # every failing point is re-derived, above the bound too
     assert not valuation_verdict(PUBLISHED_3003, 157)
     with pytest.raises(InternalCheckError):
-        registry._check_divisibility_group((PUBLISHED_3003,), (157,))
+        registry._check_divisibility_group((PUBLISHED_3003,), (157,), {})
 
 
 def test_product_forms_examples():

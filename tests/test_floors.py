@@ -15,13 +15,18 @@ from factratio import (
     form,
     landau_min,
     landau_witnesses,
-    sweep_congruence_identity,
+    run_claim,
 )
 from factratio import floors
 from factratio.floors import IDENTITIES, STEP_6_1, STEP_15_2, step
 
 LEM_2_2 = IDENTITIES["lem-2.2"][0]
 LEM_2_3 = IDENTITIES["lem-2.3"][0]
+
+
+def _failing_pairs(ident, n_max):
+    """The (n, m) at which one identity fails, n <= n_max, in sweep order."""
+    return [(n, m) for n in range(1, n_max + 1) for m in floors.check_identity_at(ident, n)[2]]
 
 
 def test_landau_min_paper_specs():
@@ -108,24 +113,25 @@ def test_identity_false_is_distinct_from_precondition():
 
 @pytest.mark.parametrize("claim_id", ["lem-2.2", "lem-2.3", "lem-5.1", "lem-5.2"])
 def test_sweeps_have_zero_failures(claim_id):
-    for ident in IDENTITIES[claim_id]:
-        report = sweep_congruence_identity(ident, 150)
-        assert report.ok, (claim_id, ident.label, report.failures[:3])
-        assert report.checked > 0
+    report = run_claim(claim_id, {"n": 150})
+    assert report.failed == 0, report.counterexamples[:3]
+    counts = [
+        sum(floors.check_identity_at(ident, n)[0] for n in range(1, 151))
+        for ident in IDENTITIES[claim_id]
+    ]
+    assert all(counts) and report.checked == sum(counts)
 
 
 def test_sweep_counts_skipped_pairs():
-    report = sweep_congruence_identity(LEM_2_2, 50)
-    assert report.skipped > 0  # m = 1 always divides and is always below threshold
+    # m = 1 always divides and is always below threshold
+    assert sum(floors.check_identity_at(LEM_2_2, n)[1] for n in range(1, 51)) > 0
 
 
 def test_perturbed_identity_sweep_fails():
     perturbed = CongruenceIdentity(
         shape=step((6, 1), (3, 2, 2)), divisor_form=form(2, 3), m_min=5, surplus=2
     )
-    report = sweep_congruence_identity(perturbed, 50)
-    assert not report.ok
-    assert (1, 5) in report.failures
+    assert (1, 5) in _failing_pairs(perturbed, 50)
 
 
 def test_floor_and_fractional_routes_agree():
@@ -179,7 +185,9 @@ def test_sweep_raises_when_routes_disagree(monkeypatch):
         floors, "check_by_fractional_parts", lambda ident, m, n: not real(ident, m, n)
     )
     with pytest.raises(InternalCheckError):
-        sweep_congruence_identity(LEM_2_2, 10)
+        run_claim("lem-2.2", {"n": 10})
+    with pytest.raises(InternalCheckError):
+        _failing_pairs(LEM_2_2, 10)
 
 
 def test_extension_m3_matches_congruence_class():
@@ -202,7 +210,6 @@ def test_published_extension_condition_is_false():
         m_min=7,
         m_allowed=frozenset({7, 13, 17}),
     )
-    report = sweep_congruence_identity(printed, 50)
-    assert (1, 17) in report.failures
+    assert (1, 17) in _failing_pairs(printed, 50)
     corrected = IDENTITIES["lem-5.2"][3]
-    assert sweep_congruence_identity(corrected, 500).ok
+    assert _failing_pairs(corrected, 500) == []

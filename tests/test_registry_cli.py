@@ -1,5 +1,6 @@
 """Claim registry, sweep runner, report serialization, CLI contract."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -18,7 +19,8 @@ from factratio import (
     list_claims,
     run_claim,
 )
-from factratio import divisibility, registry
+import factratio
+from factratio import divisibility, registry, runner
 from factratio.cli import main
 from factratio.registry import (
     CLAIMS,
@@ -154,10 +156,10 @@ def test_reports_do_not_depend_on_worker_count(claim_id, ranges):
 def test_checker_errors_name_claim_and_point(monkeypatch, workers):
     record = CLAIMS["thm-1.1"]
 
-    def broken(point):
+    def broken(point, shared):
         if point == (37,):
             raise InternalCheckError("routes disagree")
-        return record.check(point)
+        return record.check(point, shared)
 
     monkeypatch.setitem(CLAIMS, "thm-1.1", dataclasses.replace(record, check=broken))
     with pytest.raises(InternalCheckError) as info:
@@ -281,6 +283,23 @@ def test_cli_verify_out_file(tmp_path, capsys):
     assert payload["checked"] == 5
 
 
+def test_cli_verify_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "thm-1.1", "--n-max", "5", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_route_disagreement_exits_3(monkeypatch, capsys):
+    real = divisibility.check_divisibility
+    monkeypatch.setattr(divisibility, "check_divisibility", lambda claim, n: not real(claim, n))
+    assert main(["verify", "thm-1.1", "--n-max", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: divisibility routes disagree")
+    assert "while checking thm-1.1 at (1,)" in captured.err
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -357,6 +376,35 @@ def test_workers_env_default(monkeypatch):
     assert default_workers() == 4
     monkeypatch.setenv("FACTRATIO_WORKERS", "junk")
     assert default_workers() == 1
+
+
+def test_worker_count_above_the_cap_starts_no_process(monkeypatch, capsys):
+    started = []
+
+    class NoPool:  # records the request and starts nothing
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            raise RuntimeError("no process pool in this test")
+
+    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(UsageError):
+        run_claim("thm-1.1", {"n": 50}, workers=10**6)
+    monkeypatch.setenv("FACTRATIO_WORKERS", str(10**6))
+    with pytest.raises(UsageError):
+        run_claim("thm-1.1", {"n": 50})
+    assert main(["verify", "thm-1.1", "--n-max", "50", "--workers", str(10**6)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert started == []
+
+
+def test_readme_library_surface_is_exported():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (statement,) = ast.parse(block).body
+    assert isinstance(statement, ast.ImportFrom) and statement.module == "factratio"
+    names = [alias.name for alias in statement.names]
+    assert len(names) > 20
+    assert [name for name in names if not hasattr(factratio, name)] == []
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,21 @@
-"""The per-slice memo: checkers that keep shared work in one dict per slice.
+"""The per-slice memo: every checker takes one dict per slice.
 
 thm-1.4 keeps its binomials per (a, b, m) and per (a, b, n), cor-1.5 its
-orders of c C(2m,m) per (m, c, p).  A slice must report exactly what
-independent per-point calls report, wherever the slice starts and ends
-and in whatever order the memo is filled.
+orders of c C(2m,m) per (m, c, p); the other checkers ignore the memo.  A
+slice must report exactly what independent per-point calls report,
+wherever the slice starts and ends and in whatever order the memo is
+filled.
 """
 
 import random
+
+import pytest
 from fractions import Fraction
 from math import comb
 
 from factratio import divisibility as dv
 from factratio import floors, registry
-from factratio.registry import check_point, get_claim, grid_size, points_for
+from factratio.registry import CLAIMS, check_point, get_claim, grid_size, points_for
 from factratio.runner import _eval_slice
 
 
@@ -89,6 +92,43 @@ def test_slice_cut_mid_run_matches_per_point_calls():
         got = _eval_slice((claim_id, ranges, lo, hi))
         assert got == _per_point(claim_id, ranges, lo, hi)
         assert got[0] == hi - lo
+
+
+# small ranges per claim, each reaching past its oracle bound or into a
+# failing point where it has one
+SMALL_RANGES = {
+    "thm-1.1": {"n": 120},
+    "thm-1.2": {"n": 120},
+    "thm-1.3": {"n": 120},
+    "thm-1.4": {"a": 5, "b": 5, "m": 5, "n": 5},
+    "cor-1.5": {"m": 3, "n": 150},
+    "lem-2.1": {},
+    "lem-2.2": {"n": 60},
+    "lem-2.3": {"n": 60},
+    "lem-5.1": {"n": 60},
+    "lem-5.2": {"n": 60},
+    "val-bounds": {"n": 40},
+    "thm-6.1": {"a": 3, "b": 3, "m": 3, "n": 3},
+    "cor-6.2": {"a": 3, "b": 3, "m": 3, "n": 3},
+    "thm-7.2": {"n": 12},
+    "thm-7.4": {"n": 6},
+    "conj-7.1": {"a": 5, "b": 4, "n": 10},
+    "conj-7.3": {"n": 11},
+    "conj-7.4-unimodal": {"n": 8},
+    "conj-7.5": {"n": 5},
+    "wz-positivity": {"n": 8},
+    "parity-power-of-2": {"n": 300},
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(CLAIMS))
+def test_mid_grid_slice_matches_per_point_calls(claim_id):
+    ranges = SMALL_RANGES[claim_id]
+    size = grid_size(get_claim(claim_id), ranges)
+    lo, hi = size // 3, size - size // 3  # the whole grid of a one-point claim
+    got = _eval_slice((claim_id, ranges, lo, hi))
+    assert got == _per_point(claim_id, ranges, lo, hi)
+    assert got[0] > 0
 
 
 def test_slice_failures_match_per_point_calls_for_central(monkeypatch):
