@@ -66,6 +66,7 @@ from .valuation import (
     padic_profile,
     primes_up_to,
     ratio_ord,
+    ratio_ord2_run,
 )
 
 __version__ = "0.1.0"

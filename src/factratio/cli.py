@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InternalCheckError, NotPolynomialError, UsageError
@@ -26,6 +27,24 @@ from .qratio import FAMILIES, exponent_vector, expand, spec_degree
 from .registry import list_claims
 from .reports import FORMATS, emit_report
 from .runner import run_claim
+
+
+def _check_out_path(path: str) -> None:
+    """Reject an --out path that cannot be written, before the sweep runs.
+
+    Nothing is created or truncated: a run that later fails for another
+    reason leaves an existing file as it was.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no such directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write --out {path}: {reason}")
 
 
 def _write_output(data: bytes, path: str | None) -> None:
@@ -45,6 +64,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         value = getattr(args, flag)
         if value is not None:
             ranges[name] = value
+    if args.out:
+        _check_out_path(args.out)
     report = run_claim(args.claim, ranges, workers=args.workers)
     _write_output(emit_report(report, args.format), args.out)
     if report.failed:

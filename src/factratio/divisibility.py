@@ -434,14 +434,19 @@ def check_two_binomial_conjecture(a: int, b: int, n: int) -> bool:
     return value % divisor == 0
 
 
-def parity_matches(n: int) -> bool:
-    """ord_2 S(n) = (binary digit sum of n) - 1, via Legendre floor sums.
-
-    Implies S(n) is odd exactly when n is a power of two.
-    """
-    ord2 = ratio_ord(2, S_RATIO, n)
+def parity_verdict(n: int, ord2: int) -> bool:
+    """Given ord2 = ord_2 S(n): is it s_2(n) - 1, and is S(n) odd exactly
+    when n is a power of two?"""
     if ord2 != binary_digit_sum(n) - 1:
         return False
     is_odd = ord2 == 0
     is_power = n & (n - 1) == 0
     return is_odd == is_power
+
+
+def parity_matches(n: int) -> bool:
+    """ord_2 S(n) = (binary digit sum of n) - 1, via Legendre floor sums.
+
+    Implies S(n) is odd exactly when n is a power of two.
+    """
+    return parity_verdict(n, ratio_ord(2, S_RATIO, n))

@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 from . import divisibility as dv
 from . import floors
 from .errors import InternalCheckError, NotPolynomialError, UsageError
-from .valuation import binary_digit_sum, ratio_ord
+from .valuation import binary_digit_sum, ratio_ord, ratio_ord2_run
 from .qpoly import first_negative_index, is_reciprocal, unimodality_witness
 from .qratio import (
     FAMILIES,
@@ -216,11 +216,31 @@ def _check_conjecture_product(point: Point, shared: dict):
     return 1, [{"a": a, "b": b, "n": n}]
 
 
+# The parity sweep reads ord_2 S(n) from runs of this many n, one
+# ratio_ord2_run call per run, kept in the slice memo.
+PARITY_RUN = 256
+
+
 def _check_parity(point: Point, shared: dict):
+    """ord_2 S(n) from the slice's current run; inside the oracle box the
+    per-n Legendre sums and the 2-adic order of the big integer S(n) must
+    both reproduce it."""
     (n,) = point
-    if dv.parity_matches(n):
+    lo, run = shared.get("parity_run", (n, ()))
+    if not lo <= n < lo + len(run):
+        lo, run = shared["parity_run"] = (n, ratio_ord2_run(dv.S_RATIO, n, n + PARITY_RUN))
+    ord2 = run[n - lo]
+    if n <= BIGINT_ORACLE_N_MAX:
+        value = dv.sun_s(n)
+        routes = (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1)
+        if routes != (ord2, ord2):
+            raise InternalCheckError(
+                f"parity routes disagree at n={n}: packed run={ord2}, "
+                f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
+            )
+    if dv.parity_verdict(n, ord2):
         return 1, []
-    return 1, [{"n": n, "ord2": ratio_ord(2, dv.S_RATIO, n), "digit_sum": binary_digit_sum(n)}]
+    return 1, [{"n": n, "ord2": ord2, "digit_sum": binary_digit_sum(n)}]
 
 
 def _confirm_expansion(spec, n: int, poly, message: str) -> None:

@@ -8,7 +8,8 @@ returns one summed (checked, failures) per slice.  Each slice carries one
 memo dict, passed to every ``check_point`` call of the slice: checkers
 that take it keep there the work that many points of the slice reuse
 (thm-1.4 its binomials per (a, b, m) and per (a, b, n), cor-1.5 its orders
-of m C(2m,m)), and the memo is dropped with the slice.  The parent keeps a
+of m C(2m,m), the parity sweep its current run of 2-adic orders), and the
+memo is dropped with the slice.  The parent keeps a
 few slices per worker in flight and merges the results in slice order, so
 the report content never depends on the worker count, and memory is
 bounded by the slices in flight, not by the grid.

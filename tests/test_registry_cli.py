@@ -20,7 +20,7 @@ from factratio import (
     run_claim,
 )
 import factratio
-from factratio import divisibility, registry, runner
+from factratio import cli, divisibility, registry, runner, valuation
 from factratio.cli import main
 from factratio.registry import (
     CLAIMS,
@@ -290,6 +290,31 @@ def test_cli_verify_unwritable_out_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran before --out was checked")
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_cli_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path, capsys, where):
+    monkeypatch.setattr(cli, "run_claim", _no_sweep)
+    out = tmp_path / where
+    assert main(["verify", "parity-power-of-2", "--out", str(out)]) == 2
+    assert f"cannot write --out {out}" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_failed_run_leaves_existing_out_file(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report")
+    real = registry.ratio_ord2_run
+    monkeypatch.setattr(
+        registry, "ratio_ord2_run", lambda spec, lo, hi: [v + 1 for v in real(spec, lo, hi)]
+    )
+    assert main(["verify", "parity-power-of-2", "--n-max", "50", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: parity routes disagree at n=1")
+    assert out.read_bytes() == b"an earlier report"
+
+
 def test_cli_route_disagreement_exits_3(monkeypatch, capsys):
     real = divisibility.check_divisibility
     monkeypatch.setattr(divisibility, "check_divisibility", lambda claim, n: not real(claim, n))
@@ -450,3 +475,47 @@ def test_product_route_disagreement_raises(monkeypatch):
     monkeypatch.setattr(divisibility, "product_forms", skewed)
     with pytest.raises(InternalCheckError):
         check_point("thm-1.4", (1, 1, 1, 1))
+
+
+def _shift_run_at(real, at):
+    """ratio_ord2_run with the value at n = at moved up by one."""
+    return lambda spec, lo, hi: [v + (n == at) for n, v in zip(range(lo, hi), real(spec, lo, hi))]
+
+
+@pytest.mark.parametrize("at", [1, 64, 100])
+def test_shifted_parity_run_raises_in_the_box(monkeypatch, at):
+    monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, at))
+    with pytest.raises(InternalCheckError, match=f"parity routes disagree at n={at}:"):
+        run_claim("parity-power-of-2", {"n": 300}, workers=1)
+
+
+def test_parity_big_integer_route_alone_catches_a_shift(monkeypatch, capsys):
+    # the packed run and the per-n Legendre sums agree on the wrong value;
+    # the 2-adic order of S(n) itself still disagrees
+    at = 37
+    monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, at))
+    real = registry.ratio_ord
+    monkeypatch.setattr(registry, "ratio_ord", lambda p, spec, n: real(p, spec, n) + (n == at))
+    assert check_point("parity-power-of-2", (at + 1,)) == (1, [])
+    assert main(["verify", "parity-power-of-2", "--n-max", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: parity routes disagree at n={at}:")
+    assert "packed run=3, Legendre sums=3, 2-adic order of S(n)=2" in err
+
+
+def test_parity_sweep_runs_the_per_n_route_only_in_the_box(monkeypatch):
+    calls = []
+    real = valuation.legendre_ord
+    monkeypatch.setattr(valuation, "legendre_ord", lambda p, v: calls.append(p) or real(p, v))
+    report = run_claim("parity-power-of-2", {"n": 2000}, workers=1)
+    assert (report.checked, report.failed) == (2000, 0)
+    assert calls == [2] * 5 * registry.BIGINT_ORACLE_N_MAX
+
+
+def test_parity_failure_fields(monkeypatch):
+    # outside the box a failing verdict reports the run's order and the digit sum
+    real = divisibility.parity_verdict
+    monkeypatch.setattr(divisibility, "parity_verdict", lambda n, ord2: n != 1000 and real(n, ord2))
+    report = run_claim("parity-power-of-2", {"n": 1200}, workers=1)
+    assert report.counterexamples == [{"n": 1000, "ord2": 5, "digit_sum": 6}]
+    assert registry.ratio_ord(2, divisibility.S_RATIO, 1000) == 5

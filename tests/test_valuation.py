@@ -17,6 +17,7 @@ from factratio import (
     padic_profile,
     primes_up_to,
     ratio_ord,
+    ratio_ord2_run,
 )
 from factratio import valuation
 from factratio.divisibility import RATIO_BOUNDS, S_RATIO, T_RATIO, WZ_INT_RATIO
@@ -241,3 +242,70 @@ def test_negative_argument_rejected():
 def test_eval_ratio_is_exact_rational():
     inv_central = BalancedRatio.from_pairs([(1, 0), (1, 0)], [(2, 0)])
     assert eval_ratio(inv_central, 2) == Fraction(1, 6)
+
+
+# ----------------------------------------------------------------------
+# ratio_ord2_run: 2-adic orders of a run of n from one packed pass
+# ----------------------------------------------------------------------
+
+def _ord2_by_legendre(spec, lo, hi):
+    """ord_2 of the spec at each n in [lo, hi), one legendre_ord per argument."""
+    out = []
+    for n in range(lo, hi):
+        num, den = spec.arguments(n)
+        out.append(sum(legendre_ord(2, v) for v in num) - sum(legendre_ord(2, v) for v in den))
+    return out
+
+
+def _random_offset_ratio(rng):
+    """A balanced ratio with offsets, constant blocks and a non-trivial 2-adic order."""
+    num = [(rng.randint(1, 12), rng.randint(0, 5)) for _ in range(rng.randint(1, 3))]
+    num.append((0, rng.randint(0, 9)))  # a constant block
+    total = sum(c for c, _ in num)
+    cuts = sorted(rng.sample(range(1, total), min(rng.randint(0, 3), total - 1)))
+    coeffs = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    den = [(c, rng.randint(0, 5)) for c in coeffs] + [(0, rng.randint(0, 9))]
+    return BalancedRatio.from_pairs(num, den)
+
+
+C_N_5 = BalancedRatio.from_pairs([(1, 0)], [(0, 5), (1, -5)])  # C(n, 5), n >= 5
+
+
+def test_ord2_run_matches_legendre_sums():
+    rng = random.Random(20171)
+    specs = [S_RATIO, T_RATIO, WZ_INT_RATIO] + [_random_offset_ratio(rng) for _ in range(20)]
+    for spec in specs:
+        lo = rng.randint(1, 5000)
+        for a, b in ((0, 40), (lo, lo + rng.randint(1, 300)), (lo, lo + 1)):
+            if spec is T_RATIO and a == 0:
+                a = 1  # (5n-1)! needs n >= 1
+            assert ratio_ord2_run(spec, a, b) == _ord2_by_legendre(spec, a, b), (spec, a, b)
+    assert any(ratio_ord2_run(spec, 1, 50) != [0] * 49 for spec in specs[3:])
+
+
+def test_ord2_run_edges():
+    assert ratio_ord2_run(S_RATIO, 0, 1) == [ratio_ord(2, S_RATIO, 0)] == [-1]  # S(0) = 1/2
+    assert ratio_ord2_run(S_RATIO, 7, 7) == []
+    assert ratio_ord2_run(S_RATIO, 9, 3) == []
+    assert ratio_ord2_run(S_RATIO, 12, 13) == [ratio_ord(2, S_RATIO, 12)]
+    near = 10**6
+    assert ratio_ord2_run(S_RATIO, near - 300, near + 5) == _ord2_by_legendre(
+        S_RATIO, near - 300, near + 5
+    )
+    # arguments at 2^k - 1 and 2^k (2^31 - 1, the largest field value, is below)
+    for k in range(3, 31):
+        lo = (1 << k) - 1
+        assert ratio_ord2_run(C_N_5, lo, lo + 2) == _ord2_by_legendre(C_N_5, lo, lo + 2), k
+    constant = BalancedRatio.from_pairs([(0, 8), (1, 0)], [(0, 3), (1, 0)])  # 8!/3!
+    assert ratio_ord2_run(constant, 0, 4) == [legendre_ord(2, 8) - legendre_ord(2, 3)] * 4
+
+
+def test_ord2_run_rejects_arguments_outside_the_fields():
+    top = (1 << 31) - 1
+    assert ratio_ord2_run(C_N_5, top, top + 1) == [ord_p_int(2, prod(range(top - 4, top + 1)) // 120)]
+    with pytest.raises(ValueError):
+        ratio_ord2_run(C_N_5, top, top + 2)
+    with pytest.raises(ValueError):
+        ratio_ord2_run(S_RATIO, (1 << 31) // 6 - 3, (1 << 31) // 6 + 3)
+    with pytest.raises(ValueError):
+        ratio_ord2_run(C_N_5, 4, 10)  # (n-5)! at n = 4
