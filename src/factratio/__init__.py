@@ -14,7 +14,6 @@ from .divisibility import (
     check_two_binomial_conjecture,
     check_valuation_bounds,
     eval_ratio,
-    parity_matches,
     product_forms,
     sun_s,
     sun_t,

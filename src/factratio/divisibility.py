@@ -44,7 +44,7 @@ from math import comb, factorial
 from .errors import IntegralityError
 from .floors import STEP_6_1, STEP_15_2, landau_min
 from .forms import BalancedRatio, LinearForm, form
-from .valuation import binary_digit_sum, factorize, orders_at, primes_up_to, ratio_ord
+from .valuation import binary_digit_sum, factorize, orders_at, primes_up_to
 
 
 # --------------------------------------------------------------------------
@@ -442,11 +442,3 @@ def parity_verdict(n: int, ord2: int) -> bool:
     is_odd = ord2 == 0
     is_power = n & (n - 1) == 0
     return is_odd == is_power
-
-
-def parity_matches(n: int) -> bool:
-    """ord_2 S(n) = (binary digit sum of n) - 1, via Legendre floor sums.
-
-    Implies S(n) is odd exactly when n is a power of two.
-    """
-    return parity_verdict(n, ratio_ord(2, S_RATIO, n))

@@ -86,7 +86,6 @@ class CongruenceIdentity:
     m_min: int
     surplus: int = 1
     m_allowed: frozenset[int] | None = None
-    label: str = ""
 
     def admits(self, m: int) -> bool:
         """Whether a divisor m lies in the identity's domain."""
@@ -186,30 +185,22 @@ STEP_15_2 = step((15, 2), (10, 4, 3))
 # carries the corrected condition; see tests for the pinned counterexample.
 IDENTITIES: dict[str, tuple[CongruenceIdentity, ...]] = {
     "lem-2.2": (
-        CongruenceIdentity(STEP_6_1, form(2, 3), 5, label="2n+3"),
+        CongruenceIdentity(STEP_6_1, form(2, 3), 5),
     ),
     "lem-2.3": (
-        CongruenceIdentity(STEP_15_2, form(10, 3), 9, label="10n+3"),
+        CongruenceIdentity(STEP_15_2, form(10, 3), 9),
     ),
     "lem-5.1": (
-        CongruenceIdentity(STEP_6_1, form(2, 5), 9, label="2n+5"),
-        CongruenceIdentity(STEP_6_1, form(2, 7), 11, label="2n+7"),
-        CongruenceIdentity(STEP_6_1, form(2, 9), 15, label="2n+9"),
+        CongruenceIdentity(STEP_6_1, form(2, 5), 9),
+        CongruenceIdentity(STEP_6_1, form(2, 7), 11),
+        CongruenceIdentity(STEP_6_1, form(2, 9), 15),
         # m = 3 with n = 1 (mod 3), encoded as 3 | n+2
-        CongruenceIdentity(
-            STEP_6_1, form(1, 2), 3, m_allowed=frozenset({3}), label="m=3, n=1 mod 3"
-        ),
+        CongruenceIdentity(STEP_6_1, form(1, 2), 3, m_allowed=frozenset({3})),
     ),
     "lem-5.2": (
-        CongruenceIdentity(STEP_15_2, form(2, 1), 15, label="2n+1"),
-        CongruenceIdentity(STEP_15_2, form(10, 7), 21, label="10n+7"),
-        CongruenceIdentity(STEP_15_2, form(10, 9), 27, label="10n+9"),
-        CongruenceIdentity(
-            STEP_15_2,
-            form(10, 9),
-            7,
-            m_allowed=frozenset({7, 13, 17}),
-            label="m in {7,13,17}, corrected condition",
-        ),
+        CongruenceIdentity(STEP_15_2, form(2, 1), 15),
+        CongruenceIdentity(STEP_15_2, form(10, 7), 21),
+        CongruenceIdentity(STEP_15_2, form(10, 9), 27),
+        CongruenceIdentity(STEP_15_2, form(10, 9), 7, m_allowed=frozenset({7, 13, 17})),
     ),
 }

@@ -47,21 +47,6 @@ from .floors import STEP_6_1, STEP_15_2, step
 from .forms import BalancedRatio, form
 from .qpoly import DensePoly, cyclotomic
 
-__all__ = [
-    "CycloExponentVector",
-    "exponent_vector",
-    "expand",
-    "expand_many",
-    "naive_expand",
-    "spec_degree",
-    "QFamily",
-    "FAMILIES",
-    "gcd_product_spec",
-    "gcd_product_q1_value",
-    "qbinomial_spec",
-]
-
-
 def _q_arguments(spec: BalancedRatio, n: int):
     """Block and single-factor arguments at n, validated for the q reading.
 
@@ -281,14 +266,13 @@ class QFamily:
     id: str
     spec: BalancedRatio
     n_min: int = 1
-    description: str = ""
 
 
-def _family(fid, base, single_num=(), single_den=(), n_min=1, description="") -> QFamily:
+def _family(fid, base, single_num=(), single_den=(), n_min=1) -> QFamily:
     """base times the single factors (1 - q^(c n + o)), given as (c, o) pairs."""
     pack = lambda pairs: tuple(form(c, o) for c, o in pairs)
     spec = replace(base, single_num=pack(single_num), single_den=pack(single_den))
-    return QFamily(fid, spec, n_min, description)
+    return QFamily(fid, spec, n_min)
 
 
 # Base blocks: F(n) = [6n]![n]!/([3n]![2n]!^2) and G(n) =
@@ -297,36 +281,25 @@ def _family(fid, base, single_num=(), single_den=(), n_min=1, description="") ->
 FAMILIES: dict[str, QFamily] = {
     f.id: f
     for f in (
-        _family(
-            "wz",
-            STEP_6_1,
-            description="[6n]![n]!/([3n]![2n]!^2); non-negative coefficients",
-        ),
-        _family(
-            "wz-15-2",
-            STEP_15_2,
-            description="[15n]![2n]!/([10n]![4n]![3n]!); conjectured non-negative",
-        ),
+        _family("wz", STEP_6_1),
+        _family("wz-15-2", STEP_15_2),  # conjectured non-negative; no claim sweeps it
         _family(
             "thm-7.2-1",
             STEP_6_1,
             single_num=((0, 1),),
             single_den=((2, 1),),
-            description="(1-q) F(n) / (1-q^{2n+1})",
         ),
         _family(
             "thm-7.2-2",
             STEP_6_1,
             single_num=((0, 3),),
             single_den=((2, 3),),
-            description="(1-q^3) F(n) / (1-q^{2n+3})",
         ),
         _family(
             "thm-7.2-3",
             STEP_6_1,
             single_num=((0, 1), (0, 3)),
             single_den=((2, 1), (2, 3)),
-            description="(1-q)(1-q^3) F(n) / ((1-q^{2n+1})(1-q^{2n+3}))",
         ),
         _family(
             "thm-7.2-4",
@@ -334,7 +307,6 @@ FAMILIES: dict[str, QFamily] = {
             single_num=((0, 3), (0, 5), (0, 7)),
             single_den=((2, 3), (2, 5), (2, 7)),
             n_min=2,
-            description="(1-q^3)(1-q^5)(1-q^7) F(n) / ((1-q^{2n+3})(1-q^{2n+5})(1-q^{2n+7}))",
         ),
         _family(
             "thm-7.2-5",
@@ -342,28 +314,24 @@ FAMILIES: dict[str, QFamily] = {
             single_num=((0, 3), (0, 3), (0, 5), (0, 7)),
             single_den=((2, 1), (2, 3), (2, 5), (2, 7)),
             n_min=2,
-            description="(1-q^3)^2(1-q^5)(1-q^7) F(n) / ((1-q^{2n+1})...(1-q^{2n+7}))",
         ),
         _family(
             "thm-7.4-1",
             STEP_15_2,
             single_num=((0, 1),),
             single_den=((10, 1),),
-            description="(1-q) G(n) / (1-q^{10n+1})",
         ),
         _family(
             "thm-7.4-2",
             STEP_15_2,
             single_num=((0, 3), (0, 7)),
             single_den=((0, 1), (10, 3)),
-            description="(1-q^3)(1-q^7) G(n) / ((1-q)(1-q^{10n+3}))",
         ),
         _family(
             "q-catalan",
             step((2,), (1, 1)),
             single_num=((0, 1),),
             single_den=((1, 1),),
-            description="(1-q)/(1-q^{n+1}) [2n, n]_q",
         ),
     )
 }

@@ -3,9 +3,11 @@
 Each ClaimRecord is the whole description of one claim: its sweep
 parameters (with defaults and hard caps; the defaults are sized so the
 full default suite runs in seconds on one core and no q-expansion exceeds
-20000 coefficients), a statement string, an optional constraint on the
-parameter grid, and its checker ``check(point, shared)``, a module-level
-checker with the claim's own data bound by ``functools.partial``.
+20000 coefficients), a statement string, and its checker
+``check(point, shared)``, a module-level checker with the claim's own data
+bound by ``functools.partial``.  The sweep is always the whole product grid
+of the parameter ranges; a checker skips the points outside its claim's
+domain itself and counts 0 checks for them.
 ``shared`` is the memo dict of the point's index slice, where a checker
 keeps work that many points of the slice reuse; checkers with no such
 work ignore it.  Checkers return
@@ -70,7 +72,6 @@ class ClaimRecord:
     check: Callable[[Point, dict], tuple[int, list[dict]]]
     conjecture: bool = False
     note: str = ""
-    constraint: Callable[[Point], bool] | None = None  # keeps a grid point
 
 
 KINDS = (
@@ -211,6 +212,8 @@ def _check_val_bounds(point: Point, shared: dict):
 
 def _check_conjecture_product(point: Point, shared: dict):
     a, b, n = point
+    if b >= a:  # the conjecture is stated for a > b only
+        return 0, []
     if dv.check_two_binomial_conjecture(a, b, n):
         return 1, []
     return 1, [{"a": a, "b": b, "n": n}]
@@ -498,7 +501,6 @@ _RECORDS = (
         (ParamSpec("a", 6, 20, 2), ParamSpec("b", 5, 20), ParamSpec("n", 40, 500)),
         _check_conjecture_product,
         conjecture=True,
-        constraint=lambda point: point[1] < point[0],  # b < a
     ),
     ClaimRecord(
         "conj-7.3",
@@ -559,6 +561,8 @@ def list_claims(kind: str | None = None) -> list[ClaimRecord]:
     """Stable sorted listing, optionally filtered by kind."""
     records = sorted(CLAIMS.values(), key=lambda r: r.id)
     if kind is not None:
+        if kind not in KINDS:
+            raise UsageError(f"unknown kind {kind!r} (valid: {', '.join(KINDS)})")
         records = [r for r in records if r.kind == kind]
     return records
 
@@ -587,7 +591,7 @@ def resolve_ranges(claim: ClaimRecord, ranges: dict[str, int] | None) -> dict[st
 
 
 def grid_size(claim: ClaimRecord, ranges: dict[str, int]) -> int:
-    """Number of points of the unfiltered grid, before any constraint."""
+    """Number of points of the claim's parameter grid."""
     return math.prod(ranges[p.name] - p.minimum + 1 for p in claim.params)
 
 
@@ -597,17 +601,13 @@ def points_for(
     """Parameter points in ascending lexicographic order.
 
     ``start`` and ``stop`` select the index slice [start, stop) of the
-    unfiltered grid; the constraint then filters the slice.  The slice is
-    built from its decoded first point, so its cost does not grow with
-    ``start``.
+    grid.  The slice is built from its decoded first point, so its cost
+    does not grow with ``start``.
     """
     axes = [range(p.minimum, ranges[p.name] + 1) for p in claim.params]
     size = grid_size(claim, ranges)
     stop = size if stop is None else min(stop, size)
-    points = _grid_slice(axes, start, stop) if start < stop else ()
-    if claim.constraint is not None:
-        return [point for point in points if claim.constraint(point)]
-    return list(points)
+    return list(_grid_slice(axes, start, stop)) if start < stop else []
 
 
 def _grid_slice(axes: list[range], start: int, stop: int) -> Iterator[Point]:

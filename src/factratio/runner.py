@@ -1,8 +1,8 @@
 """Sweep driver: runs a claim over its parameter ranges.
 
-The lexicographic index range [0, grid size) of the unfiltered parameter
-grid is cut into contiguous slices.  Only (claim id, ranges, lo, hi)
-crosses the process boundary: a worker rebuilds the slice's points with
+The lexicographic index range [0, grid size) of the parameter grid is cut
+into contiguous slices.  Only (claim id, ranges, lo, hi) crosses the
+process boundary: a worker rebuilds the slice's points with
 ``points_for``, resolves the checker from its own imported registry, and
 returns one summed (checked, failures) per slice.  Each slice carries one
 memo dict, passed to every ``check_point`` call of the slice: checkers
@@ -30,7 +30,7 @@ from .reports import RunReport
 DEFAULT_WORKERS_ENV = "FACTRATIO_WORKERS"
 MAX_WORKERS = 64  # hard cap: a pool forks all its workers at the first submit
 
-SLICE_POINTS = 4096  # largest slice, in unfiltered grid points
+SLICE_POINTS = 4096  # largest slice, in grid points
 SLICES_PER_WORKER = 8  # slices per worker on grids too small to fill SLICE_POINTS
 IN_FLIGHT_PER_WORKER = 4  # submitted but unmerged slices per worker
 
@@ -82,9 +82,10 @@ def run_claim(
     resolved = resolve_ranges(claim, ranges)
     if workers is None:
         workers = default_workers()
+    if workers < 1:
+        raise UsageError(f"workers={workers} must be at least 1")
     if workers > MAX_WORKERS:
         raise UsageError(f"workers={workers} exceeds the hard cap {MAX_WORKERS}")
-    workers = max(1, workers)
 
     size = grid_size(claim, resolved)
     step = max(1, min(SLICE_POINTS, -(-size // (workers * SLICES_PER_WORKER))))

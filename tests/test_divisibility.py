@@ -19,7 +19,6 @@ from factratio import (
     check_valuation_bounds,
     eval_ratio,
     form,
-    parity_matches,
     primes_up_to,
     product_forms,
     ratio_ord,
@@ -40,6 +39,7 @@ from factratio.divisibility import (
     T_RATIO,
     VALUE_FUNCS,
     WZ_INT_RATIO,
+    parity_verdict,
     t_cform,
     valuation_verdict,
 )
@@ -429,6 +429,6 @@ def test_two_binomial_conjecture_domain():
 
 def test_parity_claim_against_direct_values():
     for n in range(1, 301):
-        assert parity_matches(n)
+        assert parity_verdict(n, ratio_ord(2, S_RATIO, n))
         want_odd = n & (n - 1) == 0
         assert (sun_s(n) % 2 == 1) == want_odd

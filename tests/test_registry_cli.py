@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -74,7 +75,8 @@ def test_list_claims_sorted_and_stable():
 def test_list_claims_kind_filter():
     positivity = {r.id for r in list_claims(kind="q-positivity")}
     assert positivity == {"thm-6.1", "cor-6.2", "conj-7.3", "conj-7.5", "wz-positivity"}
-    assert list_claims(kind="no-such-kind") == []
+    with pytest.raises(UsageError, match="valid: divisibility, floor-identity"):
+        list_claims(kind="no-such-kind")
 
 
 def test_conjecture_flags():
@@ -107,7 +109,7 @@ def test_points_ordering():
     assert len(pts) == 16
     conj = get_claim("conj-7.1")
     cpts = points_for(conj, {"a": 3, "b": 5, "n": 2})
-    assert cpts == [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)]
+    assert cpts == list(itertools.product(range(2, 4), range(1, 6), range(1, 3)))
     upts = points_for(get_claim("conj-7.4-unimodal"), {"n": 4})
     assert upts == [(2,), (3,), (4,)]
     assert points_for(get_claim("lem-2.1"), {}) == [()]
@@ -121,12 +123,13 @@ def test_points_for_slices_concatenate_to_the_grid(claim_id):
     ranges = {p.name: min(p.minimum + 3, p.cap) for p in claim.params}
     whole = points_for(claim, ranges)
     size = grid_size(claim, ranges)
-    assert len(whole) == size or claim.constraint is not None
+    assert len(whole) == size
     for step in (1, 2, 7, size + 1):
-        sliced = [
-            point for lo in range(0, size, step) for point in points_for(claim, ranges, lo, lo + step)
-        ]
-        assert sliced == whole, step
+        slices = [points_for(claim, ranges, lo, lo + step) for lo in range(0, size, step)]
+        assert [len(s) for s in slices] == [
+            min(lo + step, size) - lo for lo in range(0, size, step)
+        ], step
+        assert [point for s in slices for point in s] == whole, step
     assert points_for(claim, ranges, size, size + 5) == []
 
 
@@ -177,6 +180,16 @@ def test_run_claim_small_sweeps():
 
     rep = run_claim("conj-7.1", {"a": 3, "b": 2, "n": 4})
     assert rep.failed == 0
+
+
+def test_conjecture_checker_skips_b_not_below_a():
+    # b runs past a: the checker, not the grid, drops the points with b >= a
+    ranges = {"a": 4, "b": 6, "n": 3}
+    in_domain = sum(b < a for a, b, n in points_for(get_claim("conj-7.1"), ranges))
+    assert in_domain == 18
+    reports = [run_claim("conj-7.1", ranges, workers=w) for w in (1, 2)]
+    assert [(r.checked, r.failed) for r in reports] == [(in_domain, 0)] * 2
+    assert emit_report(reports[0], "json") == emit_report(reports[1], "json")
 
 
 def test_run_claim_reports_known_counterexamples():
@@ -348,9 +361,12 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
-def test_cli_list_kind_filter_unknown_is_empty_success(capsys):
-    assert main(["list", "--kind", "nonexistent"]) == 0
-    assert capsys.readouterr().out == ""
+def test_cli_list_unknown_kind_is_usage_error(capsys):
+    assert main(["list", "--kind", "nonexistent"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown kind 'nonexistent'" in captured.err
+    assert all(kind in captured.err for kind in KINDS)
 
 
 def test_cli_landau(capsys):
@@ -403,15 +419,21 @@ def test_workers_env_default(monkeypatch):
     assert default_workers() == 1
 
 
-def test_worker_count_above_the_cap_starts_no_process(monkeypatch, capsys):
-    started = []
+@pytest.fixture
+def started(monkeypatch):
+    """The worker counts of every process pool requested; none is started."""
+    requests = []
 
-    class NoPool:  # records the request and starts nothing
+    class NoPool:
         def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
+            requests.append(max_workers)
             raise RuntimeError("no process pool in this test")
 
     monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", NoPool)
+    return requests
+
+
+def test_worker_count_above_the_cap_starts_no_process(monkeypatch, capsys, started):
     with pytest.raises(UsageError):
         run_claim("thm-1.1", {"n": 50}, workers=10**6)
     monkeypatch.setenv("FACTRATIO_WORKERS", str(10**6))
@@ -419,6 +441,16 @@ def test_worker_count_above_the_cap_starts_no_process(monkeypatch, capsys):
         run_claim("thm-1.1", {"n": 50})
     assert main(["verify", "thm-1.1", "--n-max", "50", "--workers", str(10**6)]) == 2
     assert "workers" in capsys.readouterr().err
+    assert started == []
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_usage_error(capsys, started, workers):
+    with pytest.raises(UsageError, match="at least 1"):
+        run_claim("thm-1.1", {"n": 50}, workers=workers)
+    assert main(["verify", "thm-1.1", "--n-max", "50", "--workers", str(workers)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"workers={workers} must be at least 1" in captured.err
     assert started == []
 
 
