@@ -20,7 +20,6 @@ from .divisibility import (
     valuation_case_orders,
 )
 from .errors import (
-    IntegralityError,
     InternalCheckError,
     NotPolynomialError,
     PreconditionError,

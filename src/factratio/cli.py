@@ -7,10 +7,12 @@
     factratio landau --num 6,1 --den 3,2,2 [--format json|text]
     factratio qpoly --family <id> --n N [--emit coeffs|exponents|summary]
 
-Exit codes: 0 all checks passed, 1 at least one counterexample,
-2 usage or validation error (an unwritable --out path included), 3 two
-independent routes disagreed (an internal error, never a counterexample).
-FACTRATIO_WORKERS sets the default worker count for verify.
+Exit codes: 0 all checks passed, 1 a command's own negative verdict (a
+counterexample from verify, a negative minimum from landau, not a
+polynomial from qpoly), 2 usage or validation error (an unwritable --out
+path included), 3 any internal failure (two independent routes
+disagreeing, a crashed worker, any other exception; never a
+counterexample).  verify runs on one worker unless --workers says more.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a-max", type=int, default=None)
     verify.add_argument("--b-max", type=int, default=None)
     verify.add_argument("--m-max", type=int, default=None)
-    verify.add_argument("--workers", type=int, default=None)
+    verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--format", choices=FORMATS, default="text")
     verify.add_argument("--out", default=None, help="write the report to a file")
     verify.set_defaults(func=_cmd_verify)
@@ -243,7 +245,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalCheckError as exc:
+    except Exception as exc:
+        if not isinstance(exc, InternalCheckError):
+            import traceback  # imported here, off the start-up path
+
+            traceback.print_exc(file=sys.stderr)
         print(f"internal error: {exc}", *getattr(exc, "__notes__", ()), sep="\n", file=sys.stderr)
         return 3
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import IntegralityError
+from .errors import InternalCheckError
 from .floors import STEP_6_1, STEP_15_2, landau_min
 from .forms import BalancedRatio, LinearForm, form
 from .valuation import binary_digit_sum, factorize, orders_at, primes_up_to
@@ -107,7 +107,7 @@ def sun_s(n: int) -> int:
     den = 2 * (2 * n + 1) * comb(2 * n, n)
     q, r = divmod(num, den)
     if r:
-        raise IntegralityError(f"S({n}) failed integrality")
+        raise InternalCheckError(f"S({n}) failed integrality")
     return q
 
 
@@ -119,7 +119,7 @@ def sun_t(n: int) -> int:
     den = (10 * n + 1) * comb(3 * n, n)
     q, r = divmod(num, den)
     if r:
-        raise IntegralityError(f"t({n}) failed integrality")
+        raise InternalCheckError(f"t({n}) failed integrality")
     return q
 
 
@@ -128,7 +128,7 @@ def t_cform(n: int) -> int:
     num = comb(15 * n, 5 * n) * comb(5 * n, n)
     q, r = divmod(num, comb(3 * n, n))
     if r:
-        raise IntegralityError(f"C-form ratio failed integrality at n={n}")
+        raise InternalCheckError(f"C-form ratio failed integrality at n={n}")
     return q
 
 
@@ -152,8 +152,8 @@ class DivisibilityClaim:
             raise ValueError(f"{self.name}: the multiplier must be positive, not {self.multiplier}")
 
 
-# Fast big-integer evaluators for the claim ratios (module level so that
-# worker processes can resolve them by key).
+# Fast big-integer evaluators for the claim ratios, looked up by key at each
+# call, so that the tracer and the tests can rebind an entry.
 VALUE_FUNCS = {
     "s": sun_s,
     "t": sun_t,
@@ -235,7 +235,7 @@ def valuation_verdict(claim: DivisibilityClaim, n: int, shared: dict | None = No
         ord_p B >= ord_p cofactor                       (integrality)
         ord_p c + ord_p B - ord_p cofactor >= ord_p modulus
 
-    A failed integrality test raises IntegralityError, as ``sun_s`` does.
+    A failed integrality test raises InternalCheckError, as ``sun_s`` does.
     ``shared`` is an optional dict that the caller keeps for one n.  The
     base arguments and the orders at the cofactor primes are stored there
     per base, so the claims of a group that share a base compute them once.
@@ -255,7 +255,11 @@ def valuation_verdict(claim: DivisibilityClaim, n: int, shared: dict | None = No
     num, den, base_orders = shared[claim.value_key]
     short = [p for p, e in base_orders.items() if e < 0]
     if short:
-        raise IntegralityError(f"{claim.ratio} is not an integer at n={n} (primes {short})")
+        base = BASES[claim.value_key]
+        raise InternalCheckError(
+            f"base {base.spec} over cofactor {base.cofactor} is not an integer at n={n} "
+            f"(primes {short})"
+        )
     need = factorize(claim.modulus_form(n))
     orders = orders_at([p for p in need if p not in base_orders], num, den)
     orders.update(base_orders)

@@ -10,13 +10,9 @@ class UsageError(ValueError):
 class PreconditionError(ValueError):
     """A check was invoked outside its stated domain.
 
-    Distinct from a check returning False: sweep drivers skip points that
-    violate preconditions instead of counting them as failures.
+    Distinct from a check returning False: a call outside the domain is a
+    caller's error, never a failed check.
     """
-
-
-class IntegralityError(ArithmeticError):
-    """An expression that must be an exact integer failed to divide."""
 
 
 class NotPolynomialError(ArithmeticError):
@@ -33,4 +29,5 @@ class NotPolynomialError(ArithmeticError):
 
 
 class InternalCheckError(RuntimeError):
-    """Two independent evaluation routes disagreed: implementation bug."""
+    """The verifier itself failed: two independent evaluation routes
+    disagreed, or a value that must be an exact integer was not."""

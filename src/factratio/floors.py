@@ -17,9 +17,10 @@ with surplus 1, e.g.
 
     floor(6n/m) + floor(n/m) = floor(3n/m) + 2*floor(2n/m) + 1.
 
-Precondition violations (m below threshold, m not a divisor) raise
-PreconditionError so that sweep drivers can skip them; they are never
-reported as identity failures.
+``check_congruence_identity`` raises PreconditionError outside the domain
+(m below threshold, m not a divisor), never a failed identity.  The sweep,
+``check_identity_at``, enumerates the divisors of the divisor form and
+counts those that ``admits`` rejects as skipped, so it never raises one.
 """
 
 from __future__ import annotations

@@ -138,9 +138,6 @@ class DensePoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __neg__(self) -> "DensePoly":
-        return DensePoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         """Exact product by Kronecker substitution; the result stays packed.
 

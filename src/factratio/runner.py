@@ -18,7 +18,6 @@ bounded by the slices in flight, not by the grid.
 from __future__ import annotations
 
 import concurrent.futures
-import os
 import time
 from collections import deque
 from typing import Iterable, Iterator
@@ -27,7 +26,6 @@ from .registry import ClaimRecord, check_point, get_claim, grid_size, points_for
 from .errors import UsageError
 from .reports import RunReport
 
-DEFAULT_WORKERS_ENV = "FACTRATIO_WORKERS"
 MAX_WORKERS = 64  # hard cap: a pool forks all its workers at the first submit
 
 SLICE_POINTS = 4096  # largest slice, in grid points
@@ -35,14 +33,6 @@ SLICES_PER_WORKER = 8  # slices per worker on grids too small to fill SLICE_POIN
 IN_FLIGHT_PER_WORKER = 4  # submitted but unmerged slices per worker
 
 Task = tuple[str, dict[str, int], int, int]
-
-
-def default_workers() -> int:
-    value = os.environ.get(DEFAULT_WORKERS_ENV, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _eval_slice(task: Task) -> tuple[int, list[dict]]:
@@ -73,15 +63,9 @@ def _in_order(pool, tasks: Iterable[Task], depth: int) -> Iterator[tuple[int, li
         yield pending.popleft().result()
 
 
-def run_claim(
-    claim_id: str,
-    ranges: dict[str, int] | None = None,
-    workers: int | None = None,
-) -> RunReport:
+def run_claim(claim_id: str, ranges: dict[str, int] | None = None, workers: int = 1) -> RunReport:
     claim: ClaimRecord = get_claim(claim_id)
     resolved = resolve_ranges(claim, ranges)
-    if workers is None:
-        workers = default_workers()
     if workers < 1:
         raise UsageError(f"workers={workers} must be at least 1")
     if workers > MAX_WORKERS:

@@ -1,6 +1,7 @@
 """Big-integer divisibility claims, product identities, conjecture sweeps."""
 
 import random
+import re
 import signal
 from fractions import Fraction
 from math import comb, gcd
@@ -9,7 +10,6 @@ import pytest
 
 from factratio import (
     BalancedRatio,
-    IntegralityError,
     InternalCheckError,
     central_product_value,
     central_valuation_verdict,
@@ -28,6 +28,7 @@ from factratio import (
 )
 from factratio import divisibility as dv
 from factratio import registry
+from factratio.cli import main
 from factratio.divisibility import (
     BASES,
     CLAIMS_BY_ID,
@@ -164,11 +165,15 @@ def test_unsound_base_ratios_rejected():
     BaseRatio(BalancedRatio.from_pairs([(1, 0), (0, 0)], [(1, 0)]), form(0, 1))  # 0! is 1
 
 
-def test_valuation_route_raises_on_non_integral_ratio(monkeypatch):
+def test_valuation_route_raises_on_non_integral_ratio(monkeypatch, capsys):
     # W(n)/(4n+4) is not an integer at n = 1 (W(1) = 30)
     monkeypatch.setitem(BASES, "s", BaseRatio(WZ_INT_RATIO, form(4, 4)))
-    with pytest.raises(IntegralityError):
+    named = f"base {WZ_INT_RATIO} over cofactor 4n+4 is not an integer at n=1"
+    with pytest.raises(InternalCheckError, match=re.escape(named)):
         valuation_verdict(CLAIMS_BY_ID["thm-1.1"][0], 1)
+    assert main(["verify", "thm-1.1", "--n-max", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
 
 
 def _bigint_failures(claim, n):

@@ -338,6 +338,42 @@ def test_cli_route_disagreement_exits_3(monkeypatch, capsys):
     assert "while checking thm-1.1 at (1,)" in captured.err
 
 
+def test_cli_any_exception_in_a_check_exits_3(monkeypatch, capsys):
+    """An exception that is not a route disagreement is still an internal
+    failure, never the counterexample exit 1."""
+    real = divisibility.valuation_verdict
+
+    def broken(claim, n, shared=None):
+        if n == 3:
+            raise ValueError("kernel bug")
+        return real(claim, n, shared)
+
+    monkeypatch.setattr(divisibility, "valuation_verdict", broken)
+    assert main(["verify", "thm-1.1", "--n-max", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "internal error: kernel bug" in captured.err
+    assert "while checking thm-1.1 at (3,)" in captured.err
+
+
+def test_cli_dead_pool_worker_exits_3(monkeypatch, capsys):
+    parent = os.getpid()
+    real = divisibility.valuation_verdict
+
+    def dying(claim, n, shared=None):
+        if n == 300 and os.getpid() != parent:
+            os._exit(9)  # only in a forked worker, never in the test process
+        return real(claim, n, shared)
+
+    monkeypatch.setattr(divisibility, "valuation_verdict", dying)
+    assert main(["verify", "thm-1.1", "--n-max", "400", "--workers", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BrokenProcessPool" in captured.err
+    assert "internal error: " in captured.err
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -408,17 +444,6 @@ def test_cli_qpoly_domain(capsys):
     assert main(["qpoly", "--family", "thm-7.2-4", "--n", "1"]) == 2
 
 
-def test_workers_env_default(monkeypatch):
-    from factratio.runner import default_workers
-
-    monkeypatch.delenv("FACTRATIO_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("FACTRATIO_WORKERS", "4")
-    assert default_workers() == 4
-    monkeypatch.setenv("FACTRATIO_WORKERS", "junk")
-    assert default_workers() == 1
-
-
 @pytest.fixture
 def started(monkeypatch):
     """The worker counts of every process pool requested; none is started."""
@@ -433,12 +458,9 @@ def started(monkeypatch):
     return requests
 
 
-def test_worker_count_above_the_cap_starts_no_process(monkeypatch, capsys, started):
+def test_worker_count_above_the_cap_starts_no_process(capsys, started):
     with pytest.raises(UsageError):
         run_claim("thm-1.1", {"n": 50}, workers=10**6)
-    monkeypatch.setenv("FACTRATIO_WORKERS", str(10**6))
-    with pytest.raises(UsageError):
-        run_claim("thm-1.1", {"n": 50})
     assert main(["verify", "thm-1.1", "--n-max", "50", "--workers", str(10**6)]) == 2
     assert "workers" in capsys.readouterr().err
     assert started == []
@@ -452,6 +474,29 @@ def test_worker_count_below_one_is_usage_error(capsys, started, workers):
     captured = capsys.readouterr()
     assert captured.out == "" and f"workers={workers} must be at least 1" in captured.err
     assert started == []
+
+
+def test_default_is_one_worker_whatever_the_environment(monkeypatch, capsys, started):
+    monkeypatch.setenv("FACTRATIO_WORKERS", "4")
+    assert run_claim("thm-1.1", {"n": 50}).failed == 0
+    assert main(["verify", "thm-1.1", "--n-max", "50"]) == 0
+    capsys.readouterr()
+    assert started == []
+
+
+def test_no_module_reads_the_environment():
+    """Every setting comes from an argument: no module reads os.environ or os.getenv."""
+    package = Path(factratio.__file__).resolve().parent
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                if names & {"environ", "getenv"}:
+                    reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
 
 
 def test_readme_library_surface_is_exported():
@@ -473,7 +518,7 @@ def test_readme_library_surface_is_exported():
         # reciprocal and non-negative, but the q = 1 value is doubled
         ("cor-6.2", (1, 1, 1, 1), lambda poly: poly * DensePoly((2,))),
         # one family's polynomial of the shared expansion turns negative
-        ("conj-7.3", (3,), lambda polys: polys[:2] + [-polys[2]] + polys[3:]),
+        ("conj-7.3", (3,), lambda polys: polys[:2] + [polys[2] * DensePoly((-1,))] + polys[3:]),
         (
             "conj-7.5",
             (2,),

@@ -53,7 +53,6 @@ def test_every_tracer_target_resolves():
 
 def _traced(argv: list[str]) -> tuple[subprocess.CompletedProcess, dict]:
     env = dict(os.environ)
-    env.pop("FACTRATIO_WORKERS", None)
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "verify_child.py"), "--trace", *argv],
