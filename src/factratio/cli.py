@@ -23,7 +23,7 @@ import os
 import sys
 
 from .errors import InternalCheckError, NotPolynomialError, UsageError
-from .floors import grid, landau_min, landau_witnesses, step
+from .floors import grid, landau_witnesses, step
 from .qpoly import is_nonnegative, is_reciprocal, is_unimodal
 from .qratio import FAMILIES, exponent_vector, expand, spec_degree
 from .registry import list_claims
@@ -136,8 +136,8 @@ def _cmd_landau(args: argparse.Namespace) -> int:
             f"evaluation grid lcm={grid(spec)} is too fine; keep the "
             "coefficient lcm under 5e6"
         )
-    low = landau_min(spec)
     witnesses = landau_witnesses(spec)
+    low = witnesses[0][1]
     if args.format == "json":
         payload = {
             "numerator": list(num),
@@ -246,11 +246,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        notes = getattr(exc, "__notes__", ())
         if not isinstance(exc, InternalCheckError):
             import traceback  # imported here, off the start-up path
 
             traceback.print_exc(file=sys.stderr)
-        print(f"internal error: {exc}", *getattr(exc, "__notes__", ()), sep="\n", file=sys.stderr)
+            notes = ()  # the traceback ends with them
+        print(f"internal error: {exc}", *notes, sep="\n", file=sys.stderr)
         return 3
 
 

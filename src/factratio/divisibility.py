@@ -60,13 +60,6 @@ T_RATIO = BalancedRatio.from_pairs(
     [(5, 0), (1, -1), (4, 0), (3, 0), (10, 1)],
 )
 
-# C(15n,5n) C(5n,n) / C(3n,n) = (15n)!(2n)! / ((10n)!(4n)!(3n)!) = G(n)
-T_CFORM = STEP_15_2
-
-# W(n) = (6n)! n! / ((3n)!(2n)!^2): the integer whose 2-adic order equals
-# the binary digit sum of n.
-WZ_INT_RATIO = STEP_6_1
-
 
 def s_shift_ratio(offset: int) -> BalancedRatio:
     """(2n+c-1)!(6n)!(n)! / ((2n+c)!(3n)!(2n)!^2) for modulus form 2n+c."""
@@ -104,11 +97,7 @@ def sun_s(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     num = comb(6 * n, 3 * n) * comb(3 * n, n)
-    den = 2 * (2 * n + 1) * comb(2 * n, n)
-    q, r = divmod(num, den)
-    if r:
-        raise InternalCheckError(f"S({n}) failed integrality")
-    return q
+    return _exact(num, 2 * (2 * n + 1) * comb(2 * n, n), "S", n)
 
 
 def sun_t(n: int) -> int:
@@ -116,19 +105,19 @@ def sun_t(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     num = comb(15 * n, 5 * n) * comb(5 * n - 1, n - 1)
-    den = (10 * n + 1) * comb(3 * n, n)
-    q, r = divmod(num, den)
-    if r:
-        raise InternalCheckError(f"t({n}) failed integrality")
-    return q
+    return _exact(num, (10 * n + 1) * comb(3 * n, n), "t", n)
 
 
 def t_cform(n: int) -> int:
     """C(15n,5n) C(5n,n) / C(3n,n), always an integer (= 5(10n+1) t(n))."""
-    num = comb(15 * n, 5 * n) * comb(5 * n, n)
-    q, r = divmod(num, comb(3 * n, n))
+    return _exact(comb(15 * n, 5 * n) * comb(5 * n, n), comb(3 * n, n), "C-form ratio", n)
+
+
+def _exact(num: int, den: int, name: str, n: int) -> int:
+    """num / den for the sequence ``name`` at n; a remainder is an internal failure."""
+    q, r = divmod(num, den)
     if r:
-        raise InternalCheckError(f"C-form ratio failed integrality at n={n}")
+        raise InternalCheckError(f"{name} failed integrality at n={n}")
     return q
 
 
@@ -182,9 +171,9 @@ class BaseRatio:
 
 # Base ratio and cofactor per value key, same keys as VALUE_FUNCS.
 BASES: dict[str, BaseRatio] = {
-    "s": BaseRatio(WZ_INT_RATIO, form(4, 2)),  # S = W / (2(2n+1))
-    "t": BaseRatio(T_CFORM, form(50, 5)),  # t = G / (5(10n+1))
-    "t-cform": BaseRatio(T_CFORM, form(0, 1)),
+    "s": BaseRatio(STEP_6_1, form(4, 2)),  # S = W / (2(2n+1))
+    "t": BaseRatio(STEP_15_2, form(50, 5)),  # t = G / (5(10n+1))
+    "t-cform": BaseRatio(STEP_15_2, form(0, 1)),  # C(15n,5n) C(5n,n) / C(3n,n) = G
 }
 
 CLAIMS_BY_ID: dict[str, tuple[DivisibilityClaim, ...]] = {
@@ -206,7 +195,7 @@ CLAIMS_BY_ID: dict[str, tuple[DivisibilityClaim, ...]] = {
         DivisibilityClaim(
             "3003*C(15n,5n)C(5n,n)/C(3n,n) mod 2n+1",
             3003,
-            T_CFORM,
+            STEP_15_2,
             form(2, 1),
             "t-cform",
         ),
@@ -387,17 +376,16 @@ class BoundedRatio:
     prod p^(-bound) must divide the claim multiplier.
     """
 
-    name: str
     spec: BalancedRatio
     exceptions: dict[int, int]
     clearing: int
 
 
 RATIO_BOUNDS: dict[str, BoundedRatio] = {
-    "S": BoundedRatio("S", s_shift_ratio(3), {3: -1}, 3),
-    "t": BoundedRatio("t", t_shift_ratio(10, 3), {3: -1, 7: -1}, 21),
-    "X": BoundedRatio("X", s_shift_ratio(7), {3: -1, 5: -1, 7: -1}, 105),
-    "Y": BoundedRatio("Y", t_shift_ratio(10, 9), {3: -2, 11: -1, 19: -1, 23: -1}, 43263),
+    "S": BoundedRatio(s_shift_ratio(3), {3: -1}, 3),
+    "t": BoundedRatio(t_shift_ratio(10, 3), {3: -1, 7: -1}, 21),
+    "X": BoundedRatio(s_shift_ratio(7), {3: -1, 5: -1, 7: -1}, 105),
+    "Y": BoundedRatio(t_shift_ratio(10, 9), {3: -2, 11: -1, 19: -1, 23: -1}, 43263),
 }
 
 

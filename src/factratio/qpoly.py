@@ -69,12 +69,6 @@ class DensePoly:
         return cls((1,))
 
     @classmethod
-    def one_minus_power(cls, j: int) -> "DensePoly":
-        """1 - q^j (j >= 1)."""
-        _check_power(j)
-        return cls((1,) + (0,) * (j - 1) + (-1,))
-
-    @classmethod
     def _from_slots(cls, data: bytes, k: int) -> "DensePoly":
         poly = object.__new__(cls)
         object.__setattr__(poly, "_coeffs", None)
@@ -116,9 +110,6 @@ class DensePoly:
     def degree(self) -> int:
         """Degree; -1 is the zero polynomial's sentinel."""
         return self._length() - 1
-
-    def is_zero(self) -> bool:
-        return not self._length()
 
     def __bool__(self) -> bool:
         return bool(self._length())
@@ -167,7 +158,7 @@ class DensePoly:
     def mul_one_minus_power(self, j: int) -> "DensePoly":
         """self * (1 - q^j) in one pass: coefficient i is c_i - c_{i-j}."""
         _check_power(j)
-        if self.is_zero():
+        if not self:
             return self
         pad = (0,) * j
         return DensePoly(map(sub, self.coeffs + pad, pad + self.coeffs))
@@ -181,7 +172,7 @@ class DensePoly:
         otherwise the quotient is the partial one below that degree.
         """
         _check_power(j)
-        if self.is_zero():
+        if not self:
             return self, True
         n = self.coeffs
         qlen = len(n) - j

@@ -37,12 +37,6 @@ class RunReport:
         return self.failed == 0
 
 
-def _stringify(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _json_obj(report: RunReport) -> dict:
     return {
         "claim": report.claim_id,
@@ -55,7 +49,7 @@ def _json_obj(report: RunReport) -> dict:
         "passed": report.passed,
         "failed": report.failed,
         "counterexamples": [
-            {k: _stringify(v) for k, v in sorted(ce.items())}
+            {k: str(v) for k, v in sorted(ce.items())}
             for ce in report.counterexamples
         ],
     }
@@ -71,7 +65,7 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["claim"] + keys)
         for ce in report.counterexamples:
-            writer.writerow([report.claim_id] + [_stringify(ce.get(k, "")) for k in keys])
+            writer.writerow([report.claim_id] + [str(ce.get(k, "")) for k in keys])
         return buf.getvalue().encode()
     if fmt == "text":
         lines = [

@@ -12,7 +12,9 @@ of m C(2m,m), the parity sweep its current run of 2-adic orders), and the
 memo is dropped with the slice.  The parent keeps a
 few slices per worker in flight and merges the results in slice order, so
 the report content never depends on the worker count, and memory is
-bounded by the slices in flight, not by the grid.
+bounded by the slices in flight, not by the grid.  A dead worker breaks
+the pool; the parent cannot tell which slice it held, so its note names
+the claim and every grid index in flight.
 """
 
 from __future__ import annotations
@@ -54,13 +56,24 @@ def _eval_slice(task: Task) -> tuple[int, list[dict]]:
 
 def _in_order(pool, tasks: Iterable[Task], depth: int) -> Iterator[tuple[int, list[dict]]]:
     """Results of ``_eval_slice`` in task order, with at most ``depth`` in flight."""
-    pending: deque[concurrent.futures.Future] = deque()
-    for task in tasks:
-        pending.append(pool.submit(_eval_slice, task))
-        if len(pending) >= depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    pending: deque[tuple[Task, concurrent.futures.Future]] = deque()
+    try:
+        for task in tasks:
+            pending.append((task, pool.submit(_eval_slice, task)))
+            if len(pending) >= depth:
+                yield pending[0][1].result()
+                pending.popleft()
+        while pending:
+            yield pending[0][1].result()
+            pending.popleft()
+    except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
+        if pending:
+            claim_id, _, lo, _ = pending[0][0]
+            exc.add_note(
+                f"while checking {claim_id}: a worker process died with grid indices "
+                f"[{lo}, {pending[-1][0][3]}) in flight"
+            )
+        raise
 
 
 def run_claim(claim_id: str, ranges: dict[str, int] | None = None, workers: int = 1) -> RunReport:

@@ -200,7 +200,6 @@ class PadicProfile:
     including zero entries; unlisted primes all have order 0.
     """
 
-    n: int
     orders: dict[int, int]
 
     def value(self) -> Fraction:
@@ -221,4 +220,4 @@ def padic_profile(spec: BalancedRatio, n: int) -> PadicProfile:
     """Orders at every prime up to the largest argument."""
     num, den = spec.arguments(n)
     primes = primes_up_to(max(num + den, default=0))
-    return PadicProfile(n=n, orders=orders_at(primes, num, den))
+    return PadicProfile(orders_at(primes, num, den))

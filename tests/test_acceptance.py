@@ -26,7 +26,6 @@ from factratio import (
     sun_t,
 )
 from factratio.cli import main
-from factratio.divisibility import WZ_INT_RATIO
 from factratio.floors import STEP_6_1, STEP_15_2
 from factratio.qpoly import DensePoly, cyclotomic, qbinomial
 from factratio.qratio import FAMILIES, exponent_vector, expand, naive_expand
@@ -112,7 +111,7 @@ def test_criterion_05_valuation_layer():
                 v //= p
             assert legendre_ord(p, n) == acc
     for n in range(1, 100_001):
-        assert ratio_ord(2, WZ_INT_RATIO, n) == n.bit_count()
+        assert ratio_ord(2, STEP_6_1, n) == n.bit_count()
     parity = run_claim("parity-power-of-2", {"n": 10_000})
     elapsed = time.time() - start
     ok = parity.failed == 0

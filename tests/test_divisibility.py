@@ -36,21 +36,20 @@ from factratio.divisibility import (
     DivisibilityClaim,
     RATIO_BOUNDS,
     S_RATIO,
-    T_CFORM,
     T_RATIO,
     VALUE_FUNCS,
-    WZ_INT_RATIO,
     parity_verdict,
     t_cform,
     valuation_verdict,
 )
+from factratio.floors import STEP_6_1, STEP_15_2
 
 
 def test_ratio_specs_match_sequences():
     for n in range(1, 30):
         assert eval_ratio(S_RATIO, n) == sun_s(n)
         assert eval_ratio(T_RATIO, n) == sun_t(n)
-        assert eval_ratio(T_CFORM, n) == t_cform(n) == 5 * (10 * n + 1) * sun_t(n)
+        assert eval_ratio(STEP_15_2, n) == t_cform(n) == 5 * (10 * n + 1) * sun_t(n)
 
 
 def test_trivial_ratio():
@@ -161,14 +160,14 @@ def test_unsound_base_ratios_rejected():
     # n!^2/(2n)! = 1/C(2n,n): balanced, but its Landau minimum is -1
     with pytest.raises(ValueError, match="Landau"):
         BaseRatio(BalancedRatio.from_pairs([(1, 0), (1, 0)], [(2, 0)]), form(0, 1))
-    BaseRatio(WZ_INT_RATIO, form(4, 2))  # the sound base of S(n)
+    BaseRatio(STEP_6_1, form(4, 2))  # the sound base of S(n)
     BaseRatio(BalancedRatio.from_pairs([(1, 0), (0, 0)], [(1, 0)]), form(0, 1))  # 0! is 1
 
 
 def test_valuation_route_raises_on_non_integral_ratio(monkeypatch, capsys):
     # W(n)/(4n+4) is not an integer at n = 1 (W(1) = 30)
-    monkeypatch.setitem(BASES, "s", BaseRatio(WZ_INT_RATIO, form(4, 4)))
-    named = f"base {WZ_INT_RATIO} over cofactor 4n+4 is not an integer at n=1"
+    monkeypatch.setitem(BASES, "s", BaseRatio(STEP_6_1, form(4, 4)))
+    named = f"base {STEP_6_1} over cofactor 4n+4 is not an integer at n=1"
     with pytest.raises(InternalCheckError, match=re.escape(named)):
         valuation_verdict(CLAIMS_BY_ID["thm-1.1"][0], 1)
     assert main(["verify", "thm-1.1", "--n-max", "5"]) == 3

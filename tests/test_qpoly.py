@@ -24,7 +24,7 @@ from factratio.qpoly import first_negative_index, unimodality_witness
 def test_canonical_form():
     assert DensePoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert DensePoly(()).degree == -1
-    assert DensePoly((0,)).is_zero()
+    assert not DensePoly((0,))
     assert DensePoly.one().coeffs == (1,)
 
 
@@ -54,7 +54,7 @@ def test_one_minus_power_helpers_match_generic_ops():
             p = DensePoly(_random_coeffs(rng, length, mag) if length else ())
             for j in range(1, length + 4):
                 fast = p.mul_one_minus_power(j)
-                assert fast == p * DensePoly.one_minus_power(j)
+                assert fast == p * DensePoly((1,) + (0,) * (j - 1) + (-1,))
                 assert fast.div_one_minus_power(j) == (p, True)
                 # usually inexact: the partial quotient must match as well
                 assert p.div_one_minus_power(j) == _recurrence_div(p.coeffs, j)
@@ -65,7 +65,7 @@ def test_one_minus_power_helpers_match_generic_ops():
 @pytest.mark.parametrize("j", [0, -1])
 def test_one_minus_power_kernels_reject_non_positive_j(j):
     for p in (DensePoly((1, 2, 3)), DensePoly.zero()):
-        for kernel in (p.mul_one_minus_power, p.div_one_minus_power, DensePoly.one_minus_power):
+        for kernel in (p.mul_one_minus_power, p.div_one_minus_power):
             with pytest.raises(ValueError, match=f"need j >= 1, got {j}"):
                 kernel(j)
 
@@ -108,8 +108,8 @@ def test_mul_tight_slots():
 
 def test_mul_by_zero_and_constants():
     p = DensePoly((3, 0, -5))
-    assert (p * DensePoly.zero()).is_zero()
-    assert (DensePoly.zero() * p).is_zero()
+    assert not p * DensePoly.zero()
+    assert not DensePoly.zero() * p
     assert (p * DensePoly((-1,))).coeffs == (-3, 0, 5)
 
 
@@ -155,7 +155,6 @@ def test_packed_chain_matches_schoolbook(monkeypatch):
             m.setattr(qpoly, "_unpack", lambda data, k: pytest.fail("unpacked"))
             assert product.degree == expected.degree
             assert bool(product) == bool(expected)
-            assert product.is_zero() == expected.is_zero()
 
         assert product == expected and expected == product
         assert hash(product) == hash(expected)
@@ -163,7 +162,8 @@ def test_packed_chain_matches_schoolbook(monkeypatch):
         if expected:
             j = rng.randint(1, 8)
             assert product.mul_one_minus_power(j) == expected.mul_one_minus_power(j)
-            assert (product * DensePoly.one_minus_power(j)).div_one_minus_power(j) == (
+            factor = DensePoly((1,) + (0,) * (j - 1) + (-1,))
+            assert (product * factor).div_one_minus_power(j) == (
                 expected,
                 True,
             )
@@ -233,7 +233,7 @@ def test_cyclotomic_degree_is_euler_phi():
 def test_qbinomial_examples():
     assert qbinomial(2, 1).coeffs == (1, 1)
     assert qbinomial(4, 2).coeffs == (1, 1, 2, 1, 1)
-    assert qbinomial(3, 5).is_zero()
+    assert not qbinomial(3, 5)
     assert qbinomial(5, 0).coeffs == (1,)
 
 

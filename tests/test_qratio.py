@@ -257,11 +257,11 @@ def test_published_72_families_fail_at_10():
 def test_family_q1_values_match_integer_ratios():
     # at q=1 the wz family equals (6n)! n! / ((3n)!(2n)!^2)
     from factratio import eval_ratio
-    from factratio.divisibility import WZ_INT_RATIO
+    from factratio.floors import STEP_6_1
 
     for n in range(1, 5):
         poly = expand(exponent_vector(FAMILIES["wz"].spec, n))
-        assert poly.coefficient_sum() == eval_ratio(WZ_INT_RATIO, n)
+        assert poly.coefficient_sum() == eval_ratio(STEP_6_1, n)
 
 
 def test_q_catalan_family_matches_direct_construction():

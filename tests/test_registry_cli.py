@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -354,7 +355,8 @@ def test_cli_any_exception_in_a_check_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert "Traceback" in captured.err
     assert "internal error: kernel bug" in captured.err
-    assert "while checking thm-1.1 at (3,)" in captured.err
+    # once: the traceback already ends with the notes
+    assert captured.err.count("while checking thm-1.1 at (3,)") == 1
 
 
 def test_cli_dead_pool_worker_exits_3(monkeypatch, capsys):
@@ -372,6 +374,15 @@ def test_cli_dead_pool_worker_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert "BrokenProcessPool" in captured.err
     assert "internal error: " in captured.err
+    # the parent cannot know the dead worker's slice, so it names the window
+    notes = re.findall(
+        r"while checking (\S+): a worker process died with grid indices \[(\d+), (\d+)\) in flight",
+        captured.err,
+    )
+    assert len(notes) == 1
+    claim_id, lo, hi = notes[0]
+    assert claim_id == "thm-1.1"
+    assert int(lo) <= 299 < int(hi)  # n = 300 is grid index 299
 
 
 def test_cli_list(capsys):
@@ -497,6 +508,19 @@ def test_no_module_reads_the_environment():
                 if names & {"environ", "getenv"}:
                     reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def test_no_module_level_alias():
+    """One name per object: no module binds a second name to an existing one (X = Y)."""
+    package = Path(factratio.__file__).resolve().parent
+    aliases = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                node.value, (ast.Name, ast.Attribute)
+            ):
+                aliases.append(f"{path.name}:{node.lineno}")
+    assert aliases == []
 
 
 def test_readme_library_surface_is_exported():

@@ -20,8 +20,8 @@ from factratio import (
     ratio_ord2_run,
 )
 from factratio import valuation
-from factratio.divisibility import RATIO_BOUNDS, S_RATIO, T_RATIO, WZ_INT_RATIO
-from factratio.floors import divisors_of
+from factratio.divisibility import RATIO_BOUNDS, S_RATIO, T_RATIO
+from factratio.floors import STEP_6_1, divisors_of
 
 
 def ord_p_int(p: int, v: int) -> int:
@@ -121,7 +121,7 @@ def test_factorize_and_divisors_edge_cases():
 
 
 def test_orders_at_matches_legendre_sums():
-    for spec in (S_RATIO, T_RATIO, WZ_INT_RATIO):
+    for spec in (S_RATIO, T_RATIO, STEP_6_1):
         for n in range(1, 80):
             num, den = spec.arguments(n)
             primes = primes_up_to(spec.max_argument(n))
@@ -207,7 +207,7 @@ def test_profile_lists_every_prime_up_to_max_argument():
 SHIFTED = [bounded.spec for bounded in RATIO_BOUNDS.values()]
 
 
-@pytest.mark.parametrize("spec", [S_RATIO, T_RATIO, WZ_INT_RATIO] + SHIFTED)
+@pytest.mark.parametrize("spec", [S_RATIO, T_RATIO, STEP_6_1] + SHIFTED)
 def test_profile_product_equals_exact_value(spec):
     for n in range(1, 201):
         assert padic_profile(spec, n).value() == eval_ratio(spec, n)
@@ -224,7 +224,7 @@ def test_binary_digit_sum():
 def test_ord2_identity_matches_digit_sum():
     # ord_2 of (6n)! n! / ((3n)!(2n)!^2) equals the binary digit sum of n
     for n in range(1, 3001):
-        assert ratio_ord(2, WZ_INT_RATIO, n) == binary_digit_sum(n)
+        assert ratio_ord(2, STEP_6_1, n) == binary_digit_sum(n)
 
 
 def test_spec_balance_validated():
@@ -273,7 +273,7 @@ C_N_5 = BalancedRatio.from_pairs([(1, 0)], [(0, 5), (1, -5)])  # C(n, 5), n >= 5
 
 def test_ord2_run_matches_legendre_sums():
     rng = random.Random(20171)
-    specs = [S_RATIO, T_RATIO, WZ_INT_RATIO] + [_random_offset_ratio(rng) for _ in range(20)]
+    specs = [S_RATIO, T_RATIO, STEP_6_1] + [_random_offset_ratio(rng) for _ in range(20)]
     for spec in specs:
         lo = rng.randint(1, 5000)
         for a, b in ((0, 40), (lo, lo + rng.randint(1, 300)), (lo, lo + 1)):
