@@ -40,9 +40,7 @@ from .qpoly import (
     is_nonnegative,
     is_reciprocal,
     is_unimodal,
-    q_catalan,
     qbinomial,
-    rsw_filter,
 )
 from .qratio import (
     CycloExponentVector,
@@ -55,13 +53,11 @@ from .registry import ClaimRecord, get_claim, list_claims
 from .reports import RunReport, emit_report
 from .runner import run_claim
 from .valuation import (
-    PadicProfile,
     binary_digit_sum,
     digit_sum,
     factorize,
     is_prime,
     legendre_ord,
-    padic_profile,
     primes_up_to,
     ratio_ord,
     ratio_ord2_run,

@@ -172,7 +172,7 @@ def _cmd_qpoly(args: argparse.Namespace) -> int:
     vector = exponent_vector(family.spec, args.n)
     if args.emit == "exponents":
         print(json.dumps(vector.to_json(), indent=2, sort_keys=True))
-        return 0
+        return 0 if vector.is_polynomial() else 1
     try:
         poly = expand(vector)
     except NotPolynomialError as exc:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
-from .errors import InternalCheckError, NotPolynomialError, PreconditionError
+from .errors import InternalCheckError, NotPolynomialError
 from .valuation import factorize
 
 
@@ -355,44 +355,3 @@ def unimodality_witness(p: DensePoly) -> int | None:
 def is_unimodal(p: DensePoly) -> bool:
     return unimodality_witness(p) is None
 
-
-# --------------------------------------------------------------------------
-# The reciprocal-unimodal quotient filter
-# --------------------------------------------------------------------------
-
-def rsw_filter(p: DensePoly, m: int, n: int) -> DensePoly:
-    """(1 - q^m)/(1 - q^n) * p for reciprocal unimodal p with m <= n.
-
-    When the division is exact the quotient provably has non-negative
-    coefficients, so that conclusion is enforced as a post-condition.
-    Inexact division raises NotPolynomialError; precondition violations
-    raise PreconditionError.
-    """
-    if m < 1 or n < 1 or m > n:
-        raise PreconditionError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if not is_reciprocal(p):
-        raise PreconditionError("input polynomial is not reciprocal")
-    if not is_unimodal(p):
-        raise PreconditionError("input polynomial is not unimodal")
-    scaled = p.mul_one_minus_power(m)
-    quot, exact = scaled.div_one_minus_power(n)
-    if not exact:
-        raise NotPolynomialError(f"(1-q^{m})/(1-q^{n}) does not divide", factor=n)
-    bad = first_negative_index(quot)
-    if bad is not None:
-        raise InternalCheckError(
-            f"reciprocal-unimodal quotient has negative coefficient at index {bad}"
-        )
-    return quot
-
-
-def q_catalan(n: int) -> DensePoly:
-    """q-Catalan polynomial (1 - q)/(1 - q^{n+1}) * [2n, n]_q.
-
-    Specializes to the Catalan number C(2n,n)/(n+1) at q = 1.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return DensePoly.one()
-    return rsw_filter(qbinomial(2 * n, n), 1, n + 1)

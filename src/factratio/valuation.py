@@ -16,18 +16,13 @@ them at one prime, with a primality check.  ``ratio_ord2_run`` takes the
 sums at p = 2 for a whole run of n at once: it packs every block argument
 of the run into one 32-bit field of one big integer, so each halving step
 v -> floor(v/2) is one shift and one mask for all of them; the parity
-sweep reads ord_2 S(n) from it.  A p-adic profile aggregates the order
-over every prime up to the largest factorial argument; the product
-``prod p^order`` then reconstructs the exact ratio value, which is the
-cross-check invariant the test suite leans on.
+sweep reads ord_2 S(n) from it.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from operator import add, sub
 
@@ -191,33 +186,3 @@ def ratio_ord2_run(spec: BalancedRatio, lo: int, hi: int) -> list[int]:
         out = list(map(add if i < len(first[0]) else sub, out, fields[at : at + count]))
     return out
 
-
-@dataclass(frozen=True)
-class PadicProfile:
-    """Per-prime orders of a factorial ratio at a fixed n.
-
-    ``orders`` lists every prime up to the largest factorial argument,
-    including zero entries; unlisted primes all have order 0.
-    """
-
-    orders: dict[int, int]
-
-    def value(self) -> Fraction:
-        """Reconstruct the exact ratio value as ``prod p^order``."""
-        out = Fraction(1)
-        for p, e in self.orders.items():
-            if e > 0:
-                out *= p**e
-            elif e < 0:
-                out /= p ** (-e)
-        return out
-
-    def nonzero(self) -> dict[int, int]:
-        return {p: e for p, e in self.orders.items() if e}
-
-
-def padic_profile(spec: BalancedRatio, n: int) -> PadicProfile:
-    """Orders at every prime up to the largest argument."""
-    num, den = spec.arguments(n)
-    primes = primes_up_to(max(num + den, default=0))
-    return PadicProfile(orders_at(primes, num, den))

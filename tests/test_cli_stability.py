@@ -107,6 +107,20 @@ def test_qpoly_output_is_byte_stable(capsys):
         assert _digest(capsys, argv) == (0, digest), (fid, n, emit)
 
 
+# thm-7.2-4 at n = 10 has a negative cyclotomic exponent (d = 9)
+NOT_POLYNOMIAL = {
+    "coeffs": "275901d6ef27b4bcd16ea539a12ad8b198c5dbcd527ac2b618cef5d0aa3f9af5",
+    "exponents": "f151db5b8be340d4c31c4cf6fec896b3dd4f3c04c9d95eb5302cbf04e013d8f1",
+    "summary": "275901d6ef27b4bcd16ea539a12ad8b198c5dbcd527ac2b618cef5d0aa3f9af5",
+}
+
+
+@pytest.mark.parametrize("emit", sorted(NOT_POLYNOMIAL))
+def test_qpoly_exits_1_at_a_non_polynomial_point(capsys, emit):
+    argv = ["qpoly", "--family", "thm-7.2-4", "--n", "10", "--emit", emit]
+    assert _digest(capsys, argv) == (1, NOT_POLYNOMIAL[emit])
+
+
 @pytest.mark.parametrize("num, den", [("6,0", "3,3"), ("6,1", "3,2")])
 def test_landau_rejects_bad_shapes_with_usage_error(capsys, num, den):
     assert main(["landau", "--num", num, "--den", den]) == 2

@@ -7,18 +7,17 @@ import pytest
 
 from factratio import (
     DensePoly,
-    NotPolynomialError,
-    PreconditionError,
     cyclotomic,
+    expand,
+    exponent_vector,
     is_nonnegative,
     is_reciprocal,
     is_unimodal,
-    q_catalan,
     qbinomial,
-    rsw_filter,
 )
 from factratio import qpoly
 from factratio.qpoly import first_negative_index, unimodality_witness
+from factratio.qratio import FAMILIES
 
 
 def test_canonical_form():
@@ -304,35 +303,22 @@ def test_product_of_reciprocal_unimodal_is_reciprocal_unimodal():
         assert is_unimodal(prod)
 
 
-def test_rsw_filter_examples():
-    out = rsw_filter(DensePoly((1, 2, 1)), 1, 2)
-    assert out.coeffs == (1, 1)
-    assert rsw_filter(DensePoly((1,)), 1, 1).coeffs == (1,)
-
-
-def test_rsw_filter_precondition_vs_nonpolynomial():
-    with pytest.raises(PreconditionError):
-        rsw_filter(DensePoly((1, 2, 1)), 2, 1)  # m > n
-    with pytest.raises(PreconditionError):
-        rsw_filter(DensePoly((1, 2)), 1, 2)  # not reciprocal
-    with pytest.raises(PreconditionError):
-        rsw_filter(DensePoly((1, 0, 1)), 1, 2)  # reciprocal but not unimodal
-    with pytest.raises(NotPolynomialError):
-        rsw_filter(qbinomial(4, 2), 1, 5)  # printed q-Catalan shape at n=2
+def _q_catalan(n: int) -> DensePoly:
+    """(1 - q)/(1 - q^{n+1}) [2n, n]_q, the q-catalan family's expansion."""
+    return expand(exponent_vector(FAMILIES["q-catalan"].spec, n))
 
 
 def test_q_catalan_values_and_positivity():
-    assert q_catalan(0).coeffs == (1,)
-    assert q_catalan(1).coeffs == (1,)
-    assert q_catalan(2).coeffs == (1, 0, 1)
+    assert _q_catalan(1).coeffs == (1,)
+    assert _q_catalan(2).coeffs == (1, 0, 1)
     for n in range(1, 13):
-        c = q_catalan(n)
+        c = _q_catalan(n)
         assert is_nonnegative(c)
         assert c.coefficient_sum() == comb(2 * n, n) // (n + 1)
 
 
 def test_q_catalan_n2_is_not_unimodal():
-    assert not is_unimodal(q_catalan(2))
+    assert not is_unimodal(_q_catalan(2))
 
 
 def test_printed_catalan_form_is_not_polynomial():

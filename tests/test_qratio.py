@@ -265,11 +265,12 @@ def test_family_q1_values_match_integer_ratios():
 
 
 def test_q_catalan_family_matches_direct_construction():
-    from factratio import q_catalan
-
+    # (1 - q)/(1 - q^{n+1}) [2n, n]_q, built with the single-factor kernels
     for n in range(1, 9):
         poly = expand(exponent_vector(FAMILIES["q-catalan"].spec, n))
-        assert poly == q_catalan(n)
+        scaled = qbinomial(2 * n, n).mul_one_minus_power(1)
+        direct, exact = scaled.div_one_minus_power(n + 1)
+        assert exact and poly == direct
 
 
 def test_expand_unpacks_only_when_read(monkeypatch):

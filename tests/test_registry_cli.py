@@ -523,6 +523,35 @@ def test_no_module_level_alias():
     assert aliases == []
 
 
+# Public definitions whose only callers are tests, each kept as a reference.
+TEST_REFERENCES = {
+    "eval_ratio": "exact Fraction value of a ratio; the oracle for valuations and q = 1 values",
+    "digit_sum": "base-p digit sum in Legendre's (n - s_p(n))/(p - 1) cross-check",
+    "qbinomial": "direct Gaussian binomial that the cyclotomic expansion is checked against",
+    "qbinomial_spec": "[n, k]_q as a spec, to feed the Gaussian binomials through expand",
+}
+
+
+def test_every_public_definition_has_a_caller():
+    """Each public top-level function or class is used in the package outside
+    its own definition (re-exports do not count), or is a named test reference."""
+    package = Path(factratio.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.add(own)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id != own:
+                    used.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and sub.attr != own:
+                    used.add(sub.attr)
+    assert set(TEST_REFERENCES) <= defined
+    assert sorted(defined - used - set(TEST_REFERENCES)) == []
+
+
 def test_readme_library_surface_is_exported():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]

@@ -14,7 +14,6 @@ from factratio import (
     factorize,
     is_prime,
     legendre_ord,
-    padic_profile,
     primes_up_to,
     ratio_ord,
     ratio_ord2_run,
@@ -184,23 +183,28 @@ def test_ratio_ord_can_be_negative():
     assert ratio_ord(3, inv_central, 2) == -1
 
 
-def test_padic_profile_examples():
-    prof = padic_profile(S_RATIO, 1)
-    assert prof.nonzero() == {5: 1}
-    assert prof.value() == 5
+def _orders(spec: BalancedRatio, n: int) -> dict[int, int]:
+    """Orders of the ratio at every prime up to its largest factorial argument."""
+    return valuation.orders_at(primes_up_to(spec.max_argument(n)), *spec.arguments(n))
 
-    prof2 = padic_profile(S_RATIO, 2)
-    assert prof2.value() == 231
-    assert prof2.nonzero() == {3: 1, 7: 1, 11: 1}
 
+def _nonzero(orders: dict[int, int]) -> dict[int, int]:
+    return {p: e for p, e in orders.items() if e}
+
+
+def test_orders_at_examples():
+    assert _nonzero(_orders(S_RATIO, 1)) == {5: 1}
+    assert _nonzero(_orders(S_RATIO, 2)) == {3: 1, 7: 1, 11: 1}
     trivial = BalancedRatio.from_pairs([(1, 0)], [(1, 0)])
-    assert padic_profile(trivial, 17).nonzero() == {}
+    assert _nonzero(_orders(trivial, 17)) == {}
 
 
 def test_profile_lists_every_prime_up_to_max_argument():
-    prof = padic_profile(S_RATIO, 3)
     limit = S_RATIO.max_argument(3)
-    assert sorted(prof.orders) == primes_up_to(limit)
+    assert sorted(_orders(S_RATIO, 3)) == primes_up_to(limit)
+    # a prime above the largest argument divides none of the factorials
+    above = next(p for p in primes_up_to(2 * limit) if p > limit)
+    assert valuation.orders_at([above], *S_RATIO.arguments(3)) == {above: 0}
 
 
 # the four shifted companion ratios of the valuation case bounds
@@ -209,8 +213,13 @@ SHIFTED = [bounded.spec for bounded in RATIO_BOUNDS.values()]
 
 @pytest.mark.parametrize("spec", [S_RATIO, T_RATIO, STEP_6_1] + SHIFTED)
 def test_profile_product_equals_exact_value(spec):
+    """No prime above the largest factorial argument divides the ratio, so
+    prod p^order over the primes up to it rebuilds the exact value."""
     for n in range(1, 201):
-        assert padic_profile(spec, n).value() == eval_ratio(spec, n)
+        value = Fraction(1)
+        for p, e in _orders(spec, n).items():
+            value *= Fraction(p) ** e
+        assert value == eval_ratio(spec, n)
 
 
 def test_binary_digit_sum():
