@@ -104,10 +104,6 @@ class BalancedRatio:
         """Single-factor arguments at n, unvalidated (the q reading checks them)."""
         return tuple(tuple(c * n + o for c, o in side) for side in self._singles)
 
-    def max_argument(self, n: int) -> int:
-        num, den = self.arguments(n)
-        return max(num + den, default=0)
-
     def __str__(self) -> str:
         num = "".join(f"({f})!" for f in self.numerator)
         den = "".join(f"({f})!" for f in self.denominator)

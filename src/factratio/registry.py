@@ -3,22 +3,21 @@
 Each ClaimRecord is the whole description of one claim: its sweep
 parameters (with defaults and hard caps; the defaults are sized so the
 full default suite runs in seconds on one core and no q-expansion exceeds
-20000 coefficients), a statement string, and its checker
-``check(point, shared)``, a module-level checker with the claim's own data
-bound by ``functools.partial``.  The sweep is always the whole product grid
-of the parameter ranges; a checker skips the points outside its claim's
-domain itself and counts 0 checks for them.
-``shared`` is the memo dict of the point's index slice, where a checker
-keeps work that many points of the slice reuse; checkers with no such
-work ignore it.  Checkers return
+20000 coefficients), a statement string, and its checker ``check(points)``,
+which takes the points of one index slice and yields, in order, one
 
     (number of individual checks, list of counterexample dicts)
 
-so that multi-part claims (the six third-theorem congruences, the five
-seventh-section families) report per-part witnesses.  Theorem-class
-checkers re-verify any failure through an independent second route
-before reporting it; a disagreement between routes raises
-InternalCheckError instead of producing a counterexample.
+per point, so that multi-part claims (the six third-theorem congruences,
+the five seventh-section families) report per-part witnesses.  Most map a
+per-point checker with the claim's data bound (``_each``); work that many
+points of a slice reuse lives in the checker's locals for that slice
+(thm-1.4's and cor-1.5's fresh memo dict, the parity sweep's one packed
+run).  The sweep is always the whole product grid of the parameter ranges;
+a checker skips the points outside its claim's domain itself and counts 0
+checks for them.  Theorem-class checkers re-verify any failure through an
+independent second route before reporting it; a disagreement between
+routes raises InternalCheckError instead of producing a counterexample.
 
 Checkers reach the kernels through module attributes (``dv.``, ``floors.``)
 and through this module's ``expand`` / ``expand_many`` / ``naive_expand``
@@ -69,7 +68,7 @@ class ClaimRecord:
     description: str
     anchor: str
     params: tuple[ParamSpec, ...]
-    check: Callable[[Point, dict], tuple[int, list[dict]]]
+    check: Callable[[list[Point]], Iterator[tuple[int, list[dict]]]]
     conjecture: bool = False
     note: str = ""
 
@@ -94,8 +93,14 @@ def _abmn(default: int, cap: int) -> tuple[ParamSpec, ...]:
 
 
 # --------------------------------------------------------------------------
-# Checkers: (claim data, point, slice memo) -> (checks run, counterexample dicts)
+# Checkers: (claim data, point) -> (checks run, counterexample dicts)
 # --------------------------------------------------------------------------
+
+
+def _each(check, *data):
+    """The slice checker that yields check(*data, point) for each point."""
+    return partial(map, partial(check, *data))
+
 
 # The big-integer route re-derives every thm-1.1/1.2/1.3 verdict, and the
 # Fraction route every cor-1.5 verdict, at n up to this bound, so each sweep
@@ -103,7 +108,7 @@ def _abmn(default: int, cap: int) -> tuple[ParamSpec, ...]:
 BIGINT_ORACLE_N_MAX = 100
 
 
-def _check_divisibility_group(group, point: Point, shared: dict):
+def _check_divisibility_group(group, point: Point):
     (n,) = point
     failures = []
     bases: dict = {}  # per-base work at this n, see dv.valuation_verdict
@@ -136,10 +141,10 @@ def _check_divisibility_group(group, point: Point, shared: dict):
 PRODUCT_ORACLE_MAX = 4
 
 
-def _check_product_point(point: Point, shared: dict):
+def _check_product_point(memo: dict, point: Point):
     a, b, m, n = point
     in_box = max(point) <= PRODUCT_ORACLE_MAX
-    ok, value = dv.check_product(a, b, m, n, shared=shared, value=in_box)
+    ok, value = dv.check_product(a, b, m, n, shared=memo, value=in_box)
     if ok and not in_box:
         return 1, []
     first, second = dv.product_forms(a, b, m, n)
@@ -158,9 +163,9 @@ def _check_product_point(point: Point, shared: dict):
     ]
 
 
-def _check_central_point(point: Point, shared: dict):
+def _check_central_point(memo: dict, point: Point):
     m, n = point
-    ok = dv.central_valuation_verdict(m, n, shared=shared)
+    ok = dv.central_valuation_verdict(m, n, shared=memo)
     if ok and n > BIGINT_ORACLE_N_MAX:
         return 1, []
     value = dv.central_product_value(m, n)
@@ -171,7 +176,7 @@ def _check_central_point(point: Point, shared: dict):
     return 1, [{"m": m, "n": n, "value": str(value)}]
 
 
-def _check_landau_point(point: Point, shared: dict):
+def _check_landau_point(point: Point):
     failures = []
     for spec in (floors.STEP_6_1, floors.STEP_15_2):
         low = floors.landau_min(spec)
@@ -186,7 +191,7 @@ def _check_landau_point(point: Point, shared: dict):
     return 2, failures
 
 
-def _check_floor_sweep(identities, point: Point, shared: dict):
+def _check_floor_sweep(identities, point: Point):
     (n,) = point
     checked = 0
     failures = []
@@ -201,7 +206,7 @@ def _check_floor_sweep(identities, point: Point, shared: dict):
     return checked, failures
 
 
-def _check_val_bounds(point: Point, shared: dict):
+def _check_val_bounds(point: Point):
     (n,) = point
     failures = []
     for name in sorted(dv.RATIO_BOUNDS):
@@ -210,7 +215,7 @@ def _check_val_bounds(point: Point, shared: dict):
     return len(dv.RATIO_BOUNDS), failures
 
 
-def _check_conjecture_product(point: Point, shared: dict):
+def _check_conjecture_product(point: Point):
     a, b, n = point
     if b >= a:  # the conjecture is stated for a > b only
         return 0, []
@@ -219,31 +224,24 @@ def _check_conjecture_product(point: Point, shared: dict):
     return 1, [{"a": a, "b": b, "n": n}]
 
 
-# The parity sweep reads ord_2 S(n) from runs of this many n, one
-# ratio_ord2_run call per run, kept in the slice memo.
-PARITY_RUN = 256
-
-
-def _check_parity(point: Point, shared: dict):
-    """ord_2 S(n) from the slice's current run; inside the oracle box the
-    per-n Legendre sums and the 2-adic order of the big integer S(n) must
-    both reproduce it."""
-    (n,) = point
-    lo, run = shared.get("parity_run", (n, ()))
-    if not lo <= n < lo + len(run):
-        lo, run = shared["parity_run"] = (n, ratio_ord2_run(dv.S_RATIO, n, n + PARITY_RUN))
-    ord2 = run[n - lo]
-    if n <= BIGINT_ORACLE_N_MAX:
-        value = dv.sun_s(n)
-        routes = (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1)
-        if routes != (ord2, ord2):
-            raise InternalCheckError(
-                f"parity routes disagree at n={n}: packed run={ord2}, "
-                f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
-            )
-    if dv.parity_verdict(n, ord2):
-        return 1, []
-    return 1, [{"n": n, "ord2": ord2, "digit_sum": binary_digit_sum(n)}]
+def _check_parity(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
+    """ord_2 S(n) for the whole slice from one packed run; inside the oracle
+    box the per-n Legendre sums and the 2-adic order of the big integer S(n)
+    must both reproduce it."""
+    first = points[0][0]
+    run = ratio_ord2_run(dv.S_RATIO, first, points[-1][0] + 1)
+    for (n,) in points:
+        ord2 = run[n - first]
+        if n <= BIGINT_ORACLE_N_MAX:
+            value = dv.sun_s(n)
+            routes = (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1)
+            if routes != (ord2, ord2):
+                raise InternalCheckError(
+                    f"parity routes disagree at n={n}: packed run={ord2}, "
+                    f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
+                )
+        ok = dv.parity_verdict(n, ord2)
+        yield 1, [] if ok else [{"n": n, "ord2": ord2, "digit_sum": binary_digit_sum(n)}]
 
 
 def _confirm_expansion(spec, n: int, poly, message: str) -> None:
@@ -260,7 +258,7 @@ def _confirm_expansion(spec, n: int, poly, message: str) -> None:
         raise InternalCheckError(message)
 
 
-def _check_family_polynomiality(family_ids, point: Point, shared: dict):
+def _check_family_polynomiality(family_ids, point: Point):
     (n,) = point
     checked = 0
     failures = []
@@ -279,7 +277,7 @@ def _check_family_polynomiality(family_ids, point: Point, shared: dict):
     return checked, failures
 
 
-def _check_family_positivity(family_ids, point: Point, shared: dict):
+def _check_family_positivity(family_ids, point: Point):
     """The families' polynomials at n come from one ``expand_many`` call,
     which expands the Phi_d part they share once."""
     (n,) = point
@@ -305,7 +303,7 @@ def _check_family_positivity(family_ids, point: Point, shared: dict):
     return len(fids), failures
 
 
-def _check_unimodality(point: Point, shared: dict):
+def _check_unimodality(point: Point):
     (n,) = point
     spec = FAMILIES["wz"].spec
     poly = expand(exponent_vector(spec, n))
@@ -320,7 +318,7 @@ def _check_unimodality(point: Point, shared: dict):
     return 2, failures
 
 
-def _check_gcd_product(use_gcd: bool, point: Point, shared: dict):
+def _check_gcd_product(use_gcd: bool, point: Point):
     a, b, m, n = point
     spec = gcd_product_spec(a, b, m, n, use_gcd=use_gcd)
     failures = []
@@ -359,7 +357,7 @@ _RECORDS = (
         "2n+3 divides 3*S(n) with S(n) = C(6n,3n)C(3n,n)/(2(2n+1)C(2n,n))",
         "3 S(n) = 0 (mod 2n+3)",
         _n(2000, 100_000),
-        partial(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.1"]),
+        _each(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.1"]),
     ),
     ClaimRecord(
         "thm-1.2",
@@ -367,7 +365,7 @@ _RECORDS = (
         "10n+3 divides 21*t(n) with t(n) = C(15n,5n)C(5n-1,n-1)/((10n+1)C(3n,n))",
         "21 t(n) = 0 (mod 10n+3)",
         _n(1000, 100_000),
-        partial(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.2"]),
+        _each(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.2"]),
     ),
     ClaimRecord(
         "thm-1.3",
@@ -377,7 +375,7 @@ _RECORDS = (
         "3003 C(15n,5n)C(5n,n)/C(3n,n) = 0 (mod 2n+1); 88179 t(n) = 0 (mod 10n+7); "
         "43263 t(n) = 0 (mod 10n+9)",
         _n(1000, 100_000),
-        partial(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.3"]),
+        _each(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.3"]),
         note="fourth congruence normalized to the C(5n,n) form; as published "
         "(3003 t(n) mod 2n+1) it fails at n=2",
     ),
@@ -388,7 +386,7 @@ _RECORDS = (
         "am/(m+n) C(am+bm-1,am) C(an+bn,an)",
         "abm/((a+b)(m+n)) * C(am+bm,am) * C(an+bn,an) in Z",
         _abmn(12, 64),
-        _check_product_point,
+        lambda points: map(partial(_check_product_point, {}), points),
     ),
     ClaimRecord(
         "cor-1.5",
@@ -397,7 +395,7 @@ _RECORDS = (
         "6/(n+2), 30/(n+3), 140/(n+4), 630/(n+5) specializations of C(2n,n)",
         "m/(2(m+n)) * C(2m,m) * C(2n,n) in Z",
         (ParamSpec("m", 5, 64), ParamSpec("n", 5000, 100_000)),
-        _check_central_point,
+        lambda points: map(partial(_check_central_point, {}), points),
     ),
     ClaimRecord(
         "lem-2.1",
@@ -407,7 +405,7 @@ _RECORDS = (
         "floor(6x)+floor(x) >= floor(3x)+2 floor(2x); "
         "floor(15x)+floor(2x) >= floor(10x)+floor(4x)+floor(3x)",
         (),
-        _check_landau_point,
+        _each(_check_landau_point),
     ),
     ClaimRecord(
         "lem-2.2",
@@ -415,7 +413,7 @@ _RECORDS = (
         "exact +1 floor identity for the (6,1|3,2,2) shape under m | 2n+3, m >= 5",
         "floor(6n/m)+floor(n/m) = floor(3n/m)+2 floor(2n/m)+1 when m | 2n+3, m >= 5",
         _n(500, 1_000_000),
-        partial(_check_floor_sweep, floors.IDENTITIES["lem-2.2"]),
+        _each(_check_floor_sweep, floors.IDENTITIES["lem-2.2"]),
     ),
     ClaimRecord(
         "lem-2.3",
@@ -424,7 +422,7 @@ _RECORDS = (
         "floor(15n/m)+floor(2n/m) = floor(10n/m)+floor(4n/m)+floor(3n/m)+1 "
         "when m | 10n+3, m >= 9",
         _n(500, 1_000_000),
-        partial(_check_floor_sweep, floors.IDENTITIES["lem-2.3"]),
+        _each(_check_floor_sweep, floors.IDENTITIES["lem-2.3"]),
     ),
     ClaimRecord(
         "lem-5.1",
@@ -433,7 +431,7 @@ _RECORDS = (
         "m|2n+9 (m>=15), and the m=3, n=1 (mod 3) extension",
         "floor(6n/m)+floor(n/m) = floor(3n/m)+2 floor(2n/m)+1 on the listed conditions",
         _n(500, 1_000_000),
-        partial(_check_floor_sweep, floors.IDENTITIES["lem-5.1"]),
+        _each(_check_floor_sweep, floors.IDENTITIES["lem-5.1"]),
     ),
     ClaimRecord(
         "lem-5.2",
@@ -443,7 +441,7 @@ _RECORDS = (
         "floor(15n/m)+floor(2n/m) = floor(10n/m)+floor(4n/m)+floor(3n/m)+1 "
         "on the listed conditions",
         _n(500, 1_000_000),
-        partial(_check_floor_sweep, floors.IDENTITIES["lem-5.2"]),
+        _each(_check_floor_sweep, floors.IDENTITIES["lem-5.2"]),
         note="the published extension condition m | 10n+7 fails at (n,m)=(1,17)",
     ),
     ClaimRecord(
@@ -454,7 +452,7 @@ _RECORDS = (
         "ord_p S-shift >= -1 (p=3); ord_p t-shift >= -1 (p=3,7); "
         "ord_p X >= -1 (p=3,5,7); ord_p Y >= -2 (p=3), >= -1 (p=11,19,23)",
         _n(200, 5000),
-        _check_val_bounds,
+        _each(_check_val_bounds),
     ),
     ClaimRecord(
         "thm-6.1",
@@ -464,7 +462,7 @@ _RECORDS = (
         "(1-q^gcd(am,m+n))/(1-q^(m+n)) * [am+bm-1,am]_q * [an+bn,an]_q "
         "has non-negative integer coefficients",
         _abmn(5, 10),
-        partial(_check_gcd_product, True),
+        _each(_check_gcd_product, True),
     ),
     ClaimRecord(
         "cor-6.2",
@@ -474,7 +472,7 @@ _RECORDS = (
         "(1-q^am)/(1-q^(m+n)) * [am+bm-1,am]_q * [an+bn,an]_q "
         "has non-negative integer coefficients",
         _abmn(5, 10),
-        partial(_check_gcd_product, False),
+        _each(_check_gcd_product, False),
     ),
     ClaimRecord(
         "thm-7.2",
@@ -483,7 +481,7 @@ _RECORDS = (
         "(1-q)F/(1-q^(2n+1)); (1-q^3)F/(1-q^(2n+3)); (1-q)(1-q^3)F/(...); "
         "(1-q^3)(1-q^5)(1-q^7)F/(...) (n>=2); (1-q^3)^2(1-q^5)(1-q^7)F/(...) (n>=2)",
         _n(20, 200),
-        partial(_check_family_polynomiality, THM_7_2_FAMILY_IDS),
+        _each(_check_family_polynomiality, THM_7_2_FAMILY_IDS),
     ),
     ClaimRecord(
         "thm-7.4",
@@ -491,7 +489,7 @@ _RECORDS = (
         "two quotient families of G(n) = [15n]![2n]!/([10n]![4n]![3n]!) are polynomials",
         "(1-q)G/(1-q^(10n+1)); (1-q^3)(1-q^7)G/((1-q)(1-q^(10n+3)))",
         _n(12, 100),
-        partial(_check_family_polynomiality, THM_7_4_FAMILY_IDS),
+        _each(_check_family_polynomiality, THM_7_4_FAMILY_IDS),
     ),
     ClaimRecord(
         "conj-7.1",
@@ -499,7 +497,7 @@ _RECORDS = (
         "(2bn+1)(2bn+3)C(2bn,bn) divides 3(a-b)(3a-b)C(2an,an)C(an,bn) for a > b",
         "(2bn+1)(2bn+3) C(2bn,bn) | 3(a-b)(3a-b) C(2an,an) C(an,bn)",
         (ParamSpec("a", 6, 20, 2), ParamSpec("b", 5, 20), ParamSpec("n", 40, 500)),
-        _check_conjecture_product,
+        _each(_check_conjecture_product),
         conjecture=True,
     ),
     ClaimRecord(
@@ -508,7 +506,7 @@ _RECORDS = (
         "the five thm-7.2 families have non-negative coefficients (evidence only)",
         "all polynomials of the thm-7.2 list have non-negative integer coefficients",
         _n(12, 44),
-        partial(_check_family_positivity, THM_7_2_FAMILY_IDS),
+        _each(_check_family_positivity, THM_7_2_FAMILY_IDS),
         conjecture=True,
     ),
     ClaimRecord(
@@ -517,7 +515,7 @@ _RECORDS = (
         "F(n) = [6n]![n]!/([3n]![2n]!^2) is unimodal for n >= 2 (and reciprocal)",
         "[6n]![n]!/([3n]![2n]!^2) is unimodal (n >= 2)",
         _n(12, 44, minimum=2),
-        _check_unimodality,
+        _each(_check_unimodality),
         conjecture=True,
     ),
     ClaimRecord(
@@ -526,7 +524,7 @@ _RECORDS = (
         "the two thm-7.4 families have non-negative coefficients (evidence only)",
         "both polynomials of the thm-7.4 list have non-negative integer coefficients",
         _n(12, 19),
-        partial(_check_family_positivity, THM_7_4_FAMILY_IDS),
+        _each(_check_family_positivity, THM_7_4_FAMILY_IDS),
         conjecture=True,
     ),
     ClaimRecord(
@@ -535,7 +533,7 @@ _RECORDS = (
         "F(n) = [6n]![n]!/([3n]![2n]!^2) has non-negative coefficients",
         "[6n]![n]!/([3n]![2n]!^2) has non-negative integer coefficients",
         _n(12, 44),
-        partial(_check_family_positivity, ("wz",)),
+        _each(_check_family_positivity, ("wz",)),
     ),
     ClaimRecord(
         "parity-power-of-2",
@@ -630,12 +628,23 @@ def _grid_slice(axes: list[range], start: int, stop: int) -> Iterator[Point]:
         yield from ((head[last], *rest) for rest in _grid_slice(tail, 0, end))
 
 
-def check_point(
-    claim_id: str, point: Point, shared: dict | None = None
-) -> tuple[int, list[dict]]:
-    """Run one parameter point of a claim; used directly by worker processes.
+def check_point(claim_id: str, points: list[Point]) -> tuple[int, list[dict]]:
+    """Sum the checker's results over one index slice, one next() per point.
 
-    ``shared`` is the memo dict of the point's slice; without it the call
-    uses a fresh dict.
+    An exception while taking a point's result gets a note that names the
+    point, and a StopIteration (a lost point) becomes an InternalCheckError.
     """
-    return CLAIMS[claim_id].check(point, {} if shared is None else shared)
+    results = CLAIMS[claim_id].check(points)
+    checked, failures = 0, []
+    for point in points:
+        try:
+            try:
+                count, bad = next(results)
+            except StopIteration as exc:
+                raise InternalCheckError(f"StopIteration from the {claim_id} checker") from exc
+        except Exception as exc:
+            exc.add_note(f"while checking {claim_id} at {point}")
+            raise
+        checked += count
+        failures += bad
+    return checked, failures

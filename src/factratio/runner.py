@@ -4,17 +4,15 @@ The lexicographic index range [0, grid size) of the parameter grid is cut
 into contiguous slices.  Only (claim id, ranges, lo, hi) crosses the
 process boundary: a worker rebuilds the slice's points with
 ``points_for``, resolves the checker from its own imported registry, and
-returns one summed (checked, failures) per slice.  Each slice carries one
-memo dict, passed to every ``check_point`` call of the slice: checkers
-that take it keep there the work that many points of the slice reuse
-(thm-1.4 its binomials per (a, b, m) and per (a, b, n), cor-1.5 its orders
-of m C(2m,m), the parity sweep its current run of 2-adic orders), and the
-memo is dropped with the slice.  The parent keeps a
-few slices per worker in flight and merges the results in slice order, so
-the report content never depends on the worker count, and memory is
-bounded by the slices in flight, not by the grid.  A dead worker breaks
-the pool; the parent cannot tell which slice it held, so its note names
-the claim and every grid index in flight.
+returns the summed (checked, failures) of one ``check_point`` call per
+slice.  Work that many points of a slice reuse lives in the checker's
+locals for that slice (see ``registry``), and a failing point is named by
+``check_point``'s note.  The parent keeps a few slices per worker in
+flight and merges the results in slice order, so the report content never
+depends on the worker count, and memory is bounded by the slices in
+flight, not by the grid.  A dead worker breaks the pool; the parent cannot
+tell which slice it held, so its note names the claim and every grid
+index in flight.
 """
 
 from __future__ import annotations
@@ -38,20 +36,9 @@ Task = tuple[str, dict[str, int], int, int]
 
 
 def _eval_slice(task: Task) -> tuple[int, list[dict]]:
-    """Check every point of one index slice; the one path for all worker counts."""
+    """Check one index slice; the one path for all worker counts."""
     claim_id, ranges, lo, hi = task
-    checked = 0
-    failures: list[dict] = []
-    shared: dict = {}  # the slice's memo, see check_point
-    for point in points_for(get_claim(claim_id), ranges, lo, hi):
-        try:
-            count, bad = check_point(claim_id, point, shared)
-        except Exception as exc:
-            exc.add_note(f"while checking {claim_id} at {point}")
-            raise
-        checked += count
-        failures += bad
-    return checked, failures
+    return check_point(claim_id, points_for(get_claim(claim_id), ranges, lo, hi))
 
 
 def _in_order(pool, tasks: Iterable[Task], depth: int) -> Iterator[tuple[int, list[dict]]]:

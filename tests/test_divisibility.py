@@ -187,7 +187,7 @@ def test_registry_counterexamples_match_bigint_reference():
     for claim in (PUBLISHED_3003, *DEMO_CLAIMS):
         got, want = [], []
         for n in range(1, 161):
-            checked, failures = registry._check_divisibility_group((claim,), (n,), {})
+            checked, failures = registry._check_divisibility_group((claim,), (n,))
             assert checked == 1
             got += failures
             want += [bad] if (bad := _bigint_failures(claim, n)) else []
@@ -202,13 +202,13 @@ def test_flipped_bigint_route_raises(monkeypatch):
     thm11 = CLAIMS_BY_ID["thm-1.1"]
     assert registry.BIGINT_ORACLE_N_MAX >= 50
     with pytest.raises(InternalCheckError):
-        registry._check_divisibility_group(thm11, (50,), {})  # passing, n <= the bound
+        registry._check_divisibility_group(thm11, (50,))  # passing, n <= the bound
     # above the bound a passing point is not re-derived
-    assert registry._check_divisibility_group(thm11, (registry.BIGINT_ORACLE_N_MAX + 1,), {}) == (1, [])
+    assert registry._check_divisibility_group(thm11, (registry.BIGINT_ORACLE_N_MAX + 1,)) == (1, [])
     # every failing point is re-derived, above the bound too
     assert not valuation_verdict(PUBLISHED_3003, 157)
     with pytest.raises(InternalCheckError):
-        registry._check_divisibility_group((PUBLISHED_3003,), (157,), {})
+        registry._check_divisibility_group((PUBLISHED_3003,), (157,))
 
 
 def test_product_forms_examples():
@@ -332,10 +332,10 @@ def test_flipped_central_route_raises(monkeypatch):
     monkeypatch.setattr(dv, "central_valuation_verdict", lambda m, n, shared=None: not real(m, n))
     assert registry.BIGINT_ORACLE_N_MAX >= 50
     with pytest.raises(InternalCheckError):
-        registry.check_point("cor-1.5", (3, 50))  # flipped to failing, n <= the bound
+        registry.check_point("cor-1.5", [(3, 50)])  # flipped to failing, n <= the bound
     # a point the flipped route calls failing is re-derived above the bound too
     with pytest.raises(InternalCheckError):
-        registry.check_point("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX + 1))
+        registry.check_point("cor-1.5", [(3, registry.BIGINT_ORACLE_N_MAX + 1)])
 
 
 def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
@@ -344,8 +344,8 @@ def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
 
     monkeypatch.setattr(dv, "central_product_value", skewed)
     with pytest.raises(InternalCheckError):
-        registry.check_point("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX))
-    assert registry.check_point("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX + 1)) == (1, [])
+        registry.check_point("cor-1.5", [(3, registry.BIGINT_ORACLE_N_MAX)])
+    assert registry.check_point("cor-1.5", [(3, registry.BIGINT_ORACLE_N_MAX + 1)]) == (1, [])
 
 
 def test_flipped_product_kernel_raises(monkeypatch):
@@ -358,18 +358,18 @@ def test_flipped_product_kernel_raises(monkeypatch):
     monkeypatch.setattr(dv, "check_product", flipped)
     box = registry.PRODUCT_ORACLE_MAX
     with pytest.raises(InternalCheckError):
-        registry.check_point("thm-1.4", (box, 1, 2, box))  # inside the oracle box
+        registry.check_point("thm-1.4", [(box, 1, 2, box)])  # inside the oracle box
     with pytest.raises(InternalCheckError):
-        registry.check_point("thm-1.4", (box + 1, 1, 2, 3))  # failing: re-derived
+        registry.check_point("thm-1.4", [(box + 1, 1, 2, 3)])  # failing: re-derived
 
 
 def test_product_kernel_value_is_checked_in_the_box(monkeypatch):
     real = dv.check_product
     monkeypatch.setattr(dv, "check_product", lambda *p, **kw: (True, real(*p)[1] + 1))
     with pytest.raises(InternalCheckError):
-        registry.check_point("thm-1.4", (1, 2, 3, 4))
+        registry.check_point("thm-1.4", [(1, 2, 3, 4)])
     # outside the box a passing point is not re-derived
-    assert registry.check_point("thm-1.4", (5, 2, 3, 4)) == (1, [])
+    assert registry.check_point("thm-1.4", [(5, 2, 3, 4)]) == (1, [])
 
 
 def test_gcd_reductions_along_sweeps():
@@ -393,9 +393,8 @@ def test_case_orders_match_ratio_ord():
     for name, bounded in RATIO_BOUNDS.items():
         spec = bounded.spec
         for n in range(1, 61):
-            expected = {
-                p: ratio_ord(p, spec, n) for p in primes_up_to(spec.max_argument(n)) if p != 2
-            }
+            top = max(sum(spec.arguments(n), ()))
+            expected = {p: ratio_ord(p, spec, n) for p in primes_up_to(top) if p != 2}
             assert valuation_case_orders(name, n) == expected, (name, n)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -160,15 +161,55 @@ def test_reports_do_not_depend_on_worker_count(claim_id, ranges):
 def test_checker_errors_name_claim_and_point(monkeypatch, workers):
     record = CLAIMS["thm-1.1"]
 
-    def broken(point, shared):
-        if point == (37,):
-            raise InternalCheckError("routes disagree")
-        return record.check(point, shared)
+    def broken(points):
+        for point, result in zip(points, record.check(points)):
+            if point == (37,):
+                raise InternalCheckError("routes disagree")
+            yield result
 
     monkeypatch.setitem(CLAIMS, "thm-1.1", dataclasses.replace(record, check=broken))
     with pytest.raises(InternalCheckError) as info:
         run_claim("thm-1.1", {"n": 60}, workers=workers)
     assert "while checking thm-1.1 at (37,)" in info.value.__notes__
+
+    # a checker with slice state: the parity sweep's packed run is wrong at n = 64
+    monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, 64))
+    with pytest.raises(InternalCheckError) as info:
+        run_claim("parity-power-of-2", {"n": 300}, workers=workers)
+    assert "while checking parity-power-of-2 at (64,)" in info.value.__notes__
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stop_iteration_in_a_check_exits_3(monkeypatch, tmp_path, capsys, workers):
+    """A StopIteration from a kernel is an internal failure; it must not end
+    the sweep early as if the slices had run out."""
+    real = divisibility.valuation_verdict
+
+    def stopping(claim, n, shared=None):
+        if n == 37:
+            raise StopIteration
+        return real(claim, n, shared)
+
+    monkeypatch.setattr(divisibility, "valuation_verdict", stopping)
+    out = tmp_path / "report.json"
+    argv = ["verify", "thm-1.1", "--n-max", "60", "--workers", str(workers), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: StopIteration from the thm-1.1 checker")
+    assert "while checking thm-1.1 at (37,)" in err
+    assert not out.exists()
+
+
+def test_one_packed_parity_run_per_slice(monkeypatch):
+    calls = []
+    real = registry.ratio_ord2_run
+    monkeypatch.setattr(
+        registry, "ratio_ord2_run", lambda spec, lo, hi: calls.append((lo, hi)) or real(spec, lo, hi)
+    )
+    report = run_claim("parity-power-of-2", {"n": 3000}, workers=1)
+    assert (report.checked, report.failed) == (3000, 0)
+    # 3000 points on one worker make 8 slices of 375
+    assert calls == [(1 + lo, 1 + lo + 375) for lo in range(0, 3000, 375)]
 
 
 def test_run_claim_small_sweeps():
@@ -532,24 +573,35 @@ TEST_REFERENCES = {
 }
 
 
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def test_every_public_definition_has_a_caller():
-    """Each public top-level function or class is used in the package outside
-    its own definition (re-exports do not count), or is a named test reference."""
+    """Each public top-level function or class, and each public method of
+    the package's classes, is used in the package outside its own
+    definition (re-exports do not count), or is a named test reference."""
     package = Path(factratio.__file__).resolve().parent
     trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
-    defined, used = set(), set()
+    used = Counter(name for tree in trees for name in _names(tree))
+    definitions = []
     for tree in trees:
         for node in tree.body:
-            own = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
-                defined.add(own)
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and sub.id != own:
-                    used.add(sub.id)
-                elif isinstance(sub, ast.Attribute) and sub.attr != own:
-                    used.add(sub.attr)
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            definitions += [
+                sub
+                for sub in (node, *methods)
+                if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and not sub.name.startswith("_")
+            ]
+    defined = {sub.name for sub in definitions}
     assert set(TEST_REFERENCES) <= defined
-    assert sorted(defined - used - set(TEST_REFERENCES)) == []
+    # a use counts only outside the definition's own body
+    uncalled = {sub.name for sub in definitions if used[sub.name] == Counter(_names(sub))[sub.name]}
+    assert sorted(uncalled - set(TEST_REFERENCES)) == []
 
 
 def test_readme_library_surface_is_exported():
@@ -590,7 +642,7 @@ def test_expand_only_failures_are_rechecked_by_division(monkeypatch, claim_id, p
     real = getattr(registry, kernel)
     monkeypatch.setattr(registry, kernel, lambda arg: alter(real(arg)))
     with pytest.raises(InternalCheckError):
-        check_point(claim_id, point)
+        check_point(claim_id, [point])
 
 
 def test_product_route_disagreement_raises(monkeypatch):
@@ -604,7 +656,7 @@ def test_product_route_disagreement_raises(monkeypatch):
 
     monkeypatch.setattr(divisibility, "product_forms", skewed)
     with pytest.raises(InternalCheckError):
-        check_point("thm-1.4", (1, 1, 1, 1))
+        check_point("thm-1.4", [(1, 1, 1, 1)])
 
 
 def _shift_run_at(real, at):
@@ -626,7 +678,7 @@ def test_parity_big_integer_route_alone_catches_a_shift(monkeypatch, capsys):
     monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, at))
     real = registry.ratio_ord
     monkeypatch.setattr(registry, "ratio_ord", lambda p, spec, n: real(p, spec, n) + (n == at))
-    assert check_point("parity-power-of-2", (at + 1,)) == (1, [])
+    assert check_point("parity-power-of-2", [(at + 1,)]) == (1, [])
     assert main(["verify", "parity-power-of-2", "--n-max", "50"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"internal error: parity routes disagree at n={at}:")

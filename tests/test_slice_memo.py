@@ -1,10 +1,12 @@
-"""The per-slice memo: every checker takes one dict per slice.
+"""Slice state in checker locals: one checker call per slice.
 
-thm-1.4 keeps its binomials per (a, b, m) and per (a, b, n), cor-1.5 its
-orders of c C(2m,m) per (m, c, p); the other checkers ignore the memo.  A
-slice must report exactly what independent per-point calls report,
-wherever the slice starts and ends and in whatever order the memo is
-filled.
+A checker takes the points of one index slice and keeps the work that many
+of them reuse in its locals: thm-1.4 its binomials per (a, b, m) and per
+(a, b, n) and cor-1.5 its orders of c C(2m,m) per (m, c, p), each in a
+memo dict made fresh for the slice, and the parity sweep one packed run of
+2-adic orders.  A slice must report exactly the concatenation of what its
+points report as singleton slices, wherever the slice starts and ends and
+in whatever order the memo is filled.
 """
 
 import random
@@ -20,10 +22,10 @@ from factratio.runner import _eval_slice
 
 
 def _per_point(claim_id, ranges, lo, hi):
-    """What the slice should return: one check_point call per point, fresh dicts."""
+    """What the slice should return: one singleton slice per point, fresh memos."""
     checked, failures = 0, []
     for point in points_for(get_claim(claim_id), ranges, lo, hi):
-        count, bad = check_point(claim_id, point)
+        count, bad = check_point(claim_id, [point])
         checked += count
         failures += bad
     return checked, failures
@@ -191,7 +193,7 @@ def test_floor_sweep_enumerates_each_divisor_list_once(monkeypatch):
     monkeypatch.setattr(floors, "divisors_of", lambda v: calls.append(v) or real(v))
     for n in (1, 7, 1234):
         calls.clear()
-        checked, failures = check_point("lem-5.2", (n,))
+        checked, failures = check_point("lem-5.2", [(n,)])
         assert sorted(calls) == [2 * n + 1, 10 * n + 7, 10 * n + 9]
         want_checked, want = 0, []
         for ident in floors.IDENTITIES["lem-5.2"]:

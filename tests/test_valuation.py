@@ -123,7 +123,7 @@ def test_orders_at_matches_legendre_sums():
     for spec in (S_RATIO, T_RATIO, STEP_6_1):
         for n in range(1, 80):
             num, den = spec.arguments(n)
-            primes = primes_up_to(spec.max_argument(n))
+            primes = primes_up_to(max(num + den))
             assert valuation.orders_at(primes, num, den) == {
                 p: sum(legendre_ord(p, v) for v in num) - sum(legendre_ord(p, v) for v in den)
                 for p in primes
@@ -185,7 +185,8 @@ def test_ratio_ord_can_be_negative():
 
 def _orders(spec: BalancedRatio, n: int) -> dict[int, int]:
     """Orders of the ratio at every prime up to its largest factorial argument."""
-    return valuation.orders_at(primes_up_to(spec.max_argument(n)), *spec.arguments(n))
+    num, den = spec.arguments(n)
+    return valuation.orders_at(primes_up_to(max(num + den)), num, den)
 
 
 def _nonzero(orders: dict[int, int]) -> dict[int, int]:
@@ -200,7 +201,7 @@ def test_orders_at_examples():
 
 
 def test_profile_lists_every_prime_up_to_max_argument():
-    limit = S_RATIO.max_argument(3)
+    limit = max(sum(S_RATIO.arguments(3), ()))
     assert sorted(_orders(S_RATIO, 3)) == primes_up_to(limit)
     # a prime above the largest argument divides none of the factorials
     above = next(p for p in primes_up_to(2 * limit) if p > limit)
