@@ -53,7 +53,6 @@ from .registry import ClaimRecord, get_claim, list_claims
 from .reports import RunReport, emit_report
 from .runner import run_claim
 from .valuation import (
-    binary_digit_sum,
     digit_sum,
     factorize,
     is_prime,

@@ -44,7 +44,7 @@ from math import comb, factorial
 from .errors import InternalCheckError
 from .floors import STEP_6_1, STEP_15_2, landau_min
 from .forms import BalancedRatio, LinearForm, form
-from .valuation import binary_digit_sum, factorize, orders_at, primes_up_to
+from .valuation import factorize, orders_at, primes_up_to
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def check_two_binomial_conjecture(a: int, b: int, n: int) -> bool:
 def parity_verdict(n: int, ord2: int) -> bool:
     """Given ord2 = ord_2 S(n): is it s_2(n) - 1, and is S(n) odd exactly
     when n is a power of two?"""
-    if ord2 != binary_digit_sum(n) - 1:
+    if ord2 != n.bit_count() - 1:
         return False
     is_odd = ord2 == 0
     is_power = n & (n - 1) == 0

@@ -85,12 +85,10 @@ def spec_degree(spec: BalancedRatio, n: int) -> int:
 class CycloExponentVector:
     """Exponents e_d of the cyclotomic factorization, d >= 2.
 
-    Only non-zero exponents are stored; ``bound`` records the largest d
-    examined (every e_d with d > bound vanishes identically).
+    Only non-zero exponents are stored.
     """
 
     exponents: dict[int, int]
-    bound: int
 
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self.exponents.values())
@@ -125,7 +123,7 @@ def exponent_vector(spec: BalancedRatio, n: int) -> CycloExponentVector:
                 if v % d == 0:
                     e[d - 2] += sign
     exponents = {d: x for d, x in zip(ds, e) if x}
-    return CycloExponentVector(exponents=exponents, bound=bound)
+    return CycloExponentVector(exponents=exponents)
 
 
 def _tree_product(factors: list[DensePoly]) -> list[DensePoly]:

@@ -12,7 +12,7 @@ per point, so that multi-part claims (the six third-theorem congruences,
 the five seventh-section families) report per-part witnesses.  Most map a
 per-point checker with the claim's data bound (``_each``); work that many
 points of a slice reuse lives in the checker's locals for that slice
-(thm-1.4's and cor-1.5's fresh memo dict, the parity sweep's one packed
+(thm-1.4's and cor-1.5's fresh memo dict, the parity sweep's digit-sum
 run).  The sweep is always the whole product grid of the parameter ranges;
 a checker skips the points outside its claim's domain itself and counts 0
 checks for them.  Theorem-class checkers re-verify any failure through an
@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 from . import divisibility as dv
 from . import floors
 from .errors import InternalCheckError, NotPolynomialError, UsageError
-from .valuation import binary_digit_sum, ratio_ord, ratio_ord2_run
+from .valuation import ratio_ord, ratio_ord2_run
 from .qpoly import first_negative_index, is_reciprocal, unimodality_witness
 from .qratio import (
     FAMILIES,
@@ -225,9 +225,9 @@ def _check_conjecture_product(point: Point):
 
 
 def _check_parity(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
-    """ord_2 S(n) for the whole slice from one packed run; inside the oracle
-    box the per-n Legendre sums and the 2-adic order of the big integer S(n)
-    must both reproduce it."""
+    """ord_2 S(n) for the whole slice from one digit-sum run; inside the
+    oracle box the per-n Legendre floor sums and the 2-adic order of the big
+    integer S(n) must both reproduce it."""
     first = points[0][0]
     run = ratio_ord2_run(dv.S_RATIO, first, points[-1][0] + 1)
     for (n,) in points:
@@ -237,11 +237,11 @@ def _check_parity(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
             routes = (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1)
             if routes != (ord2, ord2):
                 raise InternalCheckError(
-                    f"parity routes disagree at n={n}: packed run={ord2}, "
+                    f"parity routes disagree at n={n}: digit-sum run={ord2}, "
                     f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
                 )
         ok = dv.parity_verdict(n, ord2)
-        yield 1, [] if ok else [{"n": n, "ord2": ord2, "digit_sum": binary_digit_sum(n)}]
+        yield 1, [] if ok else [{"n": n, "ord2": ord2, "digit_sum": n.bit_count()}]
 
 
 def _confirm_expansion(spec, n: int, poly, message: str) -> None:

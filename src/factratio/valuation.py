@@ -13,15 +13,13 @@ the orders of its factorial blocks (and may be negative for ratios whose
 value is a non-integer rational).  ``orders_at`` is the one kernel that
 takes those sums at many primes; ``legendre_ord`` and ``ratio_ord`` take
 them at one prime, with a primality check.  ``ratio_ord2_run`` takes the
-sums at p = 2 for a whole run of n at once: it packs every block argument
-of the run into one 32-bit field of one big integer, so each halving step
-v -> floor(v/2) is one shift and one mask for all of them; the parity
+order at p = 2 for a whole run of n at once from Legendre's digit-sum form
+ord_2(v!) = v - s_2(v), one ``int.bit_count`` per argument; the parity
 sweep reads ord_2 S(n) from it.
 """
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_right
 from math import isqrt
 from operator import add, sub
@@ -99,13 +97,6 @@ def legendre_ord(p: int, n: int) -> int:
     return total
 
 
-def binary_digit_sum(n: int) -> int:
-    """Number of 1 bits in the binary expansion of n >= 0."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return n.bit_count()
-
-
 def digit_sum(n: int, base: int) -> int:
     """Digit sum of n >= 0 in the given base >= 2."""
     if n < 0 or base < 2:
@@ -149,40 +140,19 @@ def ratio_ord(p: int, spec: BalancedRatio, n: int) -> int:
     return sum(legendre_ord(p, v) for v in num) - sum(legendre_ord(p, v) for v in den)
 
 
-# ratio_ord2_run packs each argument into 4 little-endian bytes; an argument
-# below 2^31 leaves the field's top bit free, and its floor sum (< v) fits too.
-_FIELD_LIMIT = 1 << 31
-
-
 def ratio_ord2_run(spec: BalancedRatio, lo: int, hi: int) -> list[int]:
-    """``ratio_ord(2, spec, n)`` for every n in [lo, hi), in one packed pass.
+    """``ratio_ord(2, spec, n)`` for every n in [lo, hi), by binary digit sums.
 
-    The arguments c*n + o of every block, n ascending, fill consecutive
-    4-byte fields of one integer v.  ``(v >> 1) & keep``, with ``keep``
-    clearing each field's top bit (where the next field's low bit lands),
-    is floor(v/2) in every field at once; the running total of these steps
-    is the Legendre floor sum sum_k floor(v/2^k) of each field.  Arguments
-    must lie in [0, 2^31).
+    Legendre's formula at p = 2 is ord_2(v!) = v - s_2(v), with s_2(v) the
+    number of 1 bits of v.  The arguments c*n + o of each block run over
+    one arithmetic progression as n ascends.
     """
     count = hi - lo
     if count <= 0:
         return []
-    first, last = spec.arguments(lo), spec.arguments(hi - 1)  # non-decreasing in n
-    if max(last[0] + last[1], default=0) >= _FIELD_LIMIT:
-        raise ValueError(f"factorial argument >= 2^31 at n < {hi} in {spec}")
-    values: list[int] = []
-    for start, c in zip(first[0] + first[1], spec.num_coeffs + spec.den_coeffs):
-        values += range(start, start + c * count, c) if c else [start] * count
-    layout = f"<{len(values)}I"
-    v = int.from_bytes(struct.pack(layout, *values), "little")
-    keep = int.from_bytes(b"\xff\xff\xff\x7f" * len(values), "little")
-    total = 0
-    while v:
-        v = (v >> 1) & keep
-        total += v
-    fields = struct.unpack(layout, total.to_bytes(4 * len(values), "little"))
+    num, den = spec.arguments(lo)  # coefficients are >= 0: the smallest arguments
     out = [0] * count
-    for i, at in enumerate(range(0, len(fields), count)):
-        out = list(map(add if i < len(first[0]) else sub, out, fields[at : at + count]))
+    for i, (start, c) in enumerate(zip(num + den, spec.num_coeffs + spec.den_coeffs)):
+        run = range(start, start + c * count, c) if c else [start] * count
+        out = list(map(add if i < len(num) else sub, out, [v - v.bit_count() for v in run]))
     return out
-

@@ -172,7 +172,7 @@ def test_checker_errors_name_claim_and_point(monkeypatch, workers):
         run_claim("thm-1.1", {"n": 60}, workers=workers)
     assert "while checking thm-1.1 at (37,)" in info.value.__notes__
 
-    # a checker with slice state: the parity sweep's packed run is wrong at n = 64
+    # a checker with slice state: the parity sweep's digit-sum run is wrong at n = 64
     monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, 64))
     with pytest.raises(InternalCheckError) as info:
         run_claim("parity-power-of-2", {"n": 300}, workers=workers)
@@ -200,7 +200,7 @@ def test_stop_iteration_in_a_check_exits_3(monkeypatch, tmp_path, capsys, worker
     assert not out.exists()
 
 
-def test_one_packed_parity_run_per_slice(monkeypatch):
+def test_one_parity_run_per_slice(monkeypatch):
     calls = []
     real = registry.ratio_ord2_run
     monkeypatch.setattr(
@@ -672,7 +672,7 @@ def test_shifted_parity_run_raises_in_the_box(monkeypatch, at):
 
 
 def test_parity_big_integer_route_alone_catches_a_shift(monkeypatch, capsys):
-    # the packed run and the per-n Legendre sums agree on the wrong value;
+    # the digit-sum run and the per-n Legendre sums agree on the wrong value;
     # the 2-adic order of S(n) itself still disagrees
     at = 37
     monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, at))
@@ -682,7 +682,7 @@ def test_parity_big_integer_route_alone_catches_a_shift(monkeypatch, capsys):
     assert main(["verify", "parity-power-of-2", "--n-max", "50"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"internal error: parity routes disagree at n={at}:")
-    assert "packed run=3, Legendre sums=3, 2-adic order of S(n)=2" in err
+    assert "digit-sum run=3, Legendre sums=3, 2-adic order of S(n)=2" in err
 
 
 def test_parity_sweep_runs_the_per_n_route_only_in_the_box(monkeypatch):

@@ -3,8 +3,8 @@
 A checker takes the points of one index slice and keeps the work that many
 of them reuse in its locals: thm-1.4 its binomials per (a, b, m) and per
 (a, b, n) and cor-1.5 its orders of c C(2m,m) per (m, c, p), each in a
-memo dict made fresh for the slice, and the parity sweep one packed run of
-2-adic orders.  A slice must report exactly the concatenation of what its
+memo dict made fresh for the slice, and the parity sweep one digit-sum run
+of 2-adic orders.  A slice must report exactly the concatenation of what its
 points report as singleton slices, wherever the slice starts and ends and
 in whatever order the memo is filled.
 """

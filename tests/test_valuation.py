@@ -8,7 +8,6 @@ import pytest
 
 from factratio import (
     BalancedRatio,
-    binary_digit_sum,
     digit_sum,
     eval_ratio,
     factorize,
@@ -223,18 +222,10 @@ def test_profile_product_equals_exact_value(spec):
         assert value == eval_ratio(spec, n)
 
 
-def test_binary_digit_sum():
-    assert binary_digit_sum(0) == 0
-    assert binary_digit_sum(8) == 1
-    assert binary_digit_sum(11) == 3  # 1011
-    with pytest.raises(ValueError):
-        binary_digit_sum(-1)
-
-
 def test_ord2_identity_matches_digit_sum():
     # ord_2 of (6n)! n! / ((3n)!(2n)!^2) equals the binary digit sum of n
     for n in range(1, 3001):
-        assert ratio_ord(2, STEP_6_1, n) == binary_digit_sum(n)
+        assert ratio_ord(2, STEP_6_1, n) == n.bit_count()
 
 
 def test_spec_balance_validated():
@@ -255,7 +246,7 @@ def test_eval_ratio_is_exact_rational():
 
 
 # ----------------------------------------------------------------------
-# ratio_ord2_run: 2-adic orders of a run of n from one packed pass
+# ratio_ord2_run: 2-adic orders of a run of n from binary digit sums
 # ----------------------------------------------------------------------
 
 def _ord2_by_legendre(spec, lo, hi):
@@ -302,7 +293,7 @@ def test_ord2_run_edges():
     assert ratio_ord2_run(S_RATIO, near - 300, near + 5) == _ord2_by_legendre(
         S_RATIO, near - 300, near + 5
     )
-    # arguments at 2^k - 1 and 2^k (2^31 - 1, the largest field value, is below)
+    # arguments at 2^k - 1 and 2^k
     for k in range(3, 31):
         lo = (1 << k) - 1
         assert ratio_ord2_run(C_N_5, lo, lo + 2) == _ord2_by_legendre(C_N_5, lo, lo + 2), k
@@ -310,12 +301,27 @@ def test_ord2_run_edges():
     assert ratio_ord2_run(constant, 0, 4) == [legendre_ord(2, 8) - legendre_ord(2, 3)] * 4
 
 
-def test_ord2_run_rejects_arguments_outside_the_fields():
+def test_ord2_run_takes_large_arguments_and_rejects_negative_ones():
     top = (1 << 31) - 1
     assert ratio_ord2_run(C_N_5, top, top + 1) == [ord_p_int(2, prod(range(top - 4, top + 1)) // 120)]
-    with pytest.raises(ValueError):
-        ratio_ord2_run(C_N_5, top, top + 2)
-    with pytest.raises(ValueError):
-        ratio_ord2_run(S_RATIO, (1 << 31) // 6 - 3, (1 << 31) // 6 + 3)
+    for spec, lo, hi in (
+        (C_N_5, top, top + 2),
+        (S_RATIO, (1 << 31) // 6 - 3, (1 << 31) // 6 + 3),
+        (S_RATIO, 1 << 70, (1 << 70) + 3),
+    ):
+        assert ratio_ord2_run(spec, lo, hi) == _ord2_by_legendre(spec, lo, hi), (spec, lo)
     with pytest.raises(ValueError):
         ratio_ord2_run(C_N_5, 4, 10)  # (n-5)! at n = 4
+
+
+def test_ord2_run_shares_no_kernel_with_the_floor_sums(monkeypatch):
+    """The parity sweep's primary route must stay independent of its oracle
+    box: it reaches neither legendre_ord, orders_at nor ratio_ord."""
+    expected = _ord2_by_legendre(S_RATIO, 1, 300)
+
+    def fail(*args):
+        pytest.fail("ratio_ord2_run reached a floor-sum kernel")
+
+    for name in ("legendre_ord", "orders_at", "ratio_ord"):
+        monkeypatch.setattr(valuation, name, fail)
+    assert ratio_ord2_run(S_RATIO, 1, 300) == expected
