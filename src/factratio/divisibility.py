@@ -13,8 +13,8 @@ ratio; ``RATIO_BOUNDS`` records those orders with their clearing constants,
 and ``check_valuation_bounds`` checks that each constant covers them.
 
 Two routes decide a claim at n.  The primary one works prime by prime,
-as the proofs do.  Every claim ratio is an integral base ratio B over a
-linear cofactor (see ``BASES``):
+as the proofs do.  Each ``DivisibilityClaim`` carries its ratio as an
+integral Landau base B over a linear cofactor:
 
     S(n) = W(n) / (2(2n+1)),   W = (6n)! n! / ((3n)! (2n)!^2)
     t(n) = G(n) / (5(10n+1)),  G = (15n)! (2n)! / ((10n)! (4n)! (3n)!)
@@ -22,7 +22,7 @@ linear cofactor (see ``BASES``):
 and the C-form ratio is G itself.  A base has no offsets and a
 non-negative Landau minimum, so B(n) is an integer for every n: this
 Landau reduction is what makes the route sound, and it is validated when
-the base is defined.  Only the primes of cofactor(n) * modulus(n) can
+the claim is defined.  Only the primes of cofactor(n) * modulus(n) can
 then make ``multiplier * B / cofactor / modulus`` non-integral, and
 ``valuation_verdict`` reads their orders from Legendre floor sums.  The
 second route is exact big-integer division with a remainder check; the
@@ -127,18 +127,28 @@ def _exact(num: int, den: int, name: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class DivisibilityClaim:
-    """modulus_form(n) divides multiplier * ratio(n) for all n >= 1."""
+    """modulus_form(n) divides multiplier * base(n) / cofactor(n) for all n >= 1.
+
+    The base must be integral at every n for the valuation route to skip
+    the primes outside cofactor * modulus, so it is checked here: no
+    offsets, and the Landau minimum of its step function is >= 0.
+    """
 
     name: str
     multiplier: int
-    ratio: BalancedRatio
+    base: BalancedRatio
+    cofactor: LinearForm
     modulus_form: LinearForm
-    value_key: str  # fast evaluator registered in VALUE_FUNCS
+    value_key: str  # big-integer evaluator of base / cofactor in VALUE_FUNCS
 
     def __post_init__(self) -> None:
         # ord_p of the multiplier is read by repeated division, which never ends at 0
         if self.multiplier < 1:
             raise ValueError(f"{self.name}: the multiplier must be positive, not {self.multiplier}")
+        if any(f.offset for f in self.base.numerator + self.base.denominator):
+            raise ValueError(f"base ratio {self.base} has offsets")
+        if landau_min(self.base) < 0:
+            raise ValueError(f"base ratio {self.base} has a negative Landau minimum")
 
 
 # Fast big-integer evaluators for the claim ratios, looked up by key at each
@@ -149,39 +159,13 @@ VALUE_FUNCS = {
     "t-cform": t_cform,
 }
 
-
-@dataclass(frozen=True)
-class BaseRatio:
-    """An integral factorial ratio B with claim ratio = B(n) / cofactor(n).
-
-    B must be integral at every n for the valuation route to skip the
-    primes outside cofactor * modulus, so the definition is checked: no
-    offsets, and the Landau minimum of its step function is >= 0.
-    """
-
-    spec: BalancedRatio
-    cofactor: LinearForm
-
-    def __post_init__(self) -> None:
-        if any(f.offset for f in self.spec.numerator + self.spec.denominator):
-            raise ValueError(f"base ratio {self.spec} has offsets")
-        if landau_min(self.spec) < 0:
-            raise ValueError(f"base ratio {self.spec} has a negative Landau minimum")
-
-
-# Base ratio and cofactor per value key, same keys as VALUE_FUNCS.
-BASES: dict[str, BaseRatio] = {
-    "s": BaseRatio(STEP_6_1, form(4, 2)),  # S = W / (2(2n+1))
-    "t": BaseRatio(STEP_15_2, form(50, 5)),  # t = G / (5(10n+1))
-    "t-cform": BaseRatio(STEP_15_2, form(0, 1)),  # C(15n,5n) C(5n,n) / C(3n,n) = G
-}
-
+# S = W / (2(2n+1)), t = G / (5(10n+1)), C(15n,5n) C(5n,n) / C(3n,n) = G
 CLAIMS_BY_ID: dict[str, tuple[DivisibilityClaim, ...]] = {
     "thm-1.1": (
-        DivisibilityClaim("3*S(n) mod 2n+3", 3, S_RATIO, form(2, 3), "s"),
+        DivisibilityClaim("3*S(n) mod 2n+3", 3, STEP_6_1, form(4, 2), form(2, 3), "s"),
     ),
     "thm-1.2": (
-        DivisibilityClaim("21*t(n) mod 10n+3", 21, T_RATIO, form(10, 3), "t"),
+        DivisibilityClaim("21*t(n) mod 10n+3", 21, STEP_15_2, form(50, 5), form(10, 3), "t"),
     ),
     # The fourth congruence is published as 3003*t(n) = 0 (mod 2n+1), which
     # fails at some n with 5 | 2n+1 (n = 2, 7, 12, 32, ...) because t(n)
@@ -189,18 +173,19 @@ CLAIMS_BY_ID: dict[str, tuple[DivisibilityClaim, ...]] = {
     # machinery actually supports, and that holds on every tested range, is
     # the C(5n,n)-normalized ratio below with the same constant and modulus.
     "thm-1.3": (
-        DivisibilityClaim("105*S(n) mod 2n+5", 105, S_RATIO, form(2, 5), "s"),
-        DivisibilityClaim("315*S(n) mod 2n+7", 315, S_RATIO, form(2, 7), "s"),
-        DivisibilityClaim("6435*S(n) mod 2n+9", 6435, S_RATIO, form(2, 9), "s"),
+        DivisibilityClaim("105*S(n) mod 2n+5", 105, STEP_6_1, form(4, 2), form(2, 5), "s"),
+        DivisibilityClaim("315*S(n) mod 2n+7", 315, STEP_6_1, form(4, 2), form(2, 7), "s"),
+        DivisibilityClaim("6435*S(n) mod 2n+9", 6435, STEP_6_1, form(4, 2), form(2, 9), "s"),
         DivisibilityClaim(
             "3003*C(15n,5n)C(5n,n)/C(3n,n) mod 2n+1",
             3003,
             STEP_15_2,
+            form(0, 1),
             form(2, 1),
             "t-cform",
         ),
-        DivisibilityClaim("88179*t(n) mod 10n+7", 88179, T_RATIO, form(10, 7), "t"),
-        DivisibilityClaim("43263*t(n) mod 10n+9", 43263, T_RATIO, form(10, 9), "t"),
+        DivisibilityClaim("88179*t(n) mod 10n+7", 88179, STEP_15_2, form(50, 5), form(10, 7), "t"),
+        DivisibilityClaim("43263*t(n) mod 10n+9", 43263, STEP_15_2, form(50, 5), form(10, 9), "t"),
     ),
 }
 
@@ -218,7 +203,7 @@ def valuation_verdict(claim: DivisibilityClaim, n: int, shared: dict | None = No
 
     With B the claim's base ratio and c its multiplier, the claim ratio is
     B(n)/cofactor(n), and B(n) is an integer by the Landau reduction (see
-    ``BaseRatio``).  So a prime p can only matter when it divides
+    ``DivisibilityClaim``).  So a prime p can only matter when it divides
     cofactor(n) or modulus(n), and there the route tests
 
         ord_p B >= ord_p cofactor                       (integrality)
@@ -227,16 +212,16 @@ def valuation_verdict(claim: DivisibilityClaim, n: int, shared: dict | None = No
     A failed integrality test raises InternalCheckError, as ``sun_s`` does.
     ``shared`` is an optional dict that the caller keeps for one n.  The
     base arguments and the orders at the cofactor primes are stored there
-    per base, so the claims of a group that share a base compute them once.
+    per ``value_key``, so the claims of a group that share a key, and with
+    it their base and cofactor, compute them once.
     """
     if n < 1:
         raise ValueError(f"n={n} below claim domain n >= 1")
     if shared is None:
         shared = {}
     if claim.value_key not in shared:
-        base = BASES[claim.value_key]
-        num, den = base.spec.arguments(n)
-        cofactor = factorize(base.cofactor(n))
+        num, den = claim.base.arguments(n)
+        cofactor = factorize(claim.cofactor(n))
         base_orders = orders_at(cofactor, num, den)
         for p, e in cofactor.items():
             base_orders[p] -= e
@@ -244,9 +229,8 @@ def valuation_verdict(claim: DivisibilityClaim, n: int, shared: dict | None = No
     num, den, base_orders = shared[claim.value_key]
     short = [p for p, e in base_orders.items() if e < 0]
     if short:
-        base = BASES[claim.value_key]
         raise InternalCheckError(
-            f"base {base.spec} over cofactor {base.cofactor} is not an integer at n={n} "
+            f"base {claim.base} over cofactor {claim.cofactor} is not an integer at n={n} "
             f"(primes {short})"
         )
     need = factorize(claim.modulus_form(n))
@@ -424,13 +408,3 @@ def check_two_binomial_conjecture(a: int, b: int, n: int) -> bool:
     divisor = (2 * b * n + 1) * (2 * b * n + 3) * comb(2 * b * n, b * n)
     value = 3 * (a - b) * (3 * a - b) * comb(2 * a * n, a * n) * comb(a * n, b * n)
     return value % divisor == 0
-
-
-def parity_verdict(n: int, ord2: int) -> bool:
-    """Given ord2 = ord_2 S(n): is it s_2(n) - 1, and is S(n) odd exactly
-    when n is a power of two?"""
-    if ord2 != n.bit_count() - 1:
-        return False
-    is_odd = ord2 == 0
-    is_power = n & (n - 1) == 0
-    return is_odd == is_power

@@ -240,7 +240,7 @@ def _check_parity(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
                     f"parity routes disagree at n={n}: digit-sum run={ord2}, "
                     f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
                 )
-        ok = dv.parity_verdict(n, ord2)
+        ok = ord2 == n.bit_count() - 1
         yield 1, [] if ok else [{"n": n, "ord2": ord2, "digit_sum": n.bit_count()}]
 
 

@@ -1,5 +1,6 @@
 """Big-integer divisibility claims, product identities, conjecture sweeps."""
 
+import dataclasses
 import random
 import re
 import signal
@@ -27,18 +28,15 @@ from factratio import (
     valuation_case_orders,
 )
 from factratio import divisibility as dv
-from factratio import registry
+from factratio import floors, registry
 from factratio.cli import main
 from factratio.divisibility import (
-    BASES,
     CLAIMS_BY_ID,
-    BaseRatio,
     DivisibilityClaim,
     RATIO_BOUNDS,
     S_RATIO,
     T_RATIO,
     VALUE_FUNCS,
-    parity_verdict,
     t_cform,
     valuation_verdict,
 )
@@ -105,10 +103,13 @@ def test_dual_route_verdicts_agree():
 
 # multipliers other than the claim constants, each failing for some n
 DEMO_CLAIMS = tuple(
-    DivisibilityClaim(f"{m}*S(n) mod 2n+9", m, S_RATIO, form(2, 9), "s") for m in (1, 2, 35, 1001)
+    DivisibilityClaim(f"{m}*S(n) mod 2n+9", m, STEP_6_1, form(4, 2), form(2, 9), "s")
+    for m in (1, 2, 35, 1001)
 )
 # the fourth third-theorem congruence as published, false whenever 5 | 2n+1
-PUBLISHED_3003 = DivisibilityClaim("3003*t(n) mod 2n+1", 3003, T_RATIO, form(2, 1), "t")
+PUBLISHED_3003 = DivisibilityClaim(
+    "3003*t(n) mod 2n+1", 3003, STEP_15_2, form(50, 5), form(2, 1), "t"
+)
 
 
 def _within(seconds, fn, *args, **kwargs):
@@ -131,7 +132,7 @@ def test_non_positive_multiplier_is_rejected(multiplier):
     # ord_p of a multiplier 0 would be read by division that never ends
     name = f"{multiplier}*S(n) mod 2n+3"
     with pytest.raises(ValueError, match="multiplier"):
-        _within(5, DivisibilityClaim, name, multiplier, S_RATIO, form(2, 3), "s")
+        _within(5, DivisibilityClaim, name, multiplier, STEP_6_1, form(4, 2), form(2, 3), "s")
     with pytest.raises(ValueError, match="multiplier"):
         _within(5, central_valuation_verdict, 3, 5, multiplier=multiplier)
     with pytest.raises(ValueError, match="multiplier"):
@@ -146,33 +147,68 @@ def test_valuation_route_takes_any_multiplier():
 
 
 def test_claim_ratio_is_base_over_cofactor():
-    pairs = {(c.value_key, c.ratio) for group in CLAIMS_BY_ID.values() for c in group}
-    assert {key for key, _ in pairs} == set(BASES) == set(VALUE_FUNCS)
-    for key, ratio in pairs:
-        base = BASES[key]
+    claims = [c for group in CLAIMS_BY_ID.values() for c in group]
+    assert {c.value_key for c in claims} == set(VALUE_FUNCS)
+    # the valuation memo is keyed by value_key, so a key fixes base and cofactor
+    by_key = {}
+    for c in claims:
+        assert by_key.setdefault(c.value_key, (c.base, c.cofactor)) == (c.base, c.cofactor)
+    for c in claims:
         for n in range(1, 201):
-            assert eval_ratio(ratio, n) == eval_ratio(base.spec, n) / base.cofactor(n), (key, n)
+            want = eval_ratio(c.base, n) / c.cofactor(n)
+            assert VALUE_FUNCS[c.value_key](n) == want, (c.name, n)
 
 
 def test_unsound_base_ratios_rejected():
+    def claim(base):
+        return DivisibilityClaim("base test", 1, base, form(0, 1), form(2, 3), "s")
+
     with pytest.raises(ValueError, match="offsets"):
-        BaseRatio(S_RATIO, form(0, 1))
+        claim(S_RATIO)
     # n!^2/(2n)! = 1/C(2n,n): balanced, but its Landau minimum is -1
     with pytest.raises(ValueError, match="Landau"):
-        BaseRatio(BalancedRatio.from_pairs([(1, 0), (1, 0)], [(2, 0)]), form(0, 1))
-    BaseRatio(STEP_6_1, form(4, 2))  # the sound base of S(n)
-    BaseRatio(BalancedRatio.from_pairs([(1, 0), (0, 0)], [(1, 0)]), form(0, 1))  # 0! is 1
+        claim(BalancedRatio.from_pairs([(1, 0), (1, 0)], [(2, 0)]))
+    claim(STEP_6_1)  # the sound base of S(n)
+    claim(BalancedRatio.from_pairs([(1, 0), (0, 0)], [(1, 0)]))  # 0! is 1
 
 
 def test_valuation_route_raises_on_non_integral_ratio(monkeypatch, capsys):
     # W(n)/(4n+4) is not an integer at n = 1 (W(1) = 30)
-    monkeypatch.setitem(BASES, "s", BaseRatio(STEP_6_1, form(4, 4)))
+    bad = dataclasses.replace(CLAIMS_BY_ID["thm-1.1"][0], cofactor=form(4, 4))
     named = f"base {STEP_6_1} over cofactor 4n+4 is not an integer at n=1"
     with pytest.raises(InternalCheckError, match=re.escape(named)):
-        valuation_verdict(CLAIMS_BY_ID["thm-1.1"][0], 1)
+        valuation_verdict(bad, 1)
+    record = dataclasses.replace(
+        registry.CLAIMS["thm-1.1"], check=registry._each(registry._check_divisibility_group, (bad,))
+    )
+    monkeypatch.setitem(registry.CLAIMS, "thm-1.1", record)
     assert main(["verify", "thm-1.1", "--n-max", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and named in captured.err
+
+
+def test_one_claim_type_takes_any_landau_base():
+    # conj-7.1 at (a, b): C(2an,an) C(an,bn) / C(2bn,bn) is the Landau base
+    # (2an)!(bn)!/((an)!((a-b)n)!(2bn)!), and 2bn+1, 2bn+3 are coprime moduli
+    failing = 0
+    for a in range(2, 7):
+        for b in range(1, a):
+            base = floors.step((2 * a, b), (a, a - b, 2 * b))
+            for multiplier in (3 * (a - b) * (3 * a - b), 1):
+                claims = [
+                    DivisibilityClaim(f"R(n) mod {m}", multiplier, base, form(0, 1), m, "r")
+                    for m in (form(2 * b, 1), form(2 * b, 3))
+                ]
+                for n in range(1, 41):
+                    got = all(valuation_verdict(c, n) for c in claims)
+                    if multiplier == 1:
+                        modulus = (2 * b * n + 1) * (2 * b * n + 3)
+                        want = eval_ratio(base, n) % modulus == 0
+                        failing += not want
+                    else:
+                        want = check_two_binomial_conjecture(a, b, n)
+                    assert got == want, (a, b, multiplier, n)
+    assert failing == 142
 
 
 def _bigint_failures(claim, n):
@@ -432,6 +468,6 @@ def test_two_binomial_conjecture_domain():
 
 def test_parity_claim_against_direct_values():
     for n in range(1, 301):
-        assert parity_verdict(n, ratio_ord(2, S_RATIO, n))
+        assert ratio_ord(2, S_RATIO, n) == n.bit_count() - 1
         want_odd = n & (n - 1) == 0
         assert (sun_s(n) % 2 == 1) == want_odd

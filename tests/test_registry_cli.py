@@ -696,8 +696,7 @@ def test_parity_sweep_runs_the_per_n_route_only_in_the_box(monkeypatch):
 
 def test_parity_failure_fields(monkeypatch):
     # outside the box a failing verdict reports the run's order and the digit sum
-    real = divisibility.parity_verdict
-    monkeypatch.setattr(divisibility, "parity_verdict", lambda n, ord2: n != 1000 and real(n, ord2))
+    monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, 1000))
     report = run_claim("parity-power-of-2", {"n": 1200}, workers=1)
-    assert report.counterexamples == [{"n": 1000, "ord2": 5, "digit_sum": 6}]
+    assert report.counterexamples == [{"n": 1000, "ord2": 6, "digit_sum": 6}]
     assert registry.ratio_ord(2, divisibility.S_RATIO, 1000) == 5
