@@ -8,7 +8,7 @@ in any verification path.
 from .divisibility import (
     DivisibilityClaim,
     central_product_value,
-    central_valuation_verdict,
+    central_valuation_run,
     check_divisibility,
     check_product,
     check_two_binomial_conjecture,

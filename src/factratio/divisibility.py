@@ -28,9 +28,12 @@ then make ``multiplier * B / cofactor / modulus`` non-integral, and
 second route is exact big-integer division with a remainder check; the
 registry runs it as an oracle at every failing point and at every small n.
 
-The central corollary is decided the same way, at the primes of 2(m+n)
-(``central_valuation_verdict``), with the ``Fraction`` value
-``central_product_value`` as its oracle.  The two-binomial product is
+The central corollary is decided the same way, at the primes of 2(m+n),
+for a whole run of n at once (``central_valuation_run``): a segmented
+sieve of m+n over the run reaches every prime up to the square root of
+2(m+n) through its residue class, and what it leaves of m+n is 1 or one
+larger prime, whose order in 2(m+n) is 1.  The ``Fraction`` value
+``central_product_value`` is its oracle.  The two-binomial product is
 checked by an integer kernel (``check_product``) with the ``Fraction``
 forms of ``product_forms`` as its oracle.
 """
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 from .errors import InternalCheckError
 from .floors import STEP_6_1, STEP_15_2, landau_min
@@ -313,38 +316,58 @@ def central_product_value(m: int, n: int, multiplier: int | None = None) -> Frac
     return Fraction(c * comb(2 * m, m) * comb(2 * n, n), 2 * (m + n))
 
 
-def central_valuation_verdict(
-    m: int, n: int, multiplier: int | None = None, shared: dict | None = None
-) -> bool:
-    """Whether c/(2(m+n)) * C(2m,m) * C(2n,n) is an integer (c = m unless given),
-    from Legendre orders at the primes of 2(m+n).
+def central_valuation_run(m: int, lo: int, hi: int, multiplier: int | None = None) -> list[bool]:
+    """Whether c/(2(m+n)) * C(2m,m) * C(2n,n) is an integer (c = m unless
+    given), for every n in [lo, hi), from Legendre orders at the primes of
+    2(m+n).
 
     c * C(2m,m) * C(2n,n) is an integer, so only a prime p of 2(m+n) can
     make the quotient non-integral, and there the route tests
 
         ord_p c + ord_p C(2m,m) + ord_p C(2n,n) >= ord_p 2(m+n)
 
-    ``shared`` is an optional dict that keeps ord_p(c C(2m,m)) per
-    (m, c, p) for a slice of points, so a point computes only the orders of
-    C(2n,n).
+    The primes of 2(m+n) come from a segmented sieve of m+n over the run.
+    Each prime p <= isqrt(2(m+hi-1)) walks its residue class of n (p = 2
+    walks every n, for the factor 2) and divides itself out of m+n, which
+    counts e = ord_p 2(m+n).  The head ord_p c + ord_p C(2m,m) is taken once
+    per prime; the orders of C(2n,n) are non-negative, so its floor sum is
+    needed only where the head falls short of e.  What the walks leave of
+    m+n is 1 or a single prime P with P^2 > 2(m+n), because a composite
+    remainder would have a prime factor that walked.  There ord_P 2(m+n) = 1
+    and ord_P C(2n,n) is the one term floor(2n/P) - 2 floor(n/P).
     """
-    if m < 1 or n < 1:
+    if m < 1 or lo < 1:
         raise ValueError("m and n must be positive")
     c = m if multiplier is None else multiplier
     if c < 1:
         raise ValueError(f"the multiplier must be positive, got {c}")
-    if shared is None:
-        shared = {}
-    need = factorize(2 * (m + n))
-    tail = orders_at(need, (2 * n,), (n, n))
-    for p, e in need.items():
-        head = shared.get((m, c, p))
-        if head is None:
-            head = orders_at((p,), (2 * m,), (m, m))[p] + _multiplicity(p, c)
-            shared[(m, c, p)] = head
-        if head + tail[p] < e:
-            return False
-    return True
+
+    def head(p: int) -> int:  # ord_p(c C(2m,m))
+        return _multiplicity(p, c) + orders_at((p,), (2 * m,), (m, m))[p]
+
+    start = m + lo
+    rest = list(range(start, m + hi))
+    out = [True] * len(rest)
+    for p in primes_up_to(isqrt(2 * (m + hi - 1))):
+        top = head(p)
+        first, step, e0 = (0, 1, 1) if p == 2 else (-start % p, p, 0)
+        for i in range(first, len(rest), step):
+            v, e = rest[i], e0
+            while v % p == 0:
+                v //= p
+                e += 1
+            rest[i] = v
+            if top < e and out[i]:
+                n, q, tail = lo + i, p, 0
+                while q <= 2 * n:
+                    tail += 2 * n // q - 2 * (n // q)
+                    q *= p
+                out[i] = top + tail >= e
+    for i, P in enumerate(rest):
+        if P > 1 and out[i]:
+            n = lo + i
+            out[i] = 2 * n // P - 2 * (n // P) == 1 or head(P) > 0
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -12,12 +12,13 @@ per point, so that multi-part claims (the six third-theorem congruences,
 the five seventh-section families) report per-part witnesses.  Most map a
 per-point checker with the claim's data bound (``_each``); work that many
 points of a slice reuse lives in the checker's locals for that slice
-(thm-1.4's and cor-1.5's fresh memo dict, the parity sweep's digit-sum
-run).  The sweep is always the whole product grid of the parameter ranges;
-a checker skips the points outside its claim's domain itself and counts 0
-checks for them.  Theorem-class checkers re-verify any failure through an
-independent second route before reporting it; a disagreement between
-routes raises InternalCheckError instead of producing a counterexample.
+(thm-1.4's fresh memo dict, cor-1.5's valuation run per m, the parity
+sweep's digit-sum run).  The sweep is always the whole product grid of
+the parameter ranges; a checker skips the points outside its claim's
+domain itself and counts 0 checks for them.  Theorem-class checkers
+re-verify any failure through an independent second route before
+reporting it; a disagreement between routes raises InternalCheckError
+instead of producing a counterexample.
 
 Checkers reach the kernels through module attributes (``dv.``, ``floors.``)
 and through this module's ``expand`` / ``expand_many`` / ``naive_expand``
@@ -31,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from . import divisibility as dv
@@ -163,17 +165,23 @@ def _check_product_point(memo: dict, point: Point):
     ]
 
 
-def _check_central_point(memo: dict, point: Point):
-    m, n = point
-    ok = dv.central_valuation_verdict(m, n, shared=memo)
-    if ok and n > BIGINT_ORACLE_N_MAX:
-        return 1, []
-    value = dv.central_product_value(m, n)
-    if ok != (value.denominator == 1):
-        raise InternalCheckError(f"central product routes disagree at m={m}, n={n}")
-    if ok:
-        return 1, []
-    return 1, [{"m": m, "n": n, "value": str(value)}]
+def _check_central(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
+    """cor-1.5 for the slice from one valuation run per m; the Fraction
+    route re-derives the verdict at n up to the oracle bound and at every
+    failure."""
+    for m, run in itertools.groupby(points, key=itemgetter(0)):
+        run = list(run)
+        lo = run[0][1]
+        verdicts = dv.central_valuation_run(m, lo, run[-1][1] + 1)
+        for _, n in run:
+            ok = verdicts[n - lo]
+            if ok and n > BIGINT_ORACLE_N_MAX:
+                yield 1, []
+                continue
+            value = dv.central_product_value(m, n)
+            if ok != (value.denominator == 1):
+                raise InternalCheckError(f"central product routes disagree at m={m}, n={n}")
+            yield 1, [] if ok else [{"m": m, "n": n, "value": str(value)}]
 
 
 def _check_landau_point(point: Point):
@@ -395,7 +403,7 @@ _RECORDS = (
         "6/(n+2), 30/(n+3), 140/(n+4), 630/(n+5) specializations of C(2n,n)",
         "m/(2(m+n)) * C(2m,m) * C(2n,n) in Z",
         (ParamSpec("m", 5, 64), ParamSpec("n", 5000, 100_000)),
-        lambda points: map(partial(_check_central_point, {}), points),
+        _check_central,
     ),
     ClaimRecord(
         "lem-2.1",

@@ -13,7 +13,7 @@ from factratio import (
     BalancedRatio,
     InternalCheckError,
     central_product_value,
-    central_valuation_verdict,
+    central_valuation_run,
     check_divisibility,
     check_product,
     check_two_binomial_conjecture,
@@ -134,9 +134,7 @@ def test_non_positive_multiplier_is_rejected(multiplier):
     with pytest.raises(ValueError, match="multiplier"):
         _within(5, DivisibilityClaim, name, multiplier, STEP_6_1, form(4, 2), form(2, 3), "s")
     with pytest.raises(ValueError, match="multiplier"):
-        _within(5, central_valuation_verdict, 3, 5, multiplier=multiplier)
-    with pytest.raises(ValueError, match="multiplier"):
-        _within(5, central_valuation_verdict, 3, 5, multiplier=multiplier, shared={})
+        _within(5, central_valuation_run, 3, 1, 300, multiplier=multiplier)
 
 
 def test_valuation_route_takes_any_multiplier():
@@ -345,8 +343,8 @@ def test_central_valuation_matches_fraction_route(monkeypatch):
     assert central[5000] == comb(10_000, 5000)
     monkeypatch.setattr(dv, "comb", lambda a, b: central[b] if a == 2 * b else comb(a, b))
     for m in range(1, 6):
+        assert central_valuation_run(m, 1, 5001) == [True] * 5000, m
         for n in range(1, 5001):
-            assert central_valuation_verdict(m, n)
             assert central_product_value(m, n).denominator == 1, (m, n)
 
 
@@ -354,8 +352,9 @@ def test_central_routes_agree_without_the_multiplier():
     # C(2m,m) C(2n,n) / (2(m+n)) fails at m = n = 2: 36/8
     by_valuation, by_fraction = set(), set()
     for m in range(1, 11):
+        run = central_valuation_run(m, 1, 301, multiplier=1)
         for n in range(1, 301):
-            if not central_valuation_verdict(m, n, multiplier=1):
+            if not run[n - 1]:
                 by_valuation.add((m, n))
             if central_product_value(m, n, multiplier=1).denominator != 1:
                 by_fraction.add((m, n))
@@ -364,8 +363,10 @@ def test_central_routes_agree_without_the_multiplier():
 
 
 def test_flipped_central_route_raises(monkeypatch):
-    real = dv.central_valuation_verdict
-    monkeypatch.setattr(dv, "central_valuation_verdict", lambda m, n, shared=None: not real(m, n))
+    real = dv.central_valuation_run
+    monkeypatch.setattr(
+        dv, "central_valuation_run", lambda m, lo, hi: [not ok for ok in real(m, lo, hi)]
+    )
     assert registry.BIGINT_ORACLE_N_MAX >= 50
     with pytest.raises(InternalCheckError):
         registry.check_point("cor-1.5", [(3, 50)])  # flipped to failing, n <= the bound

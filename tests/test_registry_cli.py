@@ -212,6 +212,24 @@ def test_one_parity_run_per_slice(monkeypatch):
     assert calls == [(1 + lo, 1 + lo + 375) for lo in range(0, 3000, 375)]
 
 
+def test_one_central_run_per_slice_and_m(monkeypatch):
+    calls = []
+    real = divisibility.central_valuation_run
+    monkeypatch.setattr(
+        divisibility,
+        "central_valuation_run",
+        lambda m, lo, hi: calls.append((m, lo, hi)) or real(m, lo, hi),
+    )
+    report = run_claim("cor-1.5", {"m": 3, "n": 3000}, workers=1)
+    assert (report.checked, report.failed) == (9000, 0)
+    # 9000 points on one worker make 8 slices of 1125; the third and the
+    # sixth cross from one m to the next and make one run on each side
+    assert calls == [
+        (1, 1, 1126), (1, 1126, 2251), (1, 2251, 3001), (2, 1, 376), (2, 376, 1501),
+        (2, 1501, 2626), (2, 2626, 3001), (3, 1, 751), (3, 751, 1876), (3, 1876, 3001),
+    ]
+
+
 def test_run_claim_small_sweeps():
     rep = run_claim("thm-1.1", {"n": 30})
     assert (rep.checked, rep.passed, rep.failed) == (30, 30, 0)

@@ -2,11 +2,11 @@
 
 A checker takes the points of one index slice and keeps the work that many
 of them reuse in its locals: thm-1.4 its binomials per (a, b, m) and per
-(a, b, n) and cor-1.5 its orders of c C(2m,m) per (m, c, p), each in a
-memo dict made fresh for the slice, and the parity sweep one digit-sum run
-of 2-adic orders.  A slice must report exactly the concatenation of what its
-points report as singleton slices, wherever the slice starts and ends and
-in whatever order the memo is filled.
+(a, b, n) in a memo dict made fresh for the slice, cor-1.5 one valuation run
+per m of the slice, and the parity sweep one digit-sum run of 2-adic orders.
+A slice must report exactly the concatenation of what its points report as
+singleton slices, wherever the slice starts and ends and in whatever order
+the memo is filled.
 """
 
 import random
@@ -19,6 +19,7 @@ from factratio import divisibility as dv
 from factratio import floors, registry
 from factratio.registry import CLAIMS, check_point, get_claim, grid_size, points_for
 from factratio.runner import _eval_slice
+from factratio.valuation import factorize, orders_at
 
 
 def _per_point(claim_id, ranges, lo, hi):
@@ -64,21 +65,39 @@ def test_shared_product_kernel_matches_fresh_calls():
     assert len(shared) <= 2 * len(points)
 
 
-def test_shared_central_verdicts_match_fresh_calls():
+def _central_reference(m, n, c):
+    """The per-n route: the primes of 2(m+n) by trial division, then the
+    Legendre orders of c C(2m,m) C(2n,n) at each of them."""
+    need = factorize(2 * (m + n))
+    orders = orders_at(need, (2 * m, 2 * n), (m, m, n, n))
+    for p in need:
+        v = c
+        while v % p == 0:
+            v //= p
+            orders[p] += 1
+    return all(orders[p] >= e for p, e in need.items())
+
+
+def test_central_run_matches_per_n_reference():
     # multiplier 1 fails at many points (first at m = n = 2), multiplier m never
     rng = random.Random(2013)
-    points = [(m, n) for m in rng.sample(range(1, 65), 8) for n in rng.sample(range(1, 3000), 30)]
-    points += [(m, n) for m in range(1, 6) for n in range(1, 21)]
-    rng.shuffle(points)
-    shared = {}
+    windows = [(m, 1, registry.BIGINT_ORACLE_N_MAX + 1) for m in (1, 2, 3, 4, 5, 47, 64)]
+    windows += [(64, 100_000, 100_001), (63, 99_701, 100_001), (1, 1, 2)]
+    for _ in range(24):
+        m = rng.randint(1, 64)
+        lo = rng.choice([rng.randint(2, 3000), rng.randint(99_000, 100_000)])
+        length = rng.choice([1, rng.randint(2, 40), rng.randint(41, 400)])
+        windows.append((m, lo, min(lo + length, 100_001)))
     failing = 0
-    for m, n in points:
-        for c in (1, m):
-            ok = dv.central_valuation_verdict(m, n, multiplier=c, shared=shared)
-            assert ok == dv.central_valuation_verdict(m, n, multiplier=c), (m, n, c)
-            if n <= registry.BIGINT_ORACLE_N_MAX:
-                assert ok == (dv.central_product_value(m, n, multiplier=c).denominator == 1)
-            failing += not ok
+    for m, lo, hi in windows:
+        for c in (1, m, rng.randint(2, 10_000)):
+            run = dv.central_valuation_run(m, lo, hi, multiplier=c)
+            assert len(run) == hi - lo
+            for n, ok in zip(range(lo, hi), run):
+                assert ok == _central_reference(m, n, c), (m, n, c)
+                if n <= registry.BIGINT_ORACLE_N_MAX:
+                    assert ok == (dv.central_product_value(m, n, multiplier=c).denominator == 1)
+            failing += run.count(False)
     assert failing > 10
 
 
@@ -135,11 +154,9 @@ def test_mid_grid_slice_matches_per_point_calls(claim_id):
 
 def test_slice_failures_match_per_point_calls_for_central(monkeypatch):
     # run cor-1.5 with multiplier 1 on both routes, so that it fails
-    verdict, value = dv.central_valuation_verdict, dv.central_product_value
+    verdict, value = dv.central_valuation_run, dv.central_product_value
     monkeypatch.setattr(
-        dv,
-        "central_valuation_verdict",
-        lambda m, n, shared=None: verdict(m, n, multiplier=1, shared=shared),
+        dv, "central_valuation_run", lambda m, lo, hi: verdict(m, lo, hi, multiplier=1)
     )
     monkeypatch.setattr(dv, "central_product_value", lambda m, n: value(m, n, multiplier=1))
     ranges = {"m": 4, "n": 150}
