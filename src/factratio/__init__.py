@@ -8,13 +8,13 @@ in any verification path.
 from .divisibility import (
     DivisibilityClaim,
     central_product_value,
-    central_valuation_run,
     check_divisibility,
     check_product,
     check_two_binomial_conjecture,
     check_valuation_bounds,
     eval_ratio,
     product_forms,
+    product_run,
     sun_s,
     sun_t,
     valuation_case_orders,

@@ -28,14 +28,14 @@ then make ``multiplier * B / cofactor / modulus`` non-integral, and
 second route is exact big-integer division with a remainder check; the
 registry runs it as an oracle at every failing point and at every small n.
 
-The central corollary is decided the same way, at the primes of 2(m+n),
-for a whole run of n at once (``central_valuation_run``): a segmented
-sieve of m+n over the run reaches every prime up to the square root of
-2(m+n) through its residue class, and what it leaves of m+n is 1 or one
-larger prime, whose order in 2(m+n) is 1.  The ``Fraction`` value
-``central_product_value`` is its oracle.  The two-binomial product is
-checked by an integer kernel (``check_product``) with the ``Fraction``
-forms of ``product_forms`` as its oracle.
+The two-binomial product and its central corollary are decided the same
+way, at the primes of m+n, for a whole run of n at once (``product_run``):
+a segmented sieve of m+n over the run reaches every prime up to the square
+root of m+n through its residue class, and what it leaves of m+n is 1 or
+one larger prime, whose order in m+n is 1.  Its oracles are the integer
+kernel ``check_product`` and the ``Fraction`` forms of ``product_forms``
+for the product, and the ``Fraction`` value ``central_product_value`` for
+the corollary.
 """
 
 from __future__ import annotations
@@ -271,41 +271,22 @@ def product_forms(a: int, b: int, m: int, n: int) -> tuple[Fraction, Fraction]:
     return first, second
 
 
-def check_product(
-    a: int, b: int, m: int, n: int, shared: dict | None = None, value: bool = True
-) -> tuple[bool, int | None]:
+def check_product(a: int, b: int, m: int, n: int) -> tuple[bool, int | None]:
     """True plus the common integer value when both forms agree and divide.
 
-    The integer kernel; ``product_forms`` is the ``Fraction`` route.  With
+    The integer route; ``product_forms`` is the ``Fraction`` route.  With
     H = C(am+bm, am) and L = C(am+bm-1, am) the two forms agree exactly when
     b H = (a+b) L, which does not involve n.  Then abm H = (a+b) amL, so
-    both forms equal head tail / (m+n) with head = amL and tail
-    C(an+bn, an).  The comparison and head are settled once per (a, b, m),
-    and the tail once per (a, b, n); ``shared`` is an optional dict that
-    keeps them for a slice of points.  Integrality is decided from head and
-    tail reduced mod m+n; the value, a big product and division, is formed
-    only when ``value`` is true and is None otherwise.
+    both forms equal amL C(an+bn, an) / (m+n), which is checked by exact
+    division.
     """
     if min(a, b, m, n) < 1:
         raise ValueError("a, b, m, n must all be positive")
-    if shared is None:
-        shared = {}
-    key = ("head", a, b, m)
-    if key not in shared:
-        low = comb(a * m + b * m - 1, a * m)
-        agree = b * comb(a * m + b * m, a * m) == (a + b) * low
-        shared[key] = a * m * low if agree else None
-    head = shared[key]
-    if head is None:
+    low = comb(a * m + b * m - 1, a * m)
+    if b * comb(a * m + b * m, a * m) != (a + b) * low:
         return False, None
-    key = ("tail", a, b, n)
-    tail = shared.get(key)
-    if tail is None:
-        tail = shared[key] = comb(a * n + b * n, a * n)
-    modulus = m + n
-    if head % modulus * (tail % modulus) % modulus:
-        return False, None
-    return True, head * tail // modulus if value else None
+    value, rest = divmod(a * m * low * comb(a * n + b * n, a * n), m + n)
+    return (False, None) if rest else (True, value)
 
 
 def central_product_value(m: int, n: int, multiplier: int | None = None) -> Fraction:
@@ -316,58 +297,67 @@ def central_product_value(m: int, n: int, multiplier: int | None = None) -> Frac
     return Fraction(c * comb(2 * m, m) * comb(2 * n, n), 2 * (m + n))
 
 
-def central_valuation_run(m: int, lo: int, hi: int, multiplier: int | None = None) -> list[bool]:
-    """Whether c/(2(m+n)) * C(2m,m) * C(2n,n) is an integer (c = m unless
-    given), for every n in [lo, hi), from Legendre orders at the primes of
-    2(m+n).
+def product_run(
+    a: int, b: int, m: int, lo: int, hi: int, multiplier: int | None = None
+) -> list[bool]:
+    """Whether c/(m+n) * C(am+bm-1, am) * C(an+bn, an) is an integer (c = am
+    unless given), for every n in [lo, hi), from Legendre orders at the
+    primes of m+n.
 
-    c * C(2m,m) * C(2n,n) is an integer, so only a prime p of 2(m+n) can
-    make the quotient non-integral, and there the route tests
+    At c = am this is the two-binomial product, and at a = b = 1 it is the
+    central corollary, since C(2m, m) = 2 C(2m-1, m).  The numerator is an
+    integer, so only a prime p of m+n can make the quotient non-integral,
+    and there the route tests
 
-        ord_p c + ord_p C(2m,m) + ord_p C(2n,n) >= ord_p 2(m+n)
+        ord_p c + ord_p C(am+bm-1, am) + ord_p C(an+bn, an) >= ord_p(m+n)
 
-    The primes of 2(m+n) come from a segmented sieve of m+n over the run.
-    Each prime p <= isqrt(2(m+hi-1)) walks its residue class of n (p = 2
-    walks every n, for the factor 2) and divides itself out of m+n, which
-    counts e = ord_p 2(m+n).  The head ord_p c + ord_p C(2m,m) is taken once
-    per prime; the orders of C(2n,n) are non-negative, so its floor sum is
-    needed only where the head falls short of e.  What the walks leave of
-    m+n is 1 or a single prime P with P^2 > 2(m+n), because a composite
-    remainder would have a prime factor that walked.  There ord_P 2(m+n) = 1
-    and ord_P C(2n,n) is the one term floor(2n/P) - 2 floor(n/P).
+    The primes of m+n come from a segmented sieve of m+n over the run.  Each
+    prime p <= isqrt(m+hi-1) walks its residue class n = -m (mod p) and
+    divides itself out of m+n, which counts e = ord_p(m+n).  The head
+    ord_p c + ord_p C(am+bm-1, am) is taken once per prime; the orders of
+    C(an+bn, an) are non-negative, so its floor sum is needed only where the
+    head falls short of e.  What the walks leave of m+n is 1 or a single
+    prime P with P^2 > m+n, because a composite remainder would have a prime
+    factor that walked.  There ord_P(m+n) = 1, but P^2 may still be at most
+    (a+b)n, so ord_P C(an+bn, an) takes the full floor sum too.
     """
-    if m < 1 or lo < 1:
-        raise ValueError("m and n must be positive")
-    c = m if multiplier is None else multiplier
+    if min(a, b, m, lo) < 1:
+        raise ValueError("a, b, m and n must be positive")
+    c = a * m if multiplier is None else multiplier
     if c < 1:
         raise ValueError(f"the multiplier must be positive, got {c}")
 
-    def head(p: int) -> int:  # ord_p(c C(2m,m))
-        return _multiplicity(p, c) + orders_at((p,), (2 * m,), (m, m))[p]
+    def head(p: int) -> int:  # ord_p(c C(am+bm-1, am))
+        return _multiplicity(p, c) + _binomial_ord(p, a * m + b * m - 1, a * m)
 
     start = m + lo
     rest = list(range(start, m + hi))
     out = [True] * len(rest)
-    for p in primes_up_to(isqrt(2 * (m + hi - 1))):
+    for p in primes_up_to(isqrt(m + hi - 1)):
         top = head(p)
-        first, step, e0 = (0, 1, 1) if p == 2 else (-start % p, p, 0)
-        for i in range(first, len(rest), step):
-            v, e = rest[i], e0
+        for i in range(-start % p, len(rest), p):
+            v, e = rest[i] // p, 1
             while v % p == 0:
                 v //= p
                 e += 1
             rest[i] = v
             if top < e and out[i]:
-                n, q, tail = lo + i, p, 0
-                while q <= 2 * n:
-                    tail += 2 * n // q - 2 * (n // q)
-                    q *= p
-                out[i] = top + tail >= e
+                n = lo + i
+                out[i] = top + _binomial_ord(p, (a + b) * n, a * n) >= e
     for i, P in enumerate(rest):
         if P > 1 and out[i]:
             n = lo + i
-            out[i] = 2 * n // P - 2 * (n // P) == 1 or head(P) > 0
+            out[i] = _binomial_ord(P, (a + b) * n, a * n) > 0 or head(P) > 0
     return out
+
+
+def _binomial_ord(p: int, top: int, k: int) -> int:
+    """ord_p C(top, k) of a prime p, by Legendre's formula."""
+    e, q = 0, p
+    while q <= top:
+        e += top // q - k // q - (top - k) // q
+        q *= p
+    return e
 
 
 # --------------------------------------------------------------------------

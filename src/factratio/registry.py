@@ -12,11 +12,11 @@ per point, so that multi-part claims (the six third-theorem congruences,
 the five seventh-section families) report per-part witnesses.  Most map a
 per-point checker with the claim's data bound (``_each``); work that many
 points of a slice reuse lives in the checker's locals for that slice
-(thm-1.4's fresh memo dict, cor-1.5's valuation run per m, the parity
-sweep's digit-sum run).  The sweep is always the whole product grid of
-the parameter ranges; a checker skips the points outside its claim's
-domain itself and counts 0 checks for them.  Theorem-class checkers
-re-verify any failure through an independent second route before
+(one product run per (a, b, m) for thm-1.4 and per m for cor-1.5, one
+digit-sum run for the parity sweep).  The sweep is always the whole
+product grid of the parameter ranges; a checker skips the points outside
+its claim's domain itself and counts 0 checks for them.  Theorem-class
+checkers re-verify any failure through an independent second route before
 reporting it; a disagreement between routes raises InternalCheckError
 instead of producing a counterexample.
 
@@ -32,7 +32,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from . import divisibility as dv
@@ -138,50 +137,58 @@ def _check_divisibility_group(group, point: Point):
     return len(group), failures
 
 
-# The Fraction route re-derives every thm-1.4 verdict on the box
+# The integer and Fraction routes re-derive every thm-1.4 verdict on the box
 # max(a, b, m, n) <= PRODUCT_ORACLE_MAX; outside it, only at failing points.
 PRODUCT_ORACLE_MAX = 4
 
 
-def _check_product_point(memo: dict, point: Point):
-    a, b, m, n = point
-    in_box = max(point) <= PRODUCT_ORACLE_MAX
-    ok, value = dv.check_product(a, b, m, n, shared=memo, value=in_box)
-    if ok and not in_box:
-        return 1, []
-    first, second = dv.product_forms(a, b, m, n)
-    if first != second:
-        raise InternalCheckError(
-            f"the two product forms disagree at a={a}, b={b}, m={m}, n={n}"
-        )
-    if ok != (first.denominator == 1) or (ok and value != first.numerator):
-        raise InternalCheckError(
-            f"integer and Fraction product routes disagree at a={a}, b={b}, m={m}, n={n}"
-        )
-    if ok:
-        return 1, []
-    return 1, [
-        {"a": a, "b": b, "m": m, "n": n, "form1": str(first), "form2": str(second)}
-    ]
+def _product_verdicts(points: list[Point], fixed: Point = ()) -> Iterator[tuple[Point, bool]]:
+    """Each point of the slice with its ``dv.product_run`` verdict, from one
+    kernel call per run of n (the points that share every other coordinate).
+    ``fixed`` holds the leading kernel arguments that the points do not
+    carry: (1, 1) for cor-1.5's (m, n) points."""
+    for key, run in itertools.groupby(points, key=lambda point: point[:-1]):
+        run = list(run)
+        lo = run[0][-1]
+        verdicts = dv.product_run(*fixed, *key, lo, run[-1][-1] + 1)
+        for point in run:
+            yield point, verdicts[point[-1] - lo]
+
+
+def _check_product(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
+    """thm-1.4 for the slice from one product run per (a, b, m); the integer
+    and Fraction routes re-derive the verdict in the oracle box and at every
+    failure."""
+    for point, ok in _product_verdicts(points):
+        if ok and max(point) > PRODUCT_ORACLE_MAX:
+            yield 1, []
+            continue
+        a, b, m, n = point
+        integral, value = dv.check_product(a, b, m, n)
+        first, second = dv.product_forms(a, b, m, n)
+        fraction = first.denominator == 1
+        if first != second or {ok, integral} != {fraction} or (ok and value != first):
+            raise InternalCheckError(
+                f"product routes disagree at a={a}, b={b}, m={m}, n={n}: run={ok}, "
+                f"integer={integral} (value {value}), Fraction forms {first} and {second}"
+            )
+        yield 1, [] if ok else [
+            {"a": a, "b": b, "m": m, "n": n, "form1": str(first), "form2": str(second)}
+        ]
 
 
 def _check_central(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
-    """cor-1.5 for the slice from one valuation run per m; the Fraction
-    route re-derives the verdict at n up to the oracle bound and at every
-    failure."""
-    for m, run in itertools.groupby(points, key=itemgetter(0)):
-        run = list(run)
-        lo = run[0][1]
-        verdicts = dv.central_valuation_run(m, lo, run[-1][1] + 1)
-        for _, n in run:
-            ok = verdicts[n - lo]
-            if ok and n > BIGINT_ORACLE_N_MAX:
-                yield 1, []
-                continue
-            value = dv.central_product_value(m, n)
-            if ok != (value.denominator == 1):
-                raise InternalCheckError(f"central product routes disagree at m={m}, n={n}")
-            yield 1, [] if ok else [{"m": m, "n": n, "value": str(value)}]
+    """cor-1.5 for the slice from one product run per m at a = b = 1; the
+    Fraction route re-derives the verdict at n up to the oracle bound and at
+    every failure."""
+    for (m, n), ok in _product_verdicts(points, (1, 1)):
+        if ok and n > BIGINT_ORACLE_N_MAX:
+            yield 1, []
+            continue
+        value = dv.central_product_value(m, n)
+        if ok != (value.denominator == 1):
+            raise InternalCheckError(f"central product routes disagree at m={m}, n={n}")
+        yield 1, [] if ok else [{"m": m, "n": n, "value": str(value)}]
 
 
 def _check_landau_point(point: Point):
@@ -394,7 +401,7 @@ _RECORDS = (
         "am/(m+n) C(am+bm-1,am) C(an+bn,an)",
         "abm/((a+b)(m+n)) * C(am+bm,am) * C(an+bn,an) in Z",
         _abmn(12, 64),
-        lambda points: map(partial(_check_product_point, {}), points),
+        _check_product,
     ),
     ClaimRecord(
         "cor-1.5",

@@ -13,7 +13,6 @@ from factratio import (
     BalancedRatio,
     InternalCheckError,
     central_product_value,
-    central_valuation_run,
     check_divisibility,
     check_product,
     check_two_binomial_conjecture,
@@ -22,6 +21,7 @@ from factratio import (
     form,
     primes_up_to,
     product_forms,
+    product_run,
     ratio_ord,
     sun_s,
     sun_t,
@@ -134,7 +134,7 @@ def test_non_positive_multiplier_is_rejected(multiplier):
     with pytest.raises(ValueError, match="multiplier"):
         _within(5, DivisibilityClaim, name, multiplier, STEP_6_1, form(4, 2), form(2, 3), "s")
     with pytest.raises(ValueError, match="multiplier"):
-        _within(5, central_valuation_run, 3, 1, 300, multiplier=multiplier)
+        _within(5, product_run, 1, 1, 3, 1, 300, multiplier=multiplier)
 
 
 def test_valuation_route_takes_any_multiplier():
@@ -326,11 +326,13 @@ def test_group_verdicts_with_shared_work_match_bigint_route():
 
 
 def test_product_kernel_matches_fraction_route():
-    # thm-1.4's default 12^4 grid
+    # thm-1.4's default 12^4 grid, by the integer kernel and by one run per (a, b, m)
     for point in registry.points_for(registry.get_claim("thm-1.4"), {"a": 12, "b": 12, "m": 12, "n": 12}):
         first, second = product_forms(*point)
         assert first == second and first.denominator == 1
         assert check_product(*point) == (True, first.numerator), point
+        if point[3] == 1:
+            assert product_run(*point[:3], 1, 13) == [True] * 12, point
 
 
 def test_central_valuation_matches_fraction_route(monkeypatch):
@@ -343,7 +345,7 @@ def test_central_valuation_matches_fraction_route(monkeypatch):
     assert central[5000] == comb(10_000, 5000)
     monkeypatch.setattr(dv, "comb", lambda a, b: central[b] if a == 2 * b else comb(a, b))
     for m in range(1, 6):
-        assert central_valuation_run(m, 1, 5001) == [True] * 5000, m
+        assert product_run(1, 1, m, 1, 5001) == [True] * 5000, m
         for n in range(1, 5001):
             assert central_product_value(m, n).denominator == 1, (m, n)
 
@@ -352,7 +354,7 @@ def test_central_routes_agree_without_the_multiplier():
     # C(2m,m) C(2n,n) / (2(m+n)) fails at m = n = 2: 36/8
     by_valuation, by_fraction = set(), set()
     for m in range(1, 11):
-        run = central_valuation_run(m, 1, 301, multiplier=1)
+        run = product_run(1, 1, m, 1, 301, multiplier=1)
         for n in range(1, 301):
             if not run[n - 1]:
                 by_valuation.add((m, n))
@@ -362,11 +364,15 @@ def test_central_routes_agree_without_the_multiplier():
     assert by_valuation == by_fraction
 
 
-def test_flipped_central_route_raises(monkeypatch):
-    real = dv.central_valuation_run
+def _flip_product_run(monkeypatch):
+    real = dv.product_run
     monkeypatch.setattr(
-        dv, "central_valuation_run", lambda m, lo, hi: [not ok for ok in real(m, lo, hi)]
+        dv, "product_run", lambda a, b, m, lo, hi: [not ok for ok in real(a, b, m, lo, hi)]
     )
+
+
+def test_flipped_central_route_raises(monkeypatch):
+    _flip_product_run(monkeypatch)
     assert registry.BIGINT_ORACLE_N_MAX >= 50
     with pytest.raises(InternalCheckError):
         registry.check_point("cor-1.5", [(3, 50)])  # flipped to failing, n <= the bound
@@ -386,13 +392,7 @@ def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
 
 
 def test_flipped_product_kernel_raises(monkeypatch):
-    real = dv.check_product
-
-    def flipped(a, b, m, n, shared=None, value=True):
-        ok, _ = real(a, b, m, n)
-        return (False, None) if ok else (True, 0)
-
-    monkeypatch.setattr(dv, "check_product", flipped)
+    _flip_product_run(monkeypatch)
     box = registry.PRODUCT_ORACLE_MAX
     with pytest.raises(InternalCheckError):
         registry.check_point("thm-1.4", [(box, 1, 2, box)])  # inside the oracle box
@@ -402,10 +402,11 @@ def test_flipped_product_kernel_raises(monkeypatch):
 
 def test_product_kernel_value_is_checked_in_the_box(monkeypatch):
     real = dv.check_product
-    monkeypatch.setattr(dv, "check_product", lambda *p, **kw: (True, real(*p)[1] + 1))
+    monkeypatch.setattr(dv, "check_product", lambda *p: (True, real(*p)[1] + 1))
     with pytest.raises(InternalCheckError):
         registry.check_point("thm-1.4", [(1, 2, 3, 4)])
-    # outside the box a passing point is not re-derived
+    # outside the box a passing point is not re-derived, by either oracle
+    monkeypatch.setattr(dv, "product_forms", lambda *p: (Fraction(1, 2), Fraction(1, 3)))
     assert registry.check_point("thm-1.4", [(5, 2, 3, 4)]) == (1, [])
 
 

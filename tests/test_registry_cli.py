@@ -212,22 +212,32 @@ def test_one_parity_run_per_slice(monkeypatch):
     assert calls == [(1 + lo, 1 + lo + 375) for lo in range(0, 3000, 375)]
 
 
-def test_one_central_run_per_slice_and_m(monkeypatch):
+def test_one_product_run_per_slice_and_run(monkeypatch):
     calls = []
-    real = divisibility.central_valuation_run
-    monkeypatch.setattr(
-        divisibility,
-        "central_valuation_run",
-        lambda m, lo, hi: calls.append((m, lo, hi)) or real(m, lo, hi),
-    )
+    real = divisibility.product_run
+    monkeypatch.setattr(divisibility, "product_run", lambda *args: calls.append(args) or real(*args))
     report = run_claim("cor-1.5", {"m": 3, "n": 3000}, workers=1)
     assert (report.checked, report.failed) == (9000, 0)
     # 9000 points on one worker make 8 slices of 1125; the third and the
     # sixth cross from one m to the next and make one run on each side
     assert calls == [
-        (1, 1, 1126), (1, 1126, 2251), (1, 2251, 3001), (2, 1, 376), (2, 376, 1501),
-        (2, 1501, 2626), (2, 2626, 3001), (3, 1, 751), (3, 751, 1876), (3, 1876, 3001),
+        (1, 1, 1, 1, 1126), (1, 1, 1, 1126, 2251), (1, 1, 1, 2251, 3001),
+        (1, 1, 2, 1, 376), (1, 1, 2, 376, 1501), (1, 1, 2, 1501, 2626), (1, 1, 2, 2626, 3001),
+        (1, 1, 3, 1, 751), (1, 1, 3, 751, 1876), (1, 1, 3, 1876, 3001),
     ]
+
+    # thm-1.4: 27 runs of 40 n in 8 slices of 135 points, and each of the 7
+    # inner slice bounds cuts a run in two, so one call per (slice, a, b, m)
+    calls.clear()
+    ranges = {"a": 3, "b": 3, "m": 3, "n": 40}
+    report = run_claim("thm-1.4", ranges, workers=1)
+    assert (report.checked, report.failed) == (1080, 0)
+    claim = get_claim("thm-1.4")
+    per_slice = [{p[:3] for p in points_for(claim, ranges, lo, lo + 135)} for lo in range(0, 1080, 135)]
+    assert len(calls) == sum(map(len, per_slice)) == 27 + 7
+    # the windows cover the grid once, in order
+    covered = [(a, b, m, n) for a, b, m, lo, hi in calls for n in range(lo, hi)]
+    assert covered == points_for(claim, ranges)
 
 
 def test_run_claim_small_sweeps():

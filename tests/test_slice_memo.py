@@ -1,12 +1,11 @@
 """Slice state in checker locals: one checker call per slice.
 
 A checker takes the points of one index slice and keeps the work that many
-of them reuse in its locals: thm-1.4 its binomials per (a, b, m) and per
-(a, b, n) in a memo dict made fresh for the slice, cor-1.5 one valuation run
-per m of the slice, and the parity sweep one digit-sum run of 2-adic orders.
-A slice must report exactly the concatenation of what its points report as
-singleton slices, wherever the slice starts and ends and in whatever order
-the memo is filled.
+of them reuse in its locals: thm-1.4 one product run per (a, b, m) of the
+slice, cor-1.5 one product run per m of the slice, and the parity sweep one
+digit-sum run of 2-adic orders.  A slice must report exactly the
+concatenation of what its points report as singleton slices, wherever the
+slice starts and ends.
 """
 
 import random
@@ -23,7 +22,7 @@ from factratio.valuation import factorize, orders_at
 
 
 def _per_point(claim_id, ranges, lo, hi):
-    """What the slice should return: one singleton slice per point, fresh memos."""
+    """What the slice should return: one singleton slice per point."""
     checked, failures = 0, []
     for point in points_for(get_claim(claim_id), ranges, lo, hi):
         count, bad = check_point(claim_id, [point])
@@ -32,44 +31,11 @@ def _per_point(claim_id, ranges, lo, hi):
     return checked, failures
 
 
-def test_shared_product_kernel_matches_fresh_calls():
-    # a few (a, b) blocks, each drawn on a 6 x 6 (m, n) sub-grid and all
-    # shuffled together, so one memo is filled and read across blocks
-    rng = random.Random(2013)
-    points = []
-    for block in range(8):
-        top = 4 if block < 2 else 64  # two blocks reach into the oracle box
-        a, b = rng.randint(1, top), rng.randint(1, top)
-        ms = rng.sample(range(1, 5), 2) + rng.sample(range(5, 65), 4)
-        ns = rng.sample(range(1, 5), 2) + rng.sample(range(5, 65), 4)
-        points += [(a, b, m, n) for m in ms for n in ns]
-    rng.shuffle(points)
-    shared = {}
-    in_box = 0
-    for point in points:
-        a, b, m, n = point
-        box = max(point) <= registry.PRODUCT_ORACLE_MAX
-        ok, value = dv.check_product(a, b, m, n, shared=shared, value=box)
-        fresh_ok, fresh_value = dv.check_product(a, b, m, n)
-        assert ok == fresh_ok, point
-        # the definition, without memo or residues
-        direct = a * b * m * comb(a * m + b * m, a * m) * comb(a * n + b * n, a * n)
-        assert ok == (direct % ((a + b) * (m + n)) == 0), point
-        if box:
-            in_box += 1
-            first, second = dv.product_forms(a, b, m, n)
-            assert value == fresh_value == first.numerator == second.numerator, point
-        else:
-            assert value is None
-    assert in_box >= 4
-    assert len(shared) <= 2 * len(points)
-
-
-def _central_reference(m, n, c):
-    """The per-n route: the primes of 2(m+n) by trial division, then the
-    Legendre orders of c C(2m,m) C(2n,n) at each of them."""
-    need = factorize(2 * (m + n))
-    orders = orders_at(need, (2 * m, 2 * n), (m, m, n, n))
+def _product_reference(a, b, m, n, c):
+    """The per-n route: the primes of m+n by trial division, then the
+    Legendre orders of c C(am+bm-1, am) C(an+bn, an) at each of them."""
+    need = factorize(m + n)
+    orders = orders_at(need, (a * m + b * m - 1, a * n + b * n), (a * m, b * m - 1, a * n, b * n))
     for p in need:
         v = c
         while v % p == 0:
@@ -78,27 +44,47 @@ def _central_reference(m, n, c):
     return all(orders[p] >= e for p, e in need.items())
 
 
-def test_central_run_matches_per_n_reference():
-    # multiplier 1 fails at many points (first at m = n = 2), multiplier m never
+def test_product_run_matches_per_n_reference():
+    # multiplier 1 fails at many points (at a = b = 1 first at m = n = 2), am never
     rng = random.Random(2013)
-    windows = [(m, 1, registry.BIGINT_ORACLE_N_MAX + 1) for m in (1, 2, 3, 4, 5, 47, 64)]
-    windows += [(64, 100_000, 100_001), (63, 99_701, 100_001), (1, 1, 2)]
-    for _ in range(24):
+    windows = [(1, 1, m, 1, registry.BIGINT_ORACLE_N_MAX + 1) for m in (1, 2, 3, 4, 5, 47, 64)]
+    windows += [(1, 1, 64, 100_000, 100_001), (1, 1, 63, 99_701, 100_001), (1, 1, 1, 1, 2)]
+    for _ in range(12):  # cor-1.5 windows, up to its cap
         m = rng.randint(1, 64)
         lo = rng.choice([rng.randint(2, 3000), rng.randint(99_000, 100_000)])
         length = rng.choice([1, rng.randint(2, 40), rng.randint(41, 400)])
-        windows.append((m, lo, min(lo + length, 100_001)))
+        windows.append((1, 1, m, lo, min(lo + length, 100_001)))
+    for _ in range(30):  # thm-1.4 windows, past its cap
+        a, b, m = rng.randint(1, 64), rng.randint(1, 64), rng.randint(1, 64)
+        lo = rng.choice([1, rng.randint(2, 64), rng.randint(65, 3000)])
+        windows.append((a, b, m, lo, lo + rng.choice([1, rng.randint(2, 40), rng.randint(41, 200)])))
     failing = 0
-    for m, lo, hi in windows:
-        for c in (1, m, rng.randint(2, 10_000)):
-            run = dv.central_valuation_run(m, lo, hi, multiplier=c)
+    for a, b, m, lo, hi in windows:
+        for c in (1, a * m, rng.randint(2, 10_000)):
+            run = dv.product_run(a, b, m, lo, hi, multiplier=c)
             assert len(run) == hi - lo
             for n, ok in zip(range(lo, hi), run):
-                assert ok == _central_reference(m, n, c), (m, n, c)
-                if n <= registry.BIGINT_ORACLE_N_MAX:
+                assert ok == _product_reference(a, b, m, n, c), (a, b, m, n, c)
+                if a == b == 1 and n <= registry.BIGINT_ORACLE_N_MAX:
                     assert ok == (dv.central_product_value(m, n, multiplier=c).denominator == 1)
             failing += run.count(False)
+        assert dv.product_run(a, b, m, lo, hi) == dv.product_run(a, b, m, lo, hi, multiplier=a * m)
     assert failing > 10
+
+
+def test_product_run_takes_the_full_floor_sum_at_the_leftover_prime():
+    # At (a, b, m, n) = (17, 7, 20, 31) with c = 32, m+n = 51 = 3 * 17 leaves
+    # P = 17 after the sieve (17^2 > 51), but 17^2 <= (a+b)n = 744: the first
+    # floor term of ord_17 C(744, 527) is 0 and the second is 1, and the head
+    # ord_17(32 C(479, 340)) is 0, so only the full floor sum passes the point.
+    a, b, m, n, c = 17, 7, 20, 31, 32
+    top, k = (a + b) * n, a * n
+    assert (top // 17 - k // 17 - (top - k) // 17, top // 289 - k // 289 - (top - k) // 289) == (0, 1)
+    assert comb(a * m + b * m - 1, a * m) % 17 and c % 17
+    assert _product_reference(a, b, m, n, c)
+    assert c * comb(a * m + b * m - 1, a * m) * comb(top, k) % (m + n) == 0
+    assert dv.product_run(a, b, m, n, n + 1, multiplier=c) == [True]
+    assert dv.product_run(a, b, m, 1, 65, multiplier=c)[n - 1]
 
 
 def test_slice_cut_mid_run_matches_per_point_calls():
@@ -154,9 +140,9 @@ def test_mid_grid_slice_matches_per_point_calls(claim_id):
 
 def test_slice_failures_match_per_point_calls_for_central(monkeypatch):
     # run cor-1.5 with multiplier 1 on both routes, so that it fails
-    verdict, value = dv.central_valuation_run, dv.central_product_value
+    run, value = dv.product_run, dv.central_product_value
     monkeypatch.setattr(
-        dv, "central_valuation_run", lambda m, lo, hi: verdict(m, lo, hi, multiplier=1)
+        dv, "product_run", lambda a, b, m, lo, hi: run(a, b, m, lo, hi, multiplier=1)
     )
     monkeypatch.setattr(dv, "central_product_value", lambda m, n: value(m, n, multiplier=1))
     ranges = {"m": 4, "n": 150}
@@ -169,12 +155,18 @@ def test_slice_failures_match_per_point_calls_for_central(monkeypatch):
 
 
 def test_non_integral_shared_head_gives_the_same_counterexamples(monkeypatch):
-    # Make the head of (a, b, m) = (2, 3, 5) non-integral: C(25, 10) += 5
-    # and C(24, 10) += 3 keep b C(25, 10) = (a+b) C(24, 10), so the two
-    # displayed forms still agree, but 30 (C(25, 10) + 5) C(5n, 2n) / (5(5+n))
-    # is no longer an integer at every n.  Both routes read dv.comb.
-    bumps = {(25, 10): 5, (24, 10): 3}
-    monkeypatch.setattr(dv, "comb", lambda N, K: comb(N, K) + bumps.get((N, K), 0))
+    # Run thm-1.4 with multiplier 1 in place of am on every route, so that it
+    # fails: the run kernel by its multiplier, the Fraction forms divided by
+    # am, and the integer route by exact division of C(am+bm-1, am) C(an+bn, an).
+    run, forms = dv.product_run, dv.product_forms
+
+    def integer(a, b, m, n):
+        value, rest = divmod(comb(a * m + b * m - 1, a * m) * comb(a * n + b * n, a * n), m + n)
+        return (False, None) if rest else (True, value)
+
+    monkeypatch.setattr(dv, "product_run", lambda a, b, m, lo, hi: run(a, b, m, lo, hi, multiplier=1))
+    monkeypatch.setattr(dv, "product_forms", lambda a, b, m, n: tuple(f / (a * m) for f in forms(a, b, m, n)))
+    monkeypatch.setattr(dv, "check_product", integer)
     ranges = {"a": 3, "b": 3, "m": 6, "n": 6}
     lo, hi = 5, grid_size(get_claim("thm-1.4"), ranges) - 7
     checked, failures = _eval_slice(("thm-1.4", ranges, lo, hi))
@@ -191,9 +183,12 @@ def test_non_integral_shared_head_gives_the_same_counterexamples(monkeypatch):
     assert failures == expected
     for bad in failures:
         assert list(bad) == ["a", "b", "m", "n", "form1", "form2"]
-    assert {(bad["a"], bad["b"], bad["m"]) for bad in failures} >= {(2, 3, 5)}
-    head = Fraction(30 * (comb(25, 10) + 5) * comb(15, 6), 5 * 8)  # (2, 3, 5) at n = 3
-    assert {"a": 2, "b": 3, "m": 5, "n": 3, "form1": str(head), "form2": str(head)} in failures
+    # failures both inside and outside the oracle box
+    in_box = {max(bad["a"], bad["b"], bad["m"], bad["n"]) <= registry.PRODUCT_ORACLE_MAX for bad in failures}
+    assert in_box == {True, False}
+    low = Fraction(comb(14, 10) * comb(9, 6), 5 + 3)  # (2, 1, 5) at n = 3
+    assert low == Fraction(21021, 2)
+    assert {"a": 2, "b": 1, "m": 5, "n": 3, "form1": str(low), "form2": str(low)} in failures
 
 
 def test_cap_block_through_one_slice():
