@@ -3,27 +3,32 @@
 Each ClaimRecord is the whole description of one claim: its sweep
 parameters (with defaults and hard caps; the defaults are sized so the
 full default suite runs in seconds on one core and no q-expansion exceeds
-20000 coefficients), a statement string, and its checker ``check(points)``,
-which takes the points of one index slice and yields, in order, one
+20000 coefficients), a statement string, and its checker
+``check(claim, ranges, lo, hi)``, which checks the index slice [lo, hi) of
+the claim's parameter grid and yields, in grid order, results
 
-    (number of individual checks, list of counterexample dicts)
+    (window, points covered, number of individual checks, counterexample dicts)
 
-per point, so that multi-part claims (the six third-theorem congruences,
-the five seventh-section families) report per-part witnesses.  Most map a
-per-point checker with the claim's data bound (``_each``); work that many
-points of a slice reuse lives in the checker's locals for that slice
-(one product run per (a, b, m) for thm-1.4 and per m for cor-1.5, one
-digit-sum run for the parity sweep).  The sweep is always the whole
-product grid of the parameter ranges; a checker skips the points outside
-its claim's domain itself and counts 0 checks for them.  Theorem-class
-checkers re-verify any failure through an independent second route before
-reporting it; a disagreement between routes raises InternalCheckError
-instead of producing a counterexample.
+whose covered counts add up to hi - lo.  Multi-part claims (the six
+third-theorem congruences, the five seventh-section families) report
+per-part witnesses.  Most claims check point by point (``_each``): their
+window is one point, built with ``points_for``.  The run kernels check a
+whole run of the last parameter at once (``_each_run``): the window is the
+other coordinates and a range of the last, decoded from the slice bounds
+without building a point, with one product run per (a, b, m) of the slice
+for thm-1.4 and per m for cor-1.5, and one digit-sum run per slice for the
+parity sweep.  Either wrapper notes an exception with the window it was
+raised in.  The sweep is always the whole product grid of the parameter
+ranges; a checker skips the points outside its claim's domain itself and
+counts 0 checks for them.  Theorem-class checkers re-verify any failure
+through an independent second route before reporting it; a disagreement
+between routes raises InternalCheckError instead of producing a
+counterexample.
 
 Checkers reach the kernels through module attributes (``dv.``, ``floors.``)
-and through this module's ``expand`` / ``expand_many`` / ``naive_expand``
-globals, never through a stored reference, so those names can be rebound
-at run time.
+and through this module's ``expand`` / ``expand_many`` / ``naive_expand`` /
+``points_for`` globals, never through a stored reference, so those names
+can be rebound at run time.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from operator import ne, not_, sub
 from typing import Callable, Iterator
 
 from . import divisibility as dv
@@ -52,6 +57,9 @@ from .qratio import (
 )
 
 Point = tuple[int, ...]
+# (window, points covered, checks, counterexamples); the window is a point,
+# or (other coordinates, lo, hi) for a run of the last parameter over [lo, hi)
+Result = tuple[tuple, int, int, list[dict]]
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,7 @@ class ClaimRecord:
     description: str
     anchor: str
     params: tuple[ParamSpec, ...]
-    check: Callable[[list[Point]], Iterator[tuple[int, list[dict]]]]
+    check: Callable[["ClaimRecord", dict[str, int], int, int], Iterator[Result]]
     conjecture: bool = False
     note: str = ""
 
@@ -94,13 +102,66 @@ def _abmn(default: int, cap: int) -> tuple[ParamSpec, ...]:
 
 
 # --------------------------------------------------------------------------
-# Checkers: (claim data, point) -> (checks run, counterexample dicts)
+# Checkers: (claim data, point or run) -> (checks run, counterexample dicts)
 # --------------------------------------------------------------------------
 
 
 def _each(check, *data):
-    """The slice checker that yields check(*data, point) for each point."""
-    return partial(map, partial(check, *data))
+    """The slice checker that checks each point on its own:
+    ``check(*data, point)`` returns the point's (checks, failures)."""
+
+    def checker(claim: ClaimRecord, ranges: dict[str, int], lo: int, hi: int) -> Iterator[Result]:
+        for point in points_for(claim, ranges, lo, hi):
+            try:
+                checks, failures = check(*data, point)
+            except Exception as exc:
+                raise _noted(exc, claim.id, point)
+            yield point, 1, checks, failures
+
+    return checker
+
+
+def _each_run(check):
+    """The slice checker that checks each run of the last parameter at once:
+    ``check(*fixed, lo, hi)`` returns the (checks, failures) of the run with
+    the other parameters at ``fixed`` and the last one in [lo, hi).  The runs
+    are decoded from the slice bounds; no point is built."""
+
+    def checker(claim: ClaimRecord, ranges: dict[str, int], lo: int, hi: int) -> Iterator[Result]:
+        *heads, last = [range(p.minimum, ranges[p.name] + 1) for p in claim.params]
+        length = len(last)
+        first = lo // length
+        for key, fixed in enumerate(_grid_slice(heads, first, -(-hi // length)), first):
+            start = last.start + max(lo - key * length, 0)
+            stop = last.start + min(hi - key * length, length)
+            try:
+                checks, failures = check(*fixed, start, stop)
+            except Exception as exc:
+                where = [f"{p.name}={v}" for p, v in zip(claim.params, fixed)]
+                where.append(f"{claim.params[-1].name} in [{start}, {stop})")
+                raise _noted(exc, claim.id, ", ".join(where))
+            yield (fixed, start, stop), stop - start, checks, failures
+
+    return checker
+
+
+def _noted(exc: Exception, claim_id: str, window) -> Exception:
+    """``exc`` with a note naming the window it was raised in.  A
+    StopIteration would read as the end of the results, so it is replaced
+    by an InternalCheckError."""
+    if isinstance(exc, StopIteration):
+        cause, exc = exc, InternalCheckError(f"StopIteration from the {claim_id} checker")
+        exc.__cause__ = cause
+    exc.add_note(f"while checking {claim_id} at {window}")
+    return exc
+
+
+def _rederived(verdicts: list[bool], lo: int, end: int) -> list[int]:
+    """The n of the run lo, lo+1, ... that an oracle re-derives, ascending:
+    every n below ``end`` and every n with a failing verdict."""
+    ns = range(lo, lo + len(verdicts))
+    cut = max(end - lo, 0)
+    return [*ns[:cut], *itertools.compress(ns[cut:], map(not_, verdicts[cut:]))]
 
 
 # The big-integer route re-derives every thm-1.1/1.2/1.3 verdict, and the
@@ -142,28 +203,15 @@ def _check_divisibility_group(group, point: Point):
 PRODUCT_ORACLE_MAX = 4
 
 
-def _product_verdicts(points: list[Point], fixed: Point = ()) -> Iterator[tuple[Point, bool]]:
-    """Each point of the slice with its ``dv.product_run`` verdict, from one
-    kernel call per run of n (the points that share every other coordinate).
-    ``fixed`` holds the leading kernel arguments that the points do not
-    carry: (1, 1) for cor-1.5's (m, n) points."""
-    for key, run in itertools.groupby(points, key=lambda point: point[:-1]):
-        run = list(run)
-        lo = run[0][-1]
-        verdicts = dv.product_run(*fixed, *key, lo, run[-1][-1] + 1)
-        for point in run:
-            yield point, verdicts[point[-1] - lo]
-
-
-def _check_product(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
-    """thm-1.4 for the slice from one product run per (a, b, m); the integer
+def _check_product(a: int, b: int, m: int, lo: int, hi: int) -> tuple[int, list[dict]]:
+    """thm-1.4 on the run n in [lo, hi) from one product run; the integer
     and Fraction routes re-derive the verdict in the oracle box and at every
     failure."""
-    for point, ok in _product_verdicts(points):
-        if ok and max(point) > PRODUCT_ORACLE_MAX:
-            yield 1, []
-            continue
-        a, b, m, n = point
+    verdicts = dv.product_run(a, b, m, lo, hi)
+    box = PRODUCT_ORACLE_MAX + 1 if max(a, b, m) <= PRODUCT_ORACLE_MAX else lo
+    failures = []
+    for n in _rederived(verdicts, lo, box):
+        ok = verdicts[n - lo]
         integral, value = dv.check_product(a, b, m, n)
         first, second = dv.product_forms(a, b, m, n)
         fraction = first.denominator == 1
@@ -172,23 +220,27 @@ def _check_product(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
                 f"product routes disagree at a={a}, b={b}, m={m}, n={n}: run={ok}, "
                 f"integer={integral} (value {value}), Fraction forms {first} and {second}"
             )
-        yield 1, [] if ok else [
-            {"a": a, "b": b, "m": m, "n": n, "form1": str(first), "form2": str(second)}
-        ]
+        if not ok:
+            failures.append(
+                {"a": a, "b": b, "m": m, "n": n, "form1": str(first), "form2": str(second)}
+            )
+    return hi - lo, failures
 
 
-def _check_central(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
-    """cor-1.5 for the slice from one product run per m at a = b = 1; the
-    Fraction route re-derives the verdict at n up to the oracle bound and at
-    every failure."""
-    for (m, n), ok in _product_verdicts(points, (1, 1)):
-        if ok and n > BIGINT_ORACLE_N_MAX:
-            yield 1, []
-            continue
+def _check_central(m: int, lo: int, hi: int) -> tuple[int, list[dict]]:
+    """cor-1.5 on the run n in [lo, hi) from one product run at a = b = 1;
+    the Fraction route re-derives the verdict at n up to the oracle bound
+    and at every failure."""
+    verdicts = dv.product_run(1, 1, m, lo, hi)
+    failures = []
+    for n in _rederived(verdicts, lo, BIGINT_ORACLE_N_MAX + 1):
+        ok = verdicts[n - lo]
         value = dv.central_product_value(m, n)
         if ok != (value.denominator == 1):
             raise InternalCheckError(f"central product routes disagree at m={m}, n={n}")
-        yield 1, [] if ok else [{"m": m, "n": n, "value": str(value)}]
+        if not ok:
+            failures.append({"m": m, "n": n, "value": str(value)})
+    return hi - lo, failures
 
 
 def _check_landau_point(point: Point):
@@ -239,24 +291,26 @@ def _check_conjecture_product(point: Point):
     return 1, [{"a": a, "b": b, "n": n}]
 
 
-def _check_parity(points: list[Point]) -> Iterator[tuple[int, list[dict]]]:
-    """ord_2 S(n) for the whole slice from one digit-sum run; inside the
+def _check_parity(lo: int, hi: int) -> tuple[int, list[dict]]:
+    """ord_2 S(n) for n in [lo, hi) from one digit-sum run; inside the
     oracle box the per-n Legendre floor sums and the 2-adic order of the big
     integer S(n) must both reproduce it."""
-    first = points[0][0]
-    run = ratio_ord2_run(dv.S_RATIO, first, points[-1][0] + 1)
-    for (n,) in points:
-        ord2 = run[n - first]
-        if n <= BIGINT_ORACLE_N_MAX:
-            value = dv.sun_s(n)
-            routes = (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1)
-            if routes != (ord2, ord2):
-                raise InternalCheckError(
-                    f"parity routes disagree at n={n}: digit-sum run={ord2}, "
-                    f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
-                )
-        ok = ord2 == n.bit_count() - 1
-        yield 1, [] if ok else [{"n": n, "ord2": ord2, "digit_sum": n.bit_count()}]
+    run = ratio_ord2_run(dv.S_RATIO, lo, hi)
+    for n in range(lo, min(hi, BIGINT_ORACLE_N_MAX + 1)):
+        ord2 = run[n - lo]
+        value = dv.sun_s(n)
+        routes = (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1)
+        if routes != (ord2, ord2):
+            raise InternalCheckError(
+                f"parity routes disagree at n={n}: digit-sum run={ord2}, "
+                f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
+            )
+    digit_sums = list(map(int.bit_count, range(lo, hi)))
+    gaps = map(sub, digit_sums, run)  # s_2(n) - ord_2 S(n): 1 where the claim holds
+    failing = itertools.compress(range(lo, hi), map(ne, gaps, itertools.repeat(1)))
+    return hi - lo, [
+        {"n": n, "ord2": run[n - lo], "digit_sum": digit_sums[n - lo]} for n in failing
+    ]
 
 
 def _confirm_expansion(spec, n: int, poly, message: str) -> None:
@@ -401,7 +455,7 @@ _RECORDS = (
         "am/(m+n) C(am+bm-1,am) C(an+bn,an)",
         "abm/((a+b)(m+n)) * C(am+bm,am) * C(an+bn,an) in Z",
         _abmn(12, 64),
-        _check_product,
+        _each_run(_check_product),
     ),
     ClaimRecord(
         "cor-1.5",
@@ -410,7 +464,7 @@ _RECORDS = (
         "6/(n+2), 30/(n+3), 140/(n+4), 630/(n+5) specializations of C(2n,n)",
         "m/(2(m+n)) * C(2m,m) * C(2n,n) in Z",
         (ParamSpec("m", 5, 64), ParamSpec("n", 5000, 100_000)),
-        _check_central,
+        _each_run(_check_central),
     ),
     ClaimRecord(
         "lem-2.1",
@@ -556,7 +610,7 @@ _RECORDS = (
         "ord_2 S(n) = s_2(n) - 1, hence S(n) is odd exactly when n is a power of 2",
         "S(n) is odd iff n is a power of 2",
         _n(10_000, 1_000_000),
-        _check_parity,
+        _each_run(_check_parity),
     ),
 )
 
@@ -643,23 +697,23 @@ def _grid_slice(axes: list[range], start: int, stop: int) -> Iterator[Point]:
         yield from ((head[last], *rest) for rest in _grid_slice(tail, 0, end))
 
 
-def check_point(claim_id: str, points: list[Point]) -> tuple[int, list[dict]]:
-    """Sum the checker's results over one index slice, one next() per point.
+def check_point(claim_id: str, ranges: dict[str, int], lo: int, hi: int) -> tuple[int, list[dict]]:
+    """Check the index slice [lo, hi) of the claim's grid at ``ranges``:
+    the summed (checks, counterexamples) of its checker's results, in order.
 
-    An exception while taking a point's result gets a note that names the
-    point, and a StopIteration (a lost point) becomes an InternalCheckError.
+    The results must cover exactly hi - lo points; a checker that loses
+    points or yields extra results raises InternalCheckError.
     """
-    results = CLAIMS[claim_id].check(points)
-    checked, failures = 0, []
-    for point in points:
-        try:
-            try:
-                count, bad = next(results)
-            except StopIteration as exc:
-                raise InternalCheckError(f"StopIteration from the {claim_id} checker") from exc
-        except Exception as exc:
-            exc.add_note(f"while checking {claim_id} at {point}")
-            raise
-        checked += count
+    claim = CLAIMS[claim_id]
+    checked, failures, covered = 0, [], 0
+    window = None
+    for window, count, checks, bad in claim.check(claim, ranges, lo, hi):
+        covered += count
+        checked += checks
         failures += bad
+    if covered != hi - lo:
+        raise InternalCheckError(
+            f"the {claim_id} checker covered {covered} points of the {hi - lo} at grid "
+            f"indices [{lo}, {hi}); its last result was at {window}"
+        )
     return checked, failures

@@ -2,17 +2,18 @@
 
 The lexicographic index range [0, grid size) of the parameter grid is cut
 into contiguous slices.  Only (claim id, ranges, lo, hi) crosses the
-process boundary: a worker rebuilds the slice's points with
-``points_for``, resolves the checker from its own imported registry, and
-returns the summed (checked, failures) of one ``check_point`` call per
-slice.  Work that many points of a slice reuse lives in the checker's
-locals for that slice (see ``registry``), and a failing point is named by
-``check_point``'s note.  The parent keeps a few slices per worker in
-flight and merges the results in slice order, so the report content never
-depends on the worker count, and memory is bounded by the slices in
-flight, not by the grid.  A dead worker breaks the pool; the parent cannot
-tell which slice it held, so its note names the claim and every grid
-index in flight.
+process boundary: a worker hands that task as it is to one
+``check_point`` call, which resolves the checker from its own imported
+registry and returns the slice's summed (checked, failures).  The checker
+takes its windows from the slice bounds: single points, which it builds
+with ``points_for``, or runs of the last parameter, which need no point at
+all.  Work that a run's points share lives in the checker (see
+``registry``), and a failing window is named by the checker's note.  The
+parent keeps a few slices per worker in flight and merges the results in
+slice order, so the report content never depends on the worker count, and
+memory is bounded by the slices in flight, not by the grid.  A dead worker
+breaks the pool; the parent cannot tell which slice it held, so its note
+names the claim and every grid index in flight.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from collections import deque
 from typing import Iterable, Iterator
 
-from .registry import ClaimRecord, check_point, get_claim, grid_size, points_for, resolve_ranges
+from .registry import ClaimRecord, check_point, get_claim, grid_size, resolve_ranges
 from .errors import UsageError
 from .reports import RunReport
 
@@ -37,8 +38,7 @@ Task = tuple[str, dict[str, int], int, int]
 
 def _eval_slice(task: Task) -> tuple[int, list[dict]]:
     """Check one index slice; the one path for all worker counts."""
-    claim_id, ranges, lo, hi = task
-    return check_point(claim_id, points_for(get_claim(claim_id), ranges, lo, hi))
+    return check_point(*task)
 
 
 def _in_order(pool, tasks: Iterable[Task], depth: int) -> Iterator[tuple[int, list[dict]]]:

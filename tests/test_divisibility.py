@@ -42,6 +42,8 @@ from factratio.divisibility import (
 )
 from factratio.floors import STEP_6_1, STEP_15_2
 
+from test_slice_memo import check_at
+
 
 def test_ratio_specs_match_sequences():
     for n in range(1, 30):
@@ -375,10 +377,10 @@ def test_flipped_central_route_raises(monkeypatch):
     _flip_product_run(monkeypatch)
     assert registry.BIGINT_ORACLE_N_MAX >= 50
     with pytest.raises(InternalCheckError):
-        registry.check_point("cor-1.5", [(3, 50)])  # flipped to failing, n <= the bound
+        check_at("cor-1.5", (3, 50))  # flipped to failing, n <= the bound
     # a point the flipped route calls failing is re-derived above the bound too
     with pytest.raises(InternalCheckError):
-        registry.check_point("cor-1.5", [(3, registry.BIGINT_ORACLE_N_MAX + 1)])
+        check_at("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX + 1))
 
 
 def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
@@ -387,27 +389,27 @@ def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
 
     monkeypatch.setattr(dv, "central_product_value", skewed)
     with pytest.raises(InternalCheckError):
-        registry.check_point("cor-1.5", [(3, registry.BIGINT_ORACLE_N_MAX)])
-    assert registry.check_point("cor-1.5", [(3, registry.BIGINT_ORACLE_N_MAX + 1)]) == (1, [])
+        check_at("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX))
+    assert check_at("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX + 1)) == (1, [])
 
 
 def test_flipped_product_kernel_raises(monkeypatch):
     _flip_product_run(monkeypatch)
     box = registry.PRODUCT_ORACLE_MAX
     with pytest.raises(InternalCheckError):
-        registry.check_point("thm-1.4", [(box, 1, 2, box)])  # inside the oracle box
+        check_at("thm-1.4", (box, 1, 2, box))  # inside the oracle box
     with pytest.raises(InternalCheckError):
-        registry.check_point("thm-1.4", [(box + 1, 1, 2, 3)])  # failing: re-derived
+        check_at("thm-1.4", (box + 1, 1, 2, 3))  # failing: re-derived
 
 
 def test_product_kernel_value_is_checked_in_the_box(monkeypatch):
     real = dv.check_product
     monkeypatch.setattr(dv, "check_product", lambda *p: (True, real(*p)[1] + 1))
     with pytest.raises(InternalCheckError):
-        registry.check_point("thm-1.4", [(1, 2, 3, 4)])
+        check_at("thm-1.4", (1, 2, 3, 4))
     # outside the box a passing point is not re-derived, by either oracle
     monkeypatch.setattr(dv, "product_forms", lambda *p: (Fraction(1, 2), Fraction(1, 3)))
-    assert registry.check_point("thm-1.4", [(5, 2, 3, 4)]) == (1, [])
+    assert check_at("thm-1.4", (5, 2, 3, 4)) == (1, [])
 
 
 def test_gcd_reductions_along_sweeps():

@@ -35,6 +35,8 @@ from factratio.registry import (
     resolve_ranges,
 )
 
+from test_slice_memo import check_at
+
 EXPECTED_IDS = {
     "thm-1.1",
     "thm-1.2",
@@ -161,22 +163,117 @@ def test_reports_do_not_depend_on_worker_count(claim_id, ranges):
 def test_checker_errors_name_claim_and_point(monkeypatch, workers):
     record = CLAIMS["thm-1.1"]
 
-    def broken(points):
-        for point, result in zip(points, record.check(points)):
-            if point == (37,):
-                raise InternalCheckError("routes disagree")
-            yield result
+    def broken(group, point):
+        if point == (37,):
+            raise InternalCheckError("routes disagree")
+        return registry._check_divisibility_group(group, point)
 
-    monkeypatch.setitem(CLAIMS, "thm-1.1", dataclasses.replace(record, check=broken))
+    check = registry._each(broken, divisibility.CLAIMS_BY_ID["thm-1.1"])
+    monkeypatch.setitem(CLAIMS, "thm-1.1", dataclasses.replace(record, check=check))
     with pytest.raises(InternalCheckError) as info:
         run_claim("thm-1.1", {"n": 60}, workers=workers)
     assert "while checking thm-1.1 at (37,)" in info.value.__notes__
 
-    # a checker with slice state: the parity sweep's digit-sum run is wrong at n = 64
+    # a run checker: the parity sweep's digit-sum run is wrong at n = 64,
+    # and the note names the slice's run, which holds n = 64 (300 points
+    # make slices of 38 on one worker and of 19 on two)
     monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, 64))
-    with pytest.raises(InternalCheckError) as info:
+    with pytest.raises(InternalCheckError, match="parity routes disagree at n=64") as info:
         run_claim("parity-power-of-2", {"n": 300}, workers=workers)
-    assert "while checking parity-power-of-2 at (64,)" in info.value.__notes__
+    window = {1: "[39, 77)", 2: "[58, 77)"}[workers]
+    assert f"while checking parity-power-of-2 at n in {window}" in info.value.__notes__
+
+
+def _replace_checker(monkeypatch, claim_id, wrap):
+    record = CLAIMS[claim_id]
+    monkeypatch.setitem(CLAIMS, claim_id, dataclasses.replace(record, check=wrap(record.check)))
+
+
+def _one_result_twice(check):
+    def checker(claim, ranges, lo, hi):
+        results = list(check(claim, ranges, lo, hi))
+        yield from results
+        yield results[-1]
+
+    return checker
+
+
+def _last_result_dropped(check):
+    def checker(claim, ranges, lo, hi):
+        yield from list(check(claim, ranges, lo, hi))[:-1]
+
+    return checker
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extra_results_raise(monkeypatch, workers):
+    # 60 points make slices of 8 on one worker and of 4 on two
+    _replace_checker(monkeypatch, "thm-1.1", _one_result_twice)
+    step = {1: 8, 2: 4}[workers]
+    message = rf"thm-1\.1 checker covered {step + 1} points of the {step} at grid indices \[0, {step}\)"
+    with pytest.raises(InternalCheckError, match=message):
+        run_claim("thm-1.1", {"n": 60}, workers=workers)
+    # a run checker: the slice's one parity run counted twice
+    _replace_checker(monkeypatch, "parity-power-of-2", _one_result_twice)
+    with pytest.raises(InternalCheckError, match="covered 20 points of the 10 "):
+        check_point("parity-power-of-2", {"n": 50}, 0, 10)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lost_points_raise(monkeypatch, workers):
+    _replace_checker(monkeypatch, "thm-1.1", _last_result_dropped)
+    step = {1: 8, 2: 4}[workers]
+    message = rf"thm-1\.1 checker covered {step - 1} points of the {step} at grid indices \[0, {step}\)"
+    with pytest.raises(InternalCheckError, match=message):
+        run_claim("thm-1.1", {"n": 60}, workers=workers)
+    # a run checker: a slice that ends inside the m = 2 run loses that run
+    _replace_checker(monkeypatch, "cor-1.5", _last_result_dropped)
+    with pytest.raises(InternalCheckError, match=r"covered 20 points of the 25 .* at \(\(1,\), 11, 31\)"):
+        check_point("cor-1.5", {"m": 3, "n": 30}, 10, 35)
+
+
+def test_faulting_run_kernel_is_noted_with_its_run(monkeypatch):
+    real = divisibility.product_run
+
+    def faulty(a, b, m, lo, hi):
+        if (a, b, m) == (1, 1, 1) and lo <= 2500 < hi:
+            raise ValueError("kernel fault")
+        return real(a, b, m, lo, hi)
+
+    monkeypatch.setattr(divisibility, "product_run", faulty)
+    ranges = {"m": 3, "n": 3000}
+    # one slice over the whole grid holds the whole m = 1 run
+    with pytest.raises(ValueError) as info:
+        check_point("cor-1.5", ranges, 0, 9000)
+    assert info.value.__notes__ == ["while checking cor-1.5 at m=1, n in [1, 3001)"]
+    # one worker cuts the grid into slices of 1125, and the third one holds
+    # the m = 1 run's last 750 n
+    with pytest.raises(ValueError) as info:
+        run_claim("cor-1.5", ranges, workers=1)
+    assert info.value.__notes__ == ["while checking cor-1.5 at m=1, n in [2251, 3001)"]
+    # thm-1.4 names (a, b, m) and its run's n window
+    with pytest.raises(ValueError) as info:
+        check_point("thm-1.4", {"a": 2, "b": 2, "m": 2, "n": 3000}, 2400, 2600)
+    assert info.value.__notes__ == ["while checking thm-1.4 at a=1, b=1, m=1, n in [2401, 2601)"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_checkers_build_no_point_tuples(monkeypatch, workers):
+    cases = [
+        ("thm-1.4", {"a": 3, "b": 3, "m": 3, "n": 40}),
+        ("cor-1.5", {"m": 3, "n": 300}),
+        ("parity-power-of-2", {"n": 3000}),
+    ]
+    want = [emit_report(run_claim(claim_id, ranges, workers=workers), "json") for claim_id, ranges in cases]
+
+    def no_points(*args):
+        raise AssertionError("points_for called")
+
+    monkeypatch.setattr(registry, "points_for", no_points)
+    got = [emit_report(run_claim(claim_id, ranges, workers=workers), "json") for claim_id, ranges in cases]
+    assert got == want
+    with pytest.raises(AssertionError, match="points_for called"):  # the patch is live
+        run_claim("thm-1.1", {"n": 40}, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -670,7 +767,7 @@ def test_expand_only_failures_are_rechecked_by_division(monkeypatch, claim_id, p
     real = getattr(registry, kernel)
     monkeypatch.setattr(registry, kernel, lambda arg: alter(real(arg)))
     with pytest.raises(InternalCheckError):
-        check_point(claim_id, [point])
+        check_at(claim_id, point)
 
 
 def test_product_route_disagreement_raises(monkeypatch):
@@ -684,7 +781,7 @@ def test_product_route_disagreement_raises(monkeypatch):
 
     monkeypatch.setattr(divisibility, "product_forms", skewed)
     with pytest.raises(InternalCheckError):
-        check_point("thm-1.4", [(1, 1, 1, 1)])
+        check_at("thm-1.4", (1, 1, 1, 1))
 
 
 def _shift_run_at(real, at):
@@ -706,7 +803,7 @@ def test_parity_big_integer_route_alone_catches_a_shift(monkeypatch, capsys):
     monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, at))
     real = registry.ratio_ord
     monkeypatch.setattr(registry, "ratio_ord", lambda p, spec, n: real(p, spec, n) + (n == at))
-    assert check_point("parity-power-of-2", [(at + 1,)]) == (1, [])
+    assert check_at("parity-power-of-2", (at + 1,)) == (1, [])
     assert main(["verify", "parity-power-of-2", "--n-max", "50"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"internal error: parity routes disagree at n={at}:")

@@ -1,11 +1,12 @@
-"""Slice state in checker locals: one checker call per slice.
+"""Slice checking from slice bounds: one checker call per slice.
 
-A checker takes the points of one index slice and keeps the work that many
-of them reuse in its locals: thm-1.4 one product run per (a, b, m) of the
-slice, cor-1.5 one product run per m of the slice, and the parity sweep one
-digit-sum run of 2-adic orders.  A slice must report exactly the
-concatenation of what its points report as singleton slices, wherever the
-slice starts and ends.
+``check_point(claim_id, ranges, lo, hi)`` checks the index slice [lo, hi)
+of a claim's grid.  The run checkers take their windows from the bounds
+and keep the work a run shares in one kernel call: thm-1.4 one product run
+per (a, b, m) of the slice, cor-1.5 one product run per m of the slice,
+and the parity sweep one digit-sum run per slice.  A slice must report
+exactly the concatenation of what its points report as singleton slices
+[i, i + 1), wherever the slice starts and ends.
 """
 
 import random
@@ -21,14 +22,61 @@ from factratio.runner import _eval_slice
 from factratio.valuation import factorize, orders_at
 
 
+def check_at(claim_id, point):
+    """``check_point`` on the singleton slice of one point: the grid whose
+    ranges end at the point, where it is the last index."""
+    claim = get_claim(claim_id)
+    ranges = {p.name: value for p, value in zip(claim.params, point)}
+    size = grid_size(claim, ranges)
+    return check_point(claim_id, ranges, size - 1, size)
+
+
 def _per_point(claim_id, ranges, lo, hi):
-    """What the slice should return: one singleton slice per point."""
+    """What the slice should return: one singleton slice per grid index."""
     checked, failures = 0, []
-    for point in points_for(get_claim(claim_id), ranges, lo, hi):
-        count, bad = check_point(claim_id, [point])
+    for i in range(lo, hi):
+        count, bad = check_point(claim_id, ranges, i, i + 1)
         checked += count
         failures += bad
     return checked, failures
+
+
+def _failing_central(monkeypatch):
+    """Run cor-1.5 with multiplier 1 on both routes, so that it fails."""
+    run, value = dv.product_run, dv.central_product_value
+    monkeypatch.setattr(
+        dv, "product_run", lambda a, b, m, lo, hi: run(a, b, m, lo, hi, multiplier=1)
+    )
+    monkeypatch.setattr(dv, "central_product_value", lambda m, n: value(m, n, multiplier=1))
+
+
+def _failing_product(monkeypatch):
+    """Run thm-1.4 with multiplier 1 in place of am on every route, so that
+    it fails: the run kernel by its multiplier, the Fraction forms divided by
+    am, and the integer route by exact division of C(am+bm-1, am) C(an+bn, an)."""
+    run, forms = dv.product_run, dv.product_forms
+
+    def integer(a, b, m, n):
+        value, rest = divmod(comb(a * m + b * m - 1, a * m) * comb(a * n + b * n, a * n), m + n)
+        return (False, None) if rest else (True, value)
+
+    monkeypatch.setattr(dv, "product_run", lambda a, b, m, lo, hi: run(a, b, m, lo, hi, multiplier=1))
+    monkeypatch.setattr(dv, "product_forms", lambda a, b, m, n: tuple(f / (a * m) for f in forms(a, b, m, n)))
+    monkeypatch.setattr(dv, "check_product", integer)
+
+
+def _failing_parity(monkeypatch):
+    """Move the digit-sum run up by one at every n = 0 (mod 7) outside the
+    oracle box, so that those n fail."""
+    real = registry.ratio_ord2_run
+    box = registry.BIGINT_ORACLE_N_MAX
+    monkeypatch.setattr(
+        registry,
+        "ratio_ord2_run",
+        lambda spec, lo, hi: [
+            v + (n > box and n % 7 == 0) for n, v in zip(range(lo, hi), real(spec, lo, hi))
+        ],
+    )
 
 
 def _product_reference(a, b, m, n, c):
@@ -101,6 +149,38 @@ def test_slice_cut_mid_run_matches_per_point_calls():
         assert got[0] == hi - lo
 
 
+# the run claims at ranges whose runs of n reach past the oracle bounds
+RUN_RANGES = {
+    "thm-1.4": {"a": 5, "b": 5, "m": 5, "n": 9},
+    "cor-1.5": {"m": 4, "n": 400},
+    "parity-power-of-2": {"n": 1500},
+}
+FAILING = {"thm-1.4": _failing_product, "cor-1.5": _failing_central, "parity-power-of-2": _failing_parity}
+
+
+@pytest.mark.parametrize("failing", [False, True])
+@pytest.mark.parametrize("claim_id", sorted(RUN_RANGES))
+def test_random_slices_match_singleton_slices(monkeypatch, claim_id, failing):
+    if failing:
+        FAILING[claim_id](monkeypatch)
+    ranges = RUN_RANGES[claim_id]
+    size = grid_size(get_claim(claim_id), ranges)
+    rng = random.Random(f"{claim_id} {failing}")
+    bounds = [(0, size)]
+    for _ in range(10):
+        lo = rng.randrange(size)
+        bounds.append((lo, min(size, lo + rng.choice([1, rng.randint(2, 40), rng.randint(41, 600)]))))
+    # most bounds cut a run of n mid-way
+    assert sum(lo % ranges["n"] != 0 for lo, _ in bounds) >= 5
+    failures = 0
+    for lo, hi in bounds:
+        got = check_point(claim_id, ranges, lo, hi)
+        assert got == _per_point(claim_id, ranges, lo, hi), (lo, hi)
+        assert got[0] == hi - lo
+        failures += len(got[1])
+    assert (failures > 0) == failing
+
+
 # small ranges per claim, each reaching past its oracle bound or into a
 # failing point where it has one
 SMALL_RANGES = {
@@ -139,34 +219,19 @@ def test_mid_grid_slice_matches_per_point_calls(claim_id):
 
 
 def test_slice_failures_match_per_point_calls_for_central(monkeypatch):
-    # run cor-1.5 with multiplier 1 on both routes, so that it fails
-    run, value = dv.product_run, dv.central_product_value
-    monkeypatch.setattr(
-        dv, "product_run", lambda a, b, m, lo, hi: run(a, b, m, lo, hi, multiplier=1)
-    )
-    monkeypatch.setattr(dv, "central_product_value", lambda m, n: value(m, n, multiplier=1))
+    _failing_central(monkeypatch)
+    value = dv.central_product_value
     ranges = {"m": 4, "n": 150}
     checked, failures = _eval_slice(("cor-1.5", ranges, 75, 525))
     assert (checked, failures) == _per_point("cor-1.5", ranges, 75, 525)
     assert any(bad["n"] > registry.BIGINT_ORACLE_N_MAX for bad in failures)
     for bad in failures:
         assert list(bad) == ["m", "n", "value"]
-        assert bad["value"] == str(value(bad["m"], bad["n"], multiplier=1))
+        assert bad["value"] == str(value(bad["m"], bad["n"]))
 
 
 def test_non_integral_shared_head_gives_the_same_counterexamples(monkeypatch):
-    # Run thm-1.4 with multiplier 1 in place of am on every route, so that it
-    # fails: the run kernel by its multiplier, the Fraction forms divided by
-    # am, and the integer route by exact division of C(am+bm-1, am) C(an+bn, an).
-    run, forms = dv.product_run, dv.product_forms
-
-    def integer(a, b, m, n):
-        value, rest = divmod(comb(a * m + b * m - 1, a * m) * comb(a * n + b * n, a * n), m + n)
-        return (False, None) if rest else (True, value)
-
-    monkeypatch.setattr(dv, "product_run", lambda a, b, m, lo, hi: run(a, b, m, lo, hi, multiplier=1))
-    monkeypatch.setattr(dv, "product_forms", lambda a, b, m, n: tuple(f / (a * m) for f in forms(a, b, m, n)))
-    monkeypatch.setattr(dv, "check_product", integer)
+    _failing_product(monkeypatch)
     ranges = {"a": 3, "b": 3, "m": 6, "n": 6}
     lo, hi = 5, grid_size(get_claim("thm-1.4"), ranges) - 7
     checked, failures = _eval_slice(("thm-1.4", ranges, lo, hi))
@@ -205,7 +270,7 @@ def test_floor_sweep_enumerates_each_divisor_list_once(monkeypatch):
     monkeypatch.setattr(floors, "divisors_of", lambda v: calls.append(v) or real(v))
     for n in (1, 7, 1234):
         calls.clear()
-        checked, failures = check_point("lem-5.2", [(n,)])
+        checked, failures = check_at("lem-5.2", (n,))
         assert sorted(calls) == [2 * n + 1, 10 * n + 7, 10 * n + 9]
         want_checked, want = 0, []
         for ident in floors.IDENTITIES["lem-5.2"]:
