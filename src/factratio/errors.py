@@ -30,4 +30,5 @@ class NotPolynomialError(ArithmeticError):
 
 class InternalCheckError(RuntimeError):
     """The verifier itself failed: two independent evaluation routes
-    disagreed, or a value that must be an exact integer was not."""
+    disagreed, a value that must be an exact integer was not, or a worker
+    process died."""

@@ -152,11 +152,20 @@ def test_points_for_slice_starts_deep_in_the_grid():
         ("cor-1.5", {"m": 3, "n": 200}),
         ("conj-7.1", {"a": 6, "b": 5, "n": 12}),
         ("parity-power-of-2", {"n": 3000}),
+        ("thm-6.1", {"a": 3, "b": 3, "m": 3, "n": 3}),
+        ("thm-7.2", {"n": 20}),
+        ("thm-1.1", {"n": 5}),  # fewer slices than 7 workers
     ],
 )
 def test_reports_do_not_depend_on_worker_count(claim_id, ranges):
-    r1, r2, r3 = (emit_report(run_claim(claim_id, ranges, workers=w), "json") for w in (1, 2, 3))
-    assert r1 == r2 == r3
+    """On 7 workers every case but parity has a slice count that is no
+    multiple of 7 (thm-6.1 41, thm-7.2 20), and thm-1.1 at n <= 5 has 5
+    slices, fewer than the workers; thm-7.2 has 20 slices on 3 workers."""
+    reports = [run_claim(claim_id, ranges, workers=w) for w in (1, 2, 3, 7)]
+    first, *rest = (emit_report(report, "json") for report in reports)
+    assert all(other == first for other in rest)
+    if claim_id == "thm-7.2":  # its counterexamples merge in order on every worker count
+        assert reports[0].failed == 4
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -505,9 +514,11 @@ def test_cli_route_disagreement_exits_3(monkeypatch, capsys):
     assert "while checking thm-1.1 at (1,)" in captured.err
 
 
-def test_cli_any_exception_in_a_check_exits_3(monkeypatch, capsys):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_any_exception_in_a_check_exits_3(monkeypatch, capsys, workers):
     """An exception that is not a route disagreement is still an internal
-    failure, never the counterexample exit 1."""
+    failure, never the counterexample exit 1.  From a worker it keeps the
+    worker's traceback and its note."""
     real = divisibility.valuation_verdict
 
     def broken(claim, n, shared=None):
@@ -516,39 +527,93 @@ def test_cli_any_exception_in_a_check_exits_3(monkeypatch, capsys):
         return real(claim, n, shared)
 
     monkeypatch.setattr(divisibility, "valuation_verdict", broken)
-    assert main(["verify", "thm-1.1", "--n-max", "5"]) == 3
+    assert main(["verify", "thm-1.1", "--n-max", "5", "--workers", str(workers)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" in captured.err
+    assert ", in broken\n" in captured.err
     assert "internal error: kernel bug" in captured.err
     # once: the traceback already ends with the notes
     assert captured.err.count("while checking thm-1.1 at (3,)") == 1
 
 
-def test_cli_dead_pool_worker_exits_3(monkeypatch, capsys):
+def test_cli_unpicklable_exception_in_a_worker_exits_3(monkeypatch, capsys):
+    class Local(Exception):
+        """A local class: pickle cannot find it by name."""
+
+    real = divisibility.valuation_verdict
+
+    def broken(claim, n, shared=None):
+        if n == 3:
+            raise Local("kernel bug")
+        return real(claim, n, shared)
+
+    monkeypatch.setattr(divisibility, "valuation_verdict", broken)
+    assert main(["verify", "thm-1.1", "--n-max", "5", "--workers", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Local in a worker: kernel bug" in captured.err
+    assert ", in broken\n" in captured.err
+    assert captured.err.count("while checking thm-1.1 at (3,)") == 1
+
+
+def _faulty_worker_at_300(monkeypatch, fault):
     parent = os.getpid()
     real = divisibility.valuation_verdict
 
-    def dying(claim, n, shared=None):
-        if n == 300 and os.getpid() != parent:
-            os._exit(9)  # only in a forked worker, never in the test process
+    def faulty(claim, n, shared=None):
+        if n == 300 and os.getpid() != parent:  # only in a forked worker, never in the test process
+            if fault == "die":
+                os._exit(9)
+            raise ValueError("kernel bug")
         return real(claim, n, shared)
 
-    monkeypatch.setattr(divisibility, "valuation_verdict", dying)
+    monkeypatch.setattr(divisibility, "valuation_verdict", faulty)
+
+
+def test_cli_dead_pool_worker_exits_3(monkeypatch, capsys):
+    _faulty_worker_at_300(monkeypatch, "die")
     assert main(["verify", "thm-1.1", "--n-max", "400", "--workers", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "BrokenProcessPool" in captured.err
-    assert "internal error: " in captured.err
-    # the parent cannot know the dead worker's slice, so it names the window
+    assert "internal error: a worker process died" in captured.err
+    # a worker sends its slices in order, so the parent names the one it died in
     notes = re.findall(
-        r"while checking (\S+): a worker process died with grid indices \[(\d+), (\d+)\) in flight",
+        r"while checking (\S+): a worker process died \(exit code 9\) "
+        r"with grid indices \[(\d+), (\d+)\) in flight",
         captured.err,
     )
     assert len(notes) == 1
     claim_id, lo, hi = notes[0]
     assert claim_id == "thm-1.1"
     assert int(lo) <= 299 < int(hi)  # n = 300 is grid index 299
+    assert int(hi) - int(lo) <= -(-400 // (2 * runner.SLICES_PER_WORKER))  # one slice step
+
+
+def _interrupted_after_one_slice(report, outcomes):
+    next(iter(outcomes))
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "fault, raises",
+    [(None, None), ("raise", ValueError), ("die", InternalCheckError), ("interrupt", KeyboardInterrupt)],
+    ids=["pass", "raise", "die", "interrupt"],
+)
+def test_no_worker_outlives_its_run(monkeypatch, fault, raises):
+    """Every forked worker is reaped, whether the run passes, a check
+    raises, a worker dies or the parent is interrupted mid-merge."""
+    if fault == "interrupt":
+        monkeypatch.setattr(runner, "_merge", _interrupted_after_one_slice)
+    elif fault:
+        _faulty_worker_at_300(monkeypatch, fault)
+    if raises is None:
+        assert run_claim("thm-1.1", {"n": 400}, workers=2).checked == 400
+    else:
+        with pytest.raises(raises):
+            run_claim("thm-1.1", {"n": 400}, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_list(capsys):
@@ -623,16 +688,15 @@ def test_cli_qpoly_domain(capsys):
 
 @pytest.fixture
 def started(monkeypatch):
-    """The worker counts of every process pool requested; none is started."""
-    requests = []
+    """One entry per worker process a run tried to fork; every fork is refused."""
+    forks = []
 
-    class NoPool:
-        def __init__(self, max_workers=None, **kwargs):
-            requests.append(max_workers)
-            raise RuntimeError("no process pool in this test")
+    def no_fork():
+        forks.append("fork")
+        raise OSError("no worker process in this test")
 
-    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", NoPool)
-    return requests
+    monkeypatch.setattr(runner.os, "fork", no_fork)
+    return forks
 
 
 def test_worker_count_above_the_cap_starts_no_process(capsys, started):
@@ -659,6 +723,9 @@ def test_default_is_one_worker_whatever_the_environment(monkeypatch, capsys, sta
     assert main(["verify", "thm-1.1", "--n-max", "50"]) == 0
     capsys.readouterr()
     assert started == []
+    with pytest.raises(OSError, match="no worker process"):  # the fixture sees a fork
+        run_claim("thm-1.1", {"n": 50}, workers=2)
+    assert started == ["fork"]
 
 
 def test_no_module_reads_the_environment():
