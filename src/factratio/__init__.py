@@ -30,6 +30,7 @@ from .floors import (
     check_by_fractional_parts,
     check_congruence_identity,
     check_identity_at,
+    identity_run,
     landau_min,
     landau_witnesses,
 )

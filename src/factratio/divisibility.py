@@ -320,6 +320,12 @@ def product_run(
     prime P with P^2 > m+n, because a composite remainder would have a prime
     factor that walked.  There ord_P(m+n) = 1, but P^2 may still be at most
     (a+b)n, so ord_P C(an+bn, an) takes the full floor sum too.
+
+    Both floor sums are skipped where Kummer's theorem settles them: adding
+    an and bn in base p carries out of the lowest digit, so that
+    ord_p C(an+bn, an) >= 1, exactly when an mod p > (an+bn) mod p.  On a
+    sieved prime's walk n = -m (mod p) that carry is the same at every n and
+    joins the head; at the leftover prime P it passes the n by itself.
     """
     if min(a, b, m, lo) < 1:
         raise ValueError("a, b, m and n must be positive")
@@ -334,7 +340,9 @@ def product_run(
     rest = list(range(start, m + hi))
     out = [True] * len(rest)
     for p in primes_up_to(isqrt(m + hi - 1)):
-        top = head(p)
+        base = head(p)
+        # n = -m (mod p) on the walk, so an and bn have fixed lowest digits
+        top = base + ((-a * m) % p + (-b * m) % p >= p)
         for i in range(-start % p, len(rest), p):
             v, e = rest[i] // p, 1
             while v % p == 0:
@@ -343,11 +351,15 @@ def product_run(
             rest[i] = v
             if top < e and out[i]:
                 n = lo + i
-                out[i] = top + _binomial_ord(p, (a + b) * n, a * n) >= e
+                out[i] = base + _binomial_ord(p, (a + b) * n, a * n) >= e
     for i, P in enumerate(rest):
         if P > 1 and out[i]:
             n = lo + i
-            out[i] = _binomial_ord(P, (a + b) * n, a * n) > 0 or head(P) > 0
+            out[i] = (
+                a * n % P > (a + b) * n % P
+                or _binomial_ord(P, (a + b) * n, a * n) > 0
+                or head(P) > 0
+            )
     return out
 
 

@@ -18,16 +18,26 @@ with surplus 1, e.g.
     floor(6n/m) + floor(n/m) = floor(3n/m) + 2*floor(2n/m) + 1.
 
 ``check_congruence_identity`` raises PreconditionError outside the domain
-(m below threshold, m not a divisor), never a failed identity.  The sweep,
-``check_identity_at``, enumerates the divisors of the divisor form and
-counts those that ``admits`` rejects as skipped, so it never raises one.
+(m below threshold, m not a divisor), never a failed identity.  Two sweeps
+check every divisor m in the domain at each n, by both routes, and never
+raise one.  ``identity_run`` checks a run of n at once: it finds each
+divisor on its residue class and runs both routes over the whole run in
+C-level maps; the registered floor lemmas use it.  ``check_identity_at``
+checks one n: it enumerates the divisors of the divisor form from its
+factorization and counts those that ``admits`` rejects as skipped; it is
+the run's oracle, and the sweep for an identity whose divisor form is a
+constant.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import partial, reduce
+from itertools import compress, repeat
+from math import gcd, isqrt, lcm
+from operator import add, eq, floordiv, mod, mul, ne, not_, sub
 
 from .errors import InternalCheckError, PreconditionError
 from .forms import BalancedRatio, LinearForm, form
@@ -164,6 +174,90 @@ def check_identity_at(
         if not ok:
             failing.append(m)
     return checked, skipped, failing
+
+
+def identity_run(
+    ident: CongruenceIdentity, lo: int, hi: int
+) -> tuple[Counter[int], list[tuple[int, int]]]:
+    """Every divisor m of divisor_form(n) in the identity's domain, for every
+    n in [lo, hi), by both routes.
+
+    Returns (checks per n, failing (n, m) ascending); an n without a checked
+    divisor is absent from the Counter.  The checked pairs are exactly the
+    ones ``check_identity_at`` checks at each n of the run, found by residue
+    class rather than by factorization.  With divisor_form = cn+d, each
+    k <= isqrt(c(hi-1)+d) with g = gcd(c, k) dividing d divides cn+d exactly
+    on one class n = n0 (mod k/g).  On the part of that class where
+    k^2 <= cn+d, k pairs with the cofactor (cn+d)/k >= k, which steps by c/g
+    along it: the walk checks m = k, and m = (cn+d)/k where that is above k
+    and from the index where it reaches m_min.  An identity with
+    ``m_allowed`` walks the class of each allowed m instead.
+
+    Both routes then run over all the walks' pairs in C-level maps.  They
+    share the products a n and nothing else; each has its own operator: the
+    floor sums sum floor(a n/m) - sum floor(b n/m) == surplus, and the
+    residues sum (a n mod m) - sum (b n mod m) == -surplus*m.  A
+    disagreement raises InternalCheckError.
+    """
+    c, d = ident.divisor_form.coeff, ident.divisor_form.offset
+    if c < 1:
+        raise ValueError(f"the divisor form must have a positive coefficient, got {c}")
+    if lo < 1:
+        raise ValueError(f"n must be positive, got lo={lo}")
+    ns: list[int] = []  # the checked pairs (n, m), walk by walk
+    ms: list[int] = []
+    if ident.m_allowed is not None:
+        for m in sorted(ident.m_allowed):
+            if m >= max(ident.m_min, 1):  # from the n with cn+d >= 1 on
+                walk = _divisible(c, d, m, max(lo, -((d - 1) // c)), hi)
+                ns += walk
+                ms += repeat(m, len(walk))
+    else:
+        for k in range(1, isqrt(max(c * (hi - 1) + d, 0)) + 1):
+            # from the n with k^2 <= cn+d on
+            walk = _divisible(c, d, k, max(lo, -((d - k * k) // c)), hi)
+            if not walk:
+                continue
+            if k >= ident.m_min:
+                ns += walk
+                ms += repeat(k, len(walk))
+            first, step = (c * walk.start + d) // k, c * walk.step // k
+            skip = max(0, -((first - max(k + 1, ident.m_min)) // step))
+            ns += walk[skip:]
+            ms += range(first + skip * step, first + len(walk) * step, step)
+    shape = ident.shape
+    coeffs = {*shape.num_coeffs, *shape.den_coeffs}
+    products = {a: list(map(mul, ns, repeat(a))) for a in coeffs}  # a n at each pair
+    holds = list(map(eq, _route(floordiv, shape, products, ms), repeat(ident.surplus)))
+    residues = _route(mod, shape, products, ms)
+    agrees = list(map(eq, residues, map(mul, ms, repeat(-ident.surplus))))
+    if holds != agrees:
+        n, m = min(compress(zip(ns, ms), map(ne, holds, agrees)))
+        raise InternalCheckError(
+            f"floor/fractional routes disagree for {ident.condition()} at n={n}, m={m}"
+        )
+    failing = sorted(compress(zip(ns, ms), map(not_, holds))) if not all(holds) else []
+    return Counter(ns), failing
+
+
+def _divisible(c: int, d: int, m: int, start: int, stop: int) -> range:
+    """The n in [start, stop) with m | cn+d: one class mod m/gcd(c, m), or none."""
+    g = gcd(c, m)
+    if d % g:
+        return range(0)
+    step = m // g
+    n0 = -(d // g) * pow(c // g, -1, step) % step
+    return range(start + (n0 - start) % step, stop, step)
+
+
+def _route(op, shape: BalancedRatio, products: dict[int, list[int]], ms: list[int]):
+    """sum op(a n, m) - sum op(b n, m) at each pair (n, m), lazily, from the
+    products a n of the pairs."""
+    num, den = (
+        reduce(partial(map, add), [map(op, products[a], ms) for a in side])
+        for side in (shape.num_coeffs, shape.den_coeffs)
+    )
+    return map(sub, num, den)
 
 
 # The two balanced ratios behind every claim in the package, defined here

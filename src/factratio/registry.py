@@ -16,9 +16,10 @@ window is one point, built with ``points_for``.  The run kernels check a
 whole run of the last parameter at once (``_each_run``): the window is the
 other coordinates and a range of the last, decoded from the slice bounds
 without building a point, with one product run per (a, b, m) of the slice
-for thm-1.4 and per m for cor-1.5, and one digit-sum run per slice for the
-parity sweep.  Either wrapper notes an exception with the window it was
-raised in.  The sweep is always the whole product grid of the parameter
+for thm-1.4 and per m for cor-1.5, one digit-sum run per slice for the
+parity sweep, and one identity run per slice and identity for the floor
+lemmas.  Either wrapper notes an exception with the window it was raised
+in.  The sweep is always the whole product grid of the parameter
 ranges; a checker skips the points outside its claim's domain itself and
 counts 0 checks for them.  Theorem-class checkers re-verify any failure
 through an independent second route before reporting it; a disagreement
@@ -121,10 +122,10 @@ def _each(check, *data):
     return checker
 
 
-def _each_run(check):
+def _each_run(check, *data):
     """The slice checker that checks each run of the last parameter at once:
-    ``check(*fixed, lo, hi)`` returns the (checks, failures) of the run with
-    the other parameters at ``fixed`` and the last one in [lo, hi).  The runs
+    ``check(*data, *fixed, lo, hi)`` returns the (checks, failures) of the run
+    with the other parameters at ``fixed`` and the last one in [lo, hi).  The runs
     are decoded from the slice bounds; no point is built."""
 
     def checker(claim: ClaimRecord, ranges: dict[str, int], lo: int, hi: int) -> Iterator[Result]:
@@ -135,7 +136,7 @@ def _each_run(check):
             start = last.start + max(lo - key * length, 0)
             stop = last.start + min(hi - key * length, length)
             try:
-                checks, failures = check(*fixed, start, stop)
+                checks, failures = check(*data, *fixed, start, stop)
             except Exception as exc:
                 where = [f"{p.name}={v}" for p, v in zip(claim.params, fixed)]
                 where.append(f"{claim.params[-1].name} in [{start}, {stop})")
@@ -258,19 +259,36 @@ def _check_landau_point(point: Point):
     return 2, failures
 
 
-def _check_floor_sweep(identities, point: Point):
-    (n,) = point
-    checked = 0
-    failures = []
-    divisors: dict[int, list[int]] = {}  # lem-5.2 has two 10n+9 conditions
-    for ident in identities:
-        v = ident.divisor_form(n)
-        if v not in divisors:
-            divisors[v] = floors.divisors_of(v)
-        count, _, bad = floors.check_identity_at(ident, n, divisors[v])
-        checked += count
-        failures += [{"n": n, "m": m, "condition": ident.condition()} for m in bad]
-    return checked, failures
+# The per-point divisor sweep re-derives every floor-identity check at n up
+# to this bound, and at every failing n above it.
+FLOOR_ORACLE_N_MAX = 100
+
+
+def _check_floor_run(identities, lo: int, hi: int) -> tuple[int, list[dict]]:
+    """The floor identities on the run n in [lo, hi), from one identity run
+    each; at n up to the oracle bound and at every failing n, the per-point
+    sweep over the divisor lists must find the same checks and failing m."""
+    runs = [floors.identity_run(ident, lo, hi) for ident in identities]
+    failing = sorted((n, i, m) for i, (_, bad) in enumerate(runs) for n, m in bad)
+    bad_at: dict[tuple[int, int], list[int]] = {}  # (n, identity) -> failing m
+    for n, i, m in failing:
+        bad_at.setdefault((n, i), []).append(m)
+    for n in sorted({*range(lo, min(hi, FLOOR_ORACLE_N_MAX + 1)), *(n for n, _, _ in failing)}):
+        divisors: dict[int, list[int]] = {}  # lem-5.2 has two 10n+9 conditions
+        for i, (ident, (counts, _)) in enumerate(zip(identities, runs)):
+            v = ident.divisor_form(n)
+            if v not in divisors:
+                divisors[v] = floors.divisors_of(v)
+            checked, _, bad = floors.check_identity_at(ident, n, divisors[v])
+            run_checked, run_bad = counts[n], bad_at.get((n, i), [])
+            if (checked, bad) != (run_checked, run_bad):
+                raise InternalCheckError(
+                    f"floor identity routes disagree for {ident.condition()} at n={n}: "
+                    f"identity run {run_checked} checks failing at m in {run_bad}, "
+                    f"divisor sweep {checked} checks failing at m in {bad}"
+                )
+    checks = sum(counts.total() for counts, _ in runs)
+    return checks, [{"n": n, "m": m, "condition": identities[i].condition()} for n, i, m in failing]
 
 
 def _check_val_bounds(point: Point):
@@ -482,7 +500,7 @@ _RECORDS = (
         "exact +1 floor identity for the (6,1|3,2,2) shape under m | 2n+3, m >= 5",
         "floor(6n/m)+floor(n/m) = floor(3n/m)+2 floor(2n/m)+1 when m | 2n+3, m >= 5",
         _n(500, 1_000_000),
-        _each(_check_floor_sweep, floors.IDENTITIES["lem-2.2"]),
+        _each_run(_check_floor_run, floors.IDENTITIES["lem-2.2"]),
     ),
     ClaimRecord(
         "lem-2.3",
@@ -491,7 +509,7 @@ _RECORDS = (
         "floor(15n/m)+floor(2n/m) = floor(10n/m)+floor(4n/m)+floor(3n/m)+1 "
         "when m | 10n+3, m >= 9",
         _n(500, 1_000_000),
-        _each(_check_floor_sweep, floors.IDENTITIES["lem-2.3"]),
+        _each_run(_check_floor_run, floors.IDENTITIES["lem-2.3"]),
     ),
     ClaimRecord(
         "lem-5.1",
@@ -500,7 +518,7 @@ _RECORDS = (
         "m|2n+9 (m>=15), and the m=3, n=1 (mod 3) extension",
         "floor(6n/m)+floor(n/m) = floor(3n/m)+2 floor(2n/m)+1 on the listed conditions",
         _n(500, 1_000_000),
-        _each(_check_floor_sweep, floors.IDENTITIES["lem-5.1"]),
+        _each_run(_check_floor_run, floors.IDENTITIES["lem-5.1"]),
     ),
     ClaimRecord(
         "lem-5.2",
@@ -510,7 +528,7 @@ _RECORDS = (
         "floor(15n/m)+floor(2n/m) = floor(10n/m)+floor(4n/m)+floor(3n/m)+1 "
         "on the listed conditions",
         _n(500, 1_000_000),
-        _each(_check_floor_sweep, floors.IDENTITIES["lem-5.2"]),
+        _each_run(_check_floor_run, floors.IDENTITIES["lem-5.2"]),
         note="the published extension condition m | 10n+7 fails at (n,m)=(1,17)",
     ),
     ClaimRecord(

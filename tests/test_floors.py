@@ -1,6 +1,7 @@
 """Step-function minima and the congruence-conditioned floor identities."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -17,7 +18,7 @@ from factratio import (
     landau_witnesses,
     run_claim,
 )
-from factratio import floors
+from factratio import floors, registry
 from factratio.floors import IDENTITIES, STEP_6_1, STEP_15_2, step
 
 LEM_2_2 = IDENTITIES["lem-2.2"][0]
@@ -213,3 +214,87 @@ def test_published_extension_condition_is_false():
     assert (1, 17) in _failing_pairs(printed, 50)
     corrected = IDENTITIES["lem-5.2"][3]
     assert _failing_pairs(corrected, 500) == []
+
+
+def _per_point_run(ident, lo, hi):
+    """What ``identity_run`` must return: ``check_identity_at`` at each n."""
+    counts, failing = Counter(), []
+    for n in range(lo, hi):
+        checked, _, bad = floors.check_identity_at(ident, n)
+        if checked:
+            counts[n] = checked
+        failing += [(n, m) for m in bad]
+    return counts, failing
+
+
+PRINTED_10N7 = CongruenceIdentity(STEP_15_2, form(10, 7), 7, m_allowed=frozenset({7, 13, 17}))
+SURPLUS_2 = CongruenceIdentity(STEP_6_1, form(2, 3), 5, surplus=2)
+
+
+def test_identity_run_matches_per_point_sweep():
+    rng = random.Random(2029)
+    box = registry.FLOOR_ORACLE_N_MAX
+    idents = [ident for family in IDENTITIES.values() for ident in family]
+    idents += [
+        CongruenceIdentity(STEP_6_1, form(2, 4), 3),  # gcd(c, d) = 2
+        CongruenceIdentity(STEP_15_2, form(6, 9), 4),  # gcd(c, d) = 3
+        CongruenceIdentity(STEP_6_1, form(3, -5), 1),  # cn+d < 1 at n = 1
+        CongruenceIdentity(STEP_6_1, form(1, 2), 5, m_allowed=frozenset({3, 5, 8})),  # 3 < m_min
+        PRINTED_10N7,
+        SURPLUS_2,
+    ]
+    for _ in range(6):
+        shape = _random_balanced_shape(rng)
+        c, d = rng.randint(1, 12), rng.randint(-5, 12)
+        m_min, surplus = rng.randint(1, 30), rng.randint(0, 2)
+        idents.append(CongruenceIdentity(shape, form(c, d), m_min, surplus=surplus))
+    failing = 0
+    for ident in idents:
+        windows = [(1, 2), (1, box + 1), (box, box + 1), (box + 1, box + 2)]
+        windows.append((rng.randint(1, box), rng.randint(box + 1, 3 * box)))  # across the box edge
+        lo = rng.randint(999_000, 1_000_000)
+        windows.append((lo, min(lo + rng.randint(1, 200), 1_000_001)))  # at the lemmas' cap
+        for _ in range(3):
+            lo = rng.randint(1, 20_000)
+            windows.append((lo, lo + rng.choice([1, rng.randint(2, 40), rng.randint(41, 400)])))
+        for lo, hi in windows:
+            got = floors.identity_run(ident, lo, hi)
+            assert got == _per_point_run(ident, lo, hi), (ident.condition(), lo, hi)
+            failing += len(got[1])
+    assert failing > 0
+
+
+@pytest.mark.parametrize(
+    "ident, n, square",
+    [(LEM_2_2, 11, 25), (IDENTITIES["lem-5.2"][2], 4, 49), (IDENTITIES["lem-5.2"][2], 16, 169)],
+)
+def test_identity_run_counts_a_square_root_divisor_once(ident, n, square):
+    assert ident.divisor_form(n) == square
+    counts, failing = floors.identity_run(ident, n, n + 1)
+    assert counts == Counter({n: floors.check_identity_at(ident, n)[0]})
+    assert counts[n] == sum(map(ident.admits, floors.divisors_of(square)))
+    assert failing == []
+
+
+def test_identity_run_finds_the_pinned_failures():
+    assert (1, 17) in floors.identity_run(PRINTED_10N7, 1, 2)[1]
+    assert floors.identity_run(SURPLUS_2, 1, 51)[1] == _failing_pairs(SURPLUS_2, 50)
+    assert (1, 5) in floors.identity_run(SURPLUS_2, 1, 2)[1]
+
+
+@pytest.mark.parametrize("name", ["floordiv", "mod"])
+def test_identity_run_raises_when_one_route_is_off(monkeypatch, name):
+    # the floor route takes its quotients from floordiv and the residue route
+    # its residues from mod; moving either one at m = 13 alone must show
+    real = getattr(floors, name)
+    monkeypatch.setattr(floors, name, lambda x, m: real(x, m) + (m == 13))
+    with pytest.raises(InternalCheckError, match=r"m \| 10n\+3, m >= 9 at n=1, m=13$"):
+        floors.identity_run(LEM_2_3, 1, 50)
+
+
+def test_identity_run_domain():
+    with pytest.raises(ValueError):
+        floors.identity_run(CongruenceIdentity(STEP_6_1, form(0, 5), 1), 1, 10)
+    with pytest.raises(ValueError):
+        floors.identity_run(LEM_2_2, 0, 10)
+    assert floors.identity_run(LEM_2_2, 10, 10) == (Counter(), [])

@@ -23,7 +23,7 @@ from factratio import (
     run_claim,
 )
 import factratio
-from factratio import cli, divisibility, registry, runner, valuation
+from factratio import cli, divisibility, floors, registry, runner, valuation
 from factratio.cli import main
 from factratio.registry import (
     CLAIMS,
@@ -272,6 +272,7 @@ def test_run_checkers_build_no_point_tuples(monkeypatch, workers):
         ("thm-1.4", {"a": 3, "b": 3, "m": 3, "n": 40}),
         ("cor-1.5", {"m": 3, "n": 300}),
         ("parity-power-of-2", {"n": 3000}),
+        ("lem-5.2", {"n": 300}),
     ]
     want = [emit_report(run_claim(claim_id, ranges, workers=workers), "json") for claim_id, ranges in cases]
 
@@ -849,6 +850,51 @@ def test_product_route_disagreement_raises(monkeypatch):
     monkeypatch.setattr(divisibility, "product_forms", skewed)
     with pytest.raises(InternalCheckError):
         check_at("thm-1.4", (1, 1, 1, 1))
+
+
+def _skewed_identity_run(monkeypatch, at, skew):
+    """``floors.identity_run`` with its (checks, failures) at n = ``at``
+    passed through ``skew``."""
+    real = floors.identity_run
+
+    def skewed(ident, lo, hi):
+        counts, failing = real(ident, lo, hi)
+        if lo <= at < hi:
+            counts, failing = skew(ident, counts, failing)
+        return counts, failing
+
+    monkeypatch.setattr(floors, "identity_run", skewed)
+
+
+def test_cli_false_floor_failure_outside_the_box_exits_3(monkeypatch, capsys):
+    """A failure that only the identity run reports is a route disagreement:
+    the divisor sweep re-derives every failing n, inside the box or not."""
+    at = 150
+    assert at > registry.FLOOR_ORACLE_N_MAX
+    _skewed_identity_run(
+        monkeypatch, at, lambda ident, counts, failing: (counts, sorted([*failing, (at, 303)]))
+    )
+    assert main(["verify", "lem-2.2", "--n-max", "200"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: floor identity routes disagree for m | 2n+3, m >= 5 at n=150: "
+        "identity run 2 checks failing at m in [303], divisor sweep 2 checks failing at m in []"
+    )
+    # 200 points on one worker make slices of 25; n = 150 ends the sixth
+    assert captured.err.count("while checking lem-2.2 at n in [126, 151)") == 1
+
+
+def test_floor_run_count_off_in_the_box_raises(monkeypatch):
+    def one_lost(ident, counts, failing):
+        counts = counts.copy()
+        counts[50] -= 1
+        return counts, failing
+
+    _skewed_identity_run(monkeypatch, 50, one_lost)
+    message = r"at n=50: identity run 0 checks failing at m in \[\], divisor sweep 1 checks"
+    with pytest.raises(InternalCheckError, match=message):
+        run_claim("lem-2.2", {"n": 60}, workers=1)
 
 
 def _shift_run_at(real, at):

@@ -4,17 +4,20 @@
 of a claim's grid.  The run checkers take their windows from the bounds
 and keep the work a run shares in one kernel call: thm-1.4 one product run
 per (a, b, m) of the slice, cor-1.5 one product run per m of the slice,
-and the parity sweep one digit-sum run per slice.  A slice must report
+the parity sweep one digit-sum run per slice, and the floor lemmas one
+identity run per (slice, identity).  A slice must report
 exactly the concatenation of what its points report as singleton slices
 [i, i + 1), wherever the slice starts and ends.
 """
 
+import dataclasses
 import random
 
 import pytest
 from fractions import Fraction
 from math import comb
 
+from factratio import CongruenceIdentity, form, run_claim
 from factratio import divisibility as dv
 from factratio import floors, registry
 from factratio.registry import CLAIMS, check_point, get_claim, grid_size, points_for
@@ -77,6 +80,16 @@ def _failing_parity(monkeypatch):
             v + (n > box and n % 7 == 0) for n, v in zip(range(lo, hi), real(spec, lo, hi))
         ],
     )
+
+
+def _failing_floors(monkeypatch):
+    """Sweep lem-5.2 with its last condition as printed, m | 10n+7 for m in
+    {7, 13, 17}, which fails at scattered n inside and outside the box."""
+    claim = registry.CLAIMS["lem-5.2"]
+    printed = CongruenceIdentity(floors.STEP_15_2, form(10, 7), 7, m_allowed=frozenset({7, 13, 17}))
+    identities = (*floors.IDENTITIES["lem-5.2"][:3], printed)
+    check = registry._each_run(registry._check_floor_run, identities)
+    monkeypatch.setitem(registry.CLAIMS, "lem-5.2", dataclasses.replace(claim, check=check))
 
 
 def _product_reference(a, b, m, n, c):
@@ -154,8 +167,14 @@ RUN_RANGES = {
     "thm-1.4": {"a": 5, "b": 5, "m": 5, "n": 9},
     "cor-1.5": {"m": 4, "n": 400},
     "parity-power-of-2": {"n": 1500},
+    "lem-5.2": {"n": 400},
 }
-FAILING = {"thm-1.4": _failing_product, "cor-1.5": _failing_central, "parity-power-of-2": _failing_parity}
+FAILING = {
+    "thm-1.4": _failing_product,
+    "cor-1.5": _failing_central,
+    "parity-power-of-2": _failing_parity,
+    "lem-5.2": _failing_floors,
+}
 
 
 @pytest.mark.parametrize("failing", [False, True])
@@ -176,7 +195,8 @@ def test_random_slices_match_singleton_slices(monkeypatch, claim_id, failing):
     for lo, hi in bounds:
         got = check_point(claim_id, ranges, lo, hi)
         assert got == _per_point(claim_id, ranges, lo, hi), (lo, hi)
-        assert got[0] == hi - lo
+        if claim_id != "lem-5.2":  # a floor lemma checks each divisor in its domain
+            assert got[0] == hi - lo
         failures += len(got[1])
     assert (failures > 0) == failing
 
@@ -263,18 +283,55 @@ def test_cap_block_through_one_slice():
     assert _eval_slice(("thm-1.4", ranges, size - 4096, size)) == (4096, [])
 
 
-def test_floor_sweep_enumerates_each_divisor_list_once(monkeypatch):
-    # lem-5.2's two 10n+9 conditions read one divisor list
+def _recorded(monkeypatch, name):
+    """Record the arguments of every call to ``floors.<name>``."""
     calls = []
-    real = floors.divisors_of
-    monkeypatch.setattr(floors, "divisors_of", lambda v: calls.append(v) or real(v))
+    real = getattr(floors, name)
+    monkeypatch.setattr(floors, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_one_floor_run_per_slice(monkeypatch):
+    runs = _recorded(monkeypatch, "identity_run")
+    divided = _recorded(monkeypatch, "divisors_of")
+    identities = floors.IDENTITIES["lem-5.2"]
+    report = run_claim("lem-5.2", {"n": 1500}, workers=1)
+    assert report.failed == 0 and report.checked > 0
+    # 1500 points on one worker make 8 slices of 188, one identity run
+    # per (slice, identity)
+    bounds = [(lo, min(lo + 188, 1501)) for lo in range(1, 1501, 188)]
+    assert runs == [(ident, lo, hi) for lo, hi in bounds for ident in identities]
+    # divisor lists only in the oracle box, one per distinct form value
+    # (lem-5.2's two 10n+9 conditions read one list)
+    box = range(1, registry.FLOOR_ORACLE_N_MAX + 1)
+    assert [v for (v,) in divided] == [
+        v for n in box for v in dict.fromkeys(ident.divisor_form(n) for ident in identities)
+    ]
+
+    # and at failing n: the printed 10n+7 extension on a run across the box edge
+    printed = CongruenceIdentity(
+        floors.STEP_15_2, form(10, 7), 7, m_allowed=frozenset({7, 13, 17})
+    )
+    runs.clear()
+    divided.clear()
+    checked, failures = registry._check_floor_run((printed,), 90, 1000)
+    assert runs == [(printed, 90, 1000)]
+    failing_ns = sorted({bad["n"] for bad in failures})
+    assert failing_ns[0] < registry.FLOOR_ORACLE_N_MAX < failing_ns[-1]
+    rederived = sorted({*range(90, registry.FLOOR_ORACLE_N_MAX + 1), *failing_ns})
+    assert [v for (v,) in divided] == [10 * n + 7 for n in rederived]
+    want_checked, want = 0, []
+    for n in range(90, 1000):
+        count, _, bad = floors.check_identity_at(printed, n)
+        want_checked += count
+        want += [{"n": n, "m": m, "condition": printed.condition()} for m in bad]
+    assert (checked, failures) == (want_checked, want)
+
+    # each singleton slice is the sum of the per-point sweeps of its n
     for n in (1, 7, 1234):
-        calls.clear()
-        checked, failures = check_at("lem-5.2", (n,))
-        assert sorted(calls) == [2 * n + 1, 10 * n + 7, 10 * n + 9]
         want_checked, want = 0, []
-        for ident in floors.IDENTITIES["lem-5.2"]:
+        for ident in identities:
             count, _, bad = floors.check_identity_at(ident, n)
             want_checked += count
             want += [{"n": n, "m": m, "condition": ident.condition()} for m in bad]
-        assert (checked, failures) == (want_checked, want)
+        assert check_at("lem-5.2", (n,)) == (want_checked, want)
