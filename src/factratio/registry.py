@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import ne, not_, sub
+from operator import eq, not_, sub
 from typing import Callable, Iterator
 
 from . import divisibility as dv
@@ -165,9 +165,9 @@ def _rederived(verdicts: list[bool], lo: int, end: int) -> list[int]:
     return [*ns[:cut], *itertools.compress(ns[cut:], map(not_, verdicts[cut:]))]
 
 
-# The big-integer route re-derives every thm-1.1/1.2/1.3 verdict, and the
-# Fraction route every cor-1.5 verdict, at n up to this bound, so each sweep
-# exercises the direct definition; above it, they run only at failing points.
+# The big-integer route re-derives every thm-1.1/1.2/1.3 and parity verdict,
+# and the Fraction route every cor-1.5 verdict, at n up to this bound, so each
+# sweep exercises the direct definition; above it, only at failing points.
 BIGINT_ORACLE_N_MAX = 100
 
 
@@ -310,11 +310,15 @@ def _check_conjecture_product(point: Point):
 
 
 def _check_parity(lo: int, hi: int) -> tuple[int, list[dict]]:
-    """ord_2 S(n) for n in [lo, hi) from one digit-sum run; inside the
-    oracle box the per-n Legendre floor sums and the 2-adic order of the big
-    integer S(n) must both reproduce it."""
+    """ord_2 S(n) for n in [lo, hi) from one digit-sum run; at n up to the
+    oracle bound and at every failure, the per-n Legendre floor sums and the
+    2-adic order of the big integer S(n) must both reproduce it."""
     run = ratio_ord2_run(dv.S_RATIO, lo, hi)
-    for n in range(lo, min(hi, BIGINT_ORACLE_N_MAX + 1)):
+    digit_sums = list(map(int.bit_count, range(lo, hi)))
+    gaps = map(sub, digit_sums, run)  # s_2(n) - ord_2 S(n): 1 where the claim holds
+    holds = list(map(eq, gaps, itertools.repeat(1)))
+    failures = []
+    for n in _rederived(holds, lo, BIGINT_ORACLE_N_MAX + 1):
         ord2 = run[n - lo]
         value = dv.sun_s(n)
         routes = (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1)
@@ -323,12 +327,9 @@ def _check_parity(lo: int, hi: int) -> tuple[int, list[dict]]:
                 f"parity routes disagree at n={n}: digit-sum run={ord2}, "
                 f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
             )
-    digit_sums = list(map(int.bit_count, range(lo, hi)))
-    gaps = map(sub, digit_sums, run)  # s_2(n) - ord_2 S(n): 1 where the claim holds
-    failing = itertools.compress(range(lo, hi), map(ne, gaps, itertools.repeat(1)))
-    return hi - lo, [
-        {"n": n, "ord2": run[n - lo], "digit_sum": digit_sums[n - lo]} for n in failing
-    ]
+        if not holds[n - lo]:
+            failures.append({"n": n, "ord2": ord2, "digit_sum": digit_sums[n - lo]})
+    return hi - lo, failures
 
 
 def _confirm_expansion(spec, n: int, poly, message: str) -> None:

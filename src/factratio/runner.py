@@ -10,15 +10,17 @@ with ``points_for``, or runs of the last parameter, which need no point at
 all.  Work that a run's points share lives in the checker (see
 ``registry``), and a failing window is named by the checker's note.
 
-One worker checks the slices in this process.  More workers are forked
-(POSIX only) before the first slice: worker k of W checks slices k, k + W,
-k + 2W, ... and pickles each outcome to its own pipe as soon as it has it.
-The parent reads slice i from worker i % W and merges the results in slice
-order, so the report content never depends on the worker count.  A full
-pipe stops its worker, so memory is bounded by the slices in flight, not
-by the grid.  An exception in a check is re-raised in the parent with its
-notes, caused by the worker's traceback as text.  A worker's results come
-in slice order, so one that dies is named with the exact slice it held.
+A run on W workers is W processes: shares 1 to W - 1 are forked (POSIX
+only) before the first slice, and share k checks slices k, k + W,
+k + 2W, ...  A forked share pickles each outcome to its own pipe as soon as
+it has it; this process checks share 0 itself, between its reads of the
+other pipes, so it takes every result in slice order and the report
+content never depends on the worker count.  One worker forks nothing.  A
+full pipe stops its worker, so memory is bounded by the slices in flight,
+not by the grid.  An exception in a check is re-raised here with its
+notes, caused by the forked worker's traceback as text where it came from
+one.  A worker's results come in slice order, so one that dies is named
+with the exact slice it held.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .registry import ClaimRecord, check_point, get_claim, grid_size, resolve_ra
 from .errors import InternalCheckError, UsageError
 from .reports import RunReport
 
-MAX_WORKERS = 64  # hard cap: a run forks all its workers before the first slice
+MAX_WORKERS = 64  # hard cap: a run forks all but one of its workers before the first slice
 
 SLICE_POINTS = 4096  # largest slice, in grid points
 SLICES_PER_WORKER = 8  # slices per worker on grids too small to fill SLICE_POINTS
@@ -39,11 +41,6 @@ SLICES_PER_WORKER = 8  # slices per worker on grids too small to fill SLICE_POIN
 _SIGKILL = 9  # fixed by POSIX; importing the signal module takes 2 ms
 
 Task = tuple[str, dict[str, int], int, int]
-
-
-def _eval_slice(task: Task) -> tuple[int, list[dict]]:
-    """Check one index slice; the one path for all worker counts."""
-    return check_point(*task)
 
 
 class _WorkerTraceback(Exception):
@@ -71,18 +68,19 @@ def _sendable(exc: Exception) -> tuple[Exception, str]:
     return exc, stack
 
 
-def _forked(
+def _slices(
     task: Callable[[int], Task], bounds: range, workers: int
 ) -> Iterator[tuple[int, list[dict]]]:
-    """The results of ``_eval_slice(task(lo))`` for ``lo`` in ``bounds``, in
-    order, from ``workers`` forked processes.  Closing the generator, as
-    its end or an exception does, kills and reaps every worker."""
-    import pickle
-
-    pipes = []  # read ends, one per worker
+    """The results of ``check_point(*task(lo))`` for ``lo`` in ``bounds``, in
+    order: share 0 checked here, the other ``workers - 1`` shares each in a
+    forked process.  Closing the generator, as its end or an exception
+    does, kills and reaps every forked worker."""
+    pipes = []  # read ends, one per forked share
     pids: list[int | None] = []  # None once reaped
     try:
-        for k in range(workers):
+        for k in range(1, workers):
+            import pickle  # only a forked share sends pickles
+
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             try:
@@ -93,7 +91,10 @@ def _forked(
             finally:
                 os.close(w)  # the worker's end; the worker never gets here
         for i, lo in enumerate(bounds):
-            k = i % workers
+            k = i % workers - 1  # into pipes and pids; -1 is share 0, checked here
+            if k < 0:
+                yield check_point(*task(lo))
+                continue
             try:
                 ok, value = pickle.load(pipes[k])
             except (EOFError, pickle.UnpicklingError):
@@ -120,7 +121,7 @@ def _forked(
 
 
 def _worker(task: Callable[[int], Task], los: range, fd: int, inherited: list) -> NoReturn:
-    """The forked side of ``_forked``: check the slices at ``los`` and
+    """The forked side of ``_slices``: check the slices at ``los`` and
     pickle each outcome, ``(True, result)`` or ``(False, (exception,
     stack))``, to ``fd``; stop after the first exception.  It ends in
     ``os._exit``, so it never returns into the caller's stack or flushes
@@ -134,7 +135,7 @@ def _worker(task: Callable[[int], Task], los: range, fd: int, inherited: list) -
         with open(fd, "wb") as out:
             for lo in los:
                 try:
-                    outcome = True, _eval_slice(task(lo))
+                    outcome = True, check_point(*task(lo))
                 except Exception as exc:
                     outcome = False, _sendable(exc)
                 pickle.dump(outcome, out)
@@ -170,14 +171,11 @@ def run_claim(claim_id: str, ranges: dict[str, int] | None = None, workers: int 
         conjecture=claim.conjecture,
         ranges=resolved,
     )
-    if workers == 1 or len(bounds) < 2:
-        _merge(report, map(_eval_slice, map(task, bounds)))
-    else:
-        outcomes = _forked(task, bounds, min(workers, len(bounds)))
-        try:
-            _merge(report, outcomes)
-        finally:
-            outcomes.close()
+    outcomes = _slices(task, bounds, max(1, min(workers, len(bounds))))
+    try:
+        _merge(report, outcomes)
+    finally:
+        outcomes.close()
     report.wall_time_s = time.perf_counter() - start
     report.passed = report.checked - report.failed
     return report

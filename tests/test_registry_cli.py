@@ -35,7 +35,7 @@ from factratio.registry import (
     resolve_ranges,
 )
 
-from test_slice_memo import check_at
+from test_slice_memo import check_at, shift_parity
 
 EXPECTED_IDS = {
     "thm-1.1",
@@ -519,11 +519,12 @@ def test_cli_route_disagreement_exits_3(monkeypatch, capsys):
 def test_cli_any_exception_in_a_check_exits_3(monkeypatch, capsys, workers):
     """An exception that is not a route disagreement is still an internal
     failure, never the counterexample exit 1.  From a worker it keeps the
-    worker's traceback and its note."""
+    worker's traceback and its note.  On two workers n = 4 is the fourth of
+    five one-point slices, which share 1, a forked worker, checks."""
     real = divisibility.valuation_verdict
 
     def broken(claim, n, shared=None):
-        if n == 3:
+        if n == 4:
             raise ValueError("kernel bug")
         return real(claim, n, shared)
 
@@ -535,22 +536,24 @@ def test_cli_any_exception_in_a_check_exits_3(monkeypatch, capsys, workers):
     assert ", in broken\n" in captured.err
     assert "internal error: kernel bug" in captured.err
     # once: the traceback already ends with the notes
-    assert captured.err.count("while checking thm-1.1 at (3,)") == 1
+    assert captured.err.count("while checking thm-1.1 at (4,)") == 1
 
 
 def test_cli_unpicklable_exception_in_a_worker_exits_3(monkeypatch, capsys):
     class Local(Exception):
         """A local class: pickle cannot find it by name."""
 
+    parent = os.getpid()
     real = divisibility.valuation_verdict
 
     def broken(claim, n, shared=None):
-        if n == 3:
+        if n == 3 and os.getpid() != parent:  # only in a forked worker, never in the test process
             raise Local("kernel bug")
         return real(claim, n, shared)
 
     monkeypatch.setattr(divisibility, "valuation_verdict", broken)
-    assert main(["verify", "thm-1.1", "--n-max", "5", "--workers", "2"]) == 3
+    # five one-point slices on 3 workers: n = 3 is slice 2, share 2's, in a forked worker
+    assert main(["verify", "thm-1.1", "--n-max", "5", "--workers", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Local in a worker: kernel bug" in captured.err
@@ -558,12 +561,14 @@ def test_cli_unpicklable_exception_in_a_worker_exits_3(monkeypatch, capsys):
     assert captured.err.count("while checking thm-1.1 at (3,)") == 1
 
 
-def _faulty_worker_at_300(monkeypatch, fault):
+def _faulty_at(monkeypatch, fault, at=300):
+    """``valuation_verdict`` faulting at n = ``at``: "die" or "raise" only in
+    a forked worker, never in the test process; "raise here" only in it."""
     parent = os.getpid()
     real = divisibility.valuation_verdict
 
     def faulty(claim, n, shared=None):
-        if n == 300 and os.getpid() != parent:  # only in a forked worker, never in the test process
+        if n == at and (os.getpid() == parent) == (fault == "raise here"):
             if fault == "die":
                 os._exit(9)
             raise ValueError("kernel bug")
@@ -573,7 +578,7 @@ def _faulty_worker_at_300(monkeypatch, fault):
 
 
 def test_cli_dead_pool_worker_exits_3(monkeypatch, capsys):
-    _faulty_worker_at_300(monkeypatch, "die")
+    _faulty_at(monkeypatch, "die")
     assert main(["verify", "thm-1.1", "--n-max", "400", "--workers", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -598,23 +603,53 @@ def _interrupted_after_one_slice(report, outcomes):
 
 @pytest.mark.parametrize(
     "fault, raises",
-    [(None, None), ("raise", ValueError), ("die", InternalCheckError), ("interrupt", KeyboardInterrupt)],
-    ids=["pass", "raise", "die", "interrupt"],
+    [
+        (None, None),
+        ("raise", ValueError),
+        ("raise here", ValueError),
+        ("die", InternalCheckError),
+        ("interrupt", KeyboardInterrupt),
+    ],
+    ids=["pass", "raise", "raise-here", "die", "interrupt"],
 )
 def test_no_worker_outlives_its_run(monkeypatch, fault, raises):
     """Every forked worker is reaped, whether the run passes, a check
-    raises, a worker dies or the parent is interrupted mid-merge."""
+    raises in a forked worker or in this process, a worker dies or the
+    parent is interrupted mid-merge."""
     if fault == "interrupt":
         monkeypatch.setattr(runner, "_merge", _interrupted_after_one_slice)
+    elif fault == "raise here":  # 16 slices of 25: n = 260 is in slice 10, share 0's
+        _faulty_at(monkeypatch, fault, 260)
     elif fault:
-        _faulty_worker_at_300(monkeypatch, fault)
+        _faulty_at(monkeypatch, fault)
     if raises is None:
         assert run_claim("thm-1.1", {"n": 400}, workers=2).checked == 400
     else:
-        with pytest.raises(raises):
+        with pytest.raises(raises) as info:
             run_claim("thm-1.1", {"n": 400}, workers=2)
+        if raises is ValueError:  # only a forked worker's exception comes with its stack as text
+            forked = isinstance(info.value.__cause__, runner._WorkerTraceback)
+            assert forked == (fault == "raise")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _counted_forks(monkeypatch):
+    """The pids that called ``os.fork`` in this run; every fork goes ahead."""
+    forks, real = [], os.fork
+    monkeypatch.setattr(runner.os, "fork", lambda: forks.append(os.getpid()) or real())
+    return forks
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_w_workers_fork_w_minus_1_processes(monkeypatch, workers):
+    """This process checks share 0 itself; thm-7.2 at n <= 20 has 20 slices,
+    so every share gets one, and 4 counterexamples to merge in order."""
+    want = emit_report(run_claim("thm-7.2", {"n": 20}, workers=1), "json")
+    forks = _counted_forks(monkeypatch)
+    got = emit_report(run_claim("thm-7.2", {"n": 20}, workers=workers), "json")
+    assert forks == [os.getpid()] * (workers - 1)
+    assert got == want
 
 
 def test_cli_list(capsys):
@@ -727,6 +762,24 @@ def test_default_is_one_worker_whatever_the_environment(monkeypatch, capsys, sta
     with pytest.raises(OSError, match="no worker process"):  # the fixture sees a fork
         run_claim("thm-1.1", {"n": 50}, workers=2)
     assert started == ["fork"]
+
+
+def test_one_worker_verify_imports_no_pickle_or_traceback():
+    """Pickles and worker stacks belong to the fork path only."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "from factratio.cli import main\n"
+        "status = main(['verify', 'thm-1.1', '--n-max', '60', '--out', sys.argv[1]])\n"
+        "print(status, 'pickle' in sys.modules, 'traceback' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.devnull], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False False\n"
 
 
 def test_no_module_reads_the_environment():
@@ -902,11 +955,13 @@ def _shift_run_at(real, at):
     return lambda spec, lo, hi: [v + (n == at) for n, v in zip(range(lo, hi), real(spec, lo, hi))]
 
 
-@pytest.mark.parametrize("at", [1, 64, 100])
+@pytest.mark.parametrize("at", [1, 64, 100, 1000])
 def test_shifted_parity_run_raises_in_the_box(monkeypatch, at):
+    # outside the box (n = 1000) the shift makes a failing verdict, which
+    # both oracles re-derive
     monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, at))
     with pytest.raises(InternalCheckError, match=f"parity routes disagree at n={at}:"):
-        run_claim("parity-power-of-2", {"n": 300}, workers=1)
+        run_claim("parity-power-of-2", {"n": 1200}, workers=1)
 
 
 def test_parity_big_integer_route_alone_catches_a_shift(monkeypatch, capsys):
@@ -933,8 +988,9 @@ def test_parity_sweep_runs_the_per_n_route_only_in_the_box(monkeypatch):
 
 
 def test_parity_failure_fields(monkeypatch):
-    # outside the box a failing verdict reports the run's order and the digit sum
-    monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, 1000))
+    # outside the box a failing verdict that every route confirms reports
+    # the run's order and the digit sum
+    assert registry.ratio_ord(2, divisibility.S_RATIO, 1000) == 5
+    shift_parity(monkeypatch, lambda n: n == 1000)
     report = run_claim("parity-power-of-2", {"n": 1200}, workers=1)
     assert report.counterexamples == [{"n": 1000, "ord2": 6, "digit_sum": 6}]
-    assert registry.ratio_ord(2, divisibility.S_RATIO, 1000) == 5

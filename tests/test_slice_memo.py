@@ -21,7 +21,6 @@ from factratio import CongruenceIdentity, form, run_claim
 from factratio import divisibility as dv
 from factratio import floors, registry
 from factratio.registry import CLAIMS, check_point, get_claim, grid_size, points_for
-from factratio.runner import _eval_slice
 from factratio.valuation import factorize, orders_at
 
 
@@ -68,18 +67,24 @@ def _failing_product(monkeypatch):
     monkeypatch.setattr(dv, "check_product", integer)
 
 
-def _failing_parity(monkeypatch):
-    """Move the digit-sum run up by one at every n = 0 (mod 7) outside the
-    oracle box, so that those n fail."""
-    real = registry.ratio_ord2_run
-    box = registry.BIGINT_ORACLE_N_MAX
+def shift_parity(monkeypatch, shifted):
+    """Move ord_2 S(n) up by one on every route at the n where ``shifted(n)``
+    holds, so that those n fail: the digit-sum run, the per-n Legendre sums,
+    and the big integer S(n), doubled."""
+    run, order, value = registry.ratio_ord2_run, registry.ratio_ord, dv.sun_s
     monkeypatch.setattr(
         registry,
         "ratio_ord2_run",
-        lambda spec, lo, hi: [
-            v + (n > box and n % 7 == 0) for n, v in zip(range(lo, hi), real(spec, lo, hi))
-        ],
+        lambda spec, lo, hi: [v + shifted(n) for n, v in zip(range(lo, hi), run(spec, lo, hi))],
     )
+    monkeypatch.setattr(registry, "ratio_ord", lambda p, spec, n: order(p, spec, n) + shifted(n))
+    monkeypatch.setattr(dv, "sun_s", lambda n: value(n) << shifted(n))
+
+
+def _failing_parity(monkeypatch):
+    """Shift ord_2 S(n) on every route at every n = 0 (mod 7), inside the
+    oracle box and outside it, so that those n fail."""
+    shift_parity(monkeypatch, lambda n: n % 7 == 0)
 
 
 def _failing_floors(monkeypatch):
@@ -157,7 +162,7 @@ def test_slice_cut_mid_run_matches_per_point_calls():
     ]
     for claim_id, ranges, lo, hi in cases:
         assert 0 < lo < hi < grid_size(get_claim(claim_id), ranges)
-        got = _eval_slice((claim_id, ranges, lo, hi))
+        got = check_point(claim_id, ranges, lo, hi)
         assert got == _per_point(claim_id, ranges, lo, hi)
         assert got[0] == hi - lo
 
@@ -233,7 +238,7 @@ def test_mid_grid_slice_matches_per_point_calls(claim_id):
     ranges = SMALL_RANGES[claim_id]
     size = grid_size(get_claim(claim_id), ranges)
     lo, hi = size // 3, size - size // 3  # the whole grid of a one-point claim
-    got = _eval_slice((claim_id, ranges, lo, hi))
+    got = check_point(claim_id, ranges, lo, hi)
     assert got == _per_point(claim_id, ranges, lo, hi)
     assert got[0] > 0
 
@@ -242,7 +247,7 @@ def test_slice_failures_match_per_point_calls_for_central(monkeypatch):
     _failing_central(monkeypatch)
     value = dv.central_product_value
     ranges = {"m": 4, "n": 150}
-    checked, failures = _eval_slice(("cor-1.5", ranges, 75, 525))
+    checked, failures = check_point("cor-1.5", ranges, 75, 525)
     assert (checked, failures) == _per_point("cor-1.5", ranges, 75, 525)
     assert any(bad["n"] > registry.BIGINT_ORACLE_N_MAX for bad in failures)
     for bad in failures:
@@ -254,7 +259,7 @@ def test_non_integral_shared_head_gives_the_same_counterexamples(monkeypatch):
     _failing_product(monkeypatch)
     ranges = {"a": 3, "b": 3, "m": 6, "n": 6}
     lo, hi = 5, grid_size(get_claim("thm-1.4"), ranges) - 7
-    checked, failures = _eval_slice(("thm-1.4", ranges, lo, hi))
+    checked, failures = check_point("thm-1.4", ranges, lo, hi)
     assert (checked, failures) == _per_point("thm-1.4", ranges, lo, hi)
 
     expected = []
@@ -280,7 +285,7 @@ def test_cap_block_through_one_slice():
     # a = b = 64 with m, n in 1..64: the largest operands of the thm-1.4 cap
     ranges = {"a": 64, "b": 64, "m": 64, "n": 64}
     size = grid_size(get_claim("thm-1.4"), ranges)
-    assert _eval_slice(("thm-1.4", ranges, size - 4096, size)) == (4096, [])
+    assert check_point("thm-1.4", ranges, size - 4096, size) == (4096, [])
 
 
 def _recorded(monkeypatch, name):
