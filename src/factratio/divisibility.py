@@ -26,7 +26,7 @@ the claim is defined.  Only the primes of cofactor(n) * modulus(n) can
 then make ``multiplier * B / cofactor / modulus`` non-integral, and
 ``valuation_verdict`` reads their orders from Legendre floor sums.  The
 second route is exact big-integer division with a remainder check; the
-registry runs it as an oracle at every failing point and at every small n.
+registry runs it as an oracle at every failing point and in the claim's box.
 
 The two-binomial product and its central corollary are decided the same
 way, at the primes of m+n, for a whole run of n at once (``product_run``):

@@ -12,19 +12,20 @@ the claim's parameter grid and yields, in grid order, results
 whose covered counts add up to hi - lo.  Multi-part claims (the six
 third-theorem congruences, the five seventh-section families) report
 per-part witnesses.  Most claims check point by point (``_each``): their
-window is one point, built with ``points_for``.  The run kernels check a
-whole run of the last parameter at once (``_each_run``): the window is the
-other coordinates and a range of the last, decoded from the slice bounds
-without building a point, with one product run per (a, b, m) of the slice
-for thm-1.4 and per m for cor-1.5, one digit-sum run per slice for the
-parity sweep, and one identity run per slice and identity for the floor
-lemmas.  Either wrapper notes an exception with the window it was raised
-in.  The sweep is always the whole product grid of the parameter
-ranges; a checker skips the points outside its claim's domain itself and
-counts 0 checks for them.  Theorem-class checkers re-verify any failure
-through an independent second route before reporting it; a disagreement
-between routes raises InternalCheckError instead of producing a
-counterexample.
+window is one point, built with ``points_for``.  The run kernels (thm-1.4,
+cor-1.5, the floor lemmas, parity) check a whole run of the last parameter
+at once (``_each_run``): the window is the other coordinates and a range of
+the last, decoded from the slice bounds without building a point.  Either
+wrapper notes an exception with the window it was raised in.  The sweep is
+always the whole product grid of the parameter ranges; a checker skips the
+points outside its claim's domain itself and counts 0 checks for them.
+
+A claim with two routes (thm-1.1 to 1.4, cor-1.5, lem-2.2 to 5.2, parity)
+carries its oracle box in its record, in the claim table; ``_two_routes``
+re-derives every point in the box and every failing point by the second
+route, and a disagreement raises InternalCheckError instead of producing a
+counterexample.  The q claims re-derive only their failures, by
+``naive_expand``; val-bounds and lem-2.1 have one route.
 
 Checkers reach the kernels through module attributes (``dv.``, ``floors.``)
 and through this module's ``expand`` / ``expand_many`` / ``naive_expand`` /
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import eq, not_, sub
 from typing import Callable, Iterator
 
@@ -79,6 +80,7 @@ class ClaimRecord:
     anchor: str
     params: tuple[ParamSpec, ...]
     check: Callable[["ClaimRecord", dict[str, int], int, int], Iterator[Result]]
+    box: dict[str, int] | None = field(default=None, hash=False)
     conjecture: bool = False
     note: str = ""
 
@@ -103,18 +105,18 @@ def _abmn(default: int, cap: int) -> tuple[ParamSpec, ...]:
 
 
 # --------------------------------------------------------------------------
-# Checkers: (claim data, point or run) -> (checks run, counterexample dicts)
+# Checkers: (record, claim data, point or run) -> (checks run, counterexample dicts)
 # --------------------------------------------------------------------------
 
 
 def _each(check, *data):
     """The slice checker that checks each point on its own:
-    ``check(*data, point)`` returns the point's (checks, failures)."""
+    ``check(claim, *data, point)`` returns the point's (checks, failures)."""
 
     def checker(claim: ClaimRecord, ranges: dict[str, int], lo: int, hi: int) -> Iterator[Result]:
         for point in points_for(claim, ranges, lo, hi):
             try:
-                checks, failures = check(*data, point)
+                checks, failures = check(claim, *data, point)
             except Exception as exc:
                 raise _noted(exc, claim.id, point)
             yield point, 1, checks, failures
@@ -124,9 +126,9 @@ def _each(check, *data):
 
 def _each_run(check, *data):
     """The slice checker that checks each run of the last parameter at once:
-    ``check(*data, *fixed, lo, hi)`` returns the (checks, failures) of the run
-    with the other parameters at ``fixed`` and the last one in [lo, hi).  The runs
-    are decoded from the slice bounds; no point is built."""
+    ``check(claim, *data, *fixed, lo, hi)`` returns the (checks, failures) of
+    the run with the other parameters at ``fixed`` and the last one in
+    [lo, hi).  The runs are decoded from the slice bounds; no point is built."""
 
     def checker(claim: ClaimRecord, ranges: dict[str, int], lo: int, hi: int) -> Iterator[Result]:
         *heads, last = [range(p.minimum, ranges[p.name] + 1) for p in claim.params]
@@ -136,7 +138,7 @@ def _each_run(check, *data):
             start = last.start + max(lo - key * length, 0)
             stop = last.start + min(hi - key * length, length)
             try:
-                checks, failures = check(*data, *fixed, start, stop)
+                checks, failures = check(claim, *data, *fixed, start, stop)
             except Exception as exc:
                 where = [f"{p.name}={v}" for p, v in zip(claim.params, fixed)]
                 where.append(f"{claim.params[-1].name} in [{start}, {stop})")
@@ -157,94 +159,84 @@ def _noted(exc: Exception, claim_id: str, window) -> Exception:
     return exc
 
 
-def _rederived(verdicts: list[bool], lo: int, end: int) -> list[int]:
-    """The n of the run lo, lo+1, ... that an oracle re-derives, ascending:
-    every n below ``end`` and every n with a failing verdict."""
-    ns = range(lo, lo + len(verdicts))
-    cut = max(end - lo, 0)
-    return [*ns[:cut], *itertools.compress(ns[cut:], map(not_, verdicts[cut:]))]
+def _two_routes(claim, fixed, lo, holds, oracle, primary=None, part=None):
+    """The failures of a run of the primary route, re-derived by the oracle.
+
+    The run is n = lo, lo+1, ... of the claim's last parameter, the others at
+    ``fixed``; ``holds[i]`` is the primary verdict at n = lo + i and
+    ``primary(n)`` the primary value (by default the verdict).  Every failing
+    n and every n in the claim's box (each parameter at most its bound, one
+    left out unbounded) is re-derived, ascending and once: ``oracle(n)``
+    returns (readings, data), and each reading must equal the primary value,
+    or InternalCheckError names the claim, its ``part``, the coordinates and
+    both routes' values.  Returns (n, readings, data) at each failing n.
+    """
+    ns = range(lo, lo + len(holds))
+    rederived = itertools.compress(ns, map(not_, holds))  # the failing n, picked at C level
+    cut = claim.box[claim.params[-1].name] + 1 - lo  # the n below lo + cut are in the box's range
+    if cut > 0 and all(v <= claim.box.get(p.name, v) for p, v in zip(claim.params, fixed)):
+        rederived = itertools.chain(ns[:cut], itertools.compress(ns[cut:], map(not_, holds[cut:])))
+    failing = []
+    for n in rederived:
+        value = holds[n - lo] if primary is None else primary(n)
+        readings, data = oracle(n)
+        if any(reading != value for reading in readings):
+            where = ", ".join(f"{p.name}={v}" for p, v in zip(claim.params, (*fixed, n)))
+            raise InternalCheckError(
+                f"{claim.id} routes disagree{f' for {part}' if part else ''} at {where}: "
+                f"primary {value!r}, oracle {readings!r}"
+            )
+        if not holds[n - lo]:
+            failing.append((n, readings, data))
+    return failing
 
 
-# The big-integer route re-derives every thm-1.1/1.2/1.3 and parity verdict,
-# and the Fraction route every cor-1.5 verdict, at n up to this bound, so each
-# sweep exercises the direct definition; above it, only at failing points.
-BIGINT_ORACLE_N_MAX = 100
-
-
-def _check_divisibility_group(group, point: Point):
+def _check_divisibility_group(record, group, point: Point):
     (n,) = point
     failures = []
     bases: dict = {}  # per-base work at this n, see dv.valuation_verdict
     for claim in group:
         ok = dv.valuation_verdict(claim, n, bases)
-        if ok and n > BIGINT_ORACLE_N_MAX:
-            continue
-        big = dv.check_divisibility(claim, n)
-        if big != ok:
-            raise InternalCheckError(
-                f"divisibility routes disagree for {claim.name} at n={n}: "
-                f"big-integer={big}, valuation={ok}"
-            )
-        if ok:
-            continue
-        value = dv.VALUE_FUNCS[claim.value_key](n)
-        failures.append(
-            {
-                "n": n,
-                "congruence": claim.name,
-                "modulus": claim.modulus_form(n),
-                "residue": (claim.multiplier * value) % claim.modulus_form(n),
-            }
-        )
+        oracle = lambda n: ((dv.check_divisibility(claim, n),), None)
+        if _two_routes(record, (), n, [ok], oracle, part=claim.name):
+            mod = claim.modulus_form(n)
+            res = claim.multiplier * dv.VALUE_FUNCS[claim.value_key](n) % mod
+            failures.append({"n": n, "congruence": claim.name, "modulus": mod, "residue": res})
     return len(group), failures
 
 
-# The integer and Fraction routes re-derive every thm-1.4 verdict on the box
-# max(a, b, m, n) <= PRODUCT_ORACLE_MAX; outside it, only at failing points.
-PRODUCT_ORACLE_MAX = 4
+def _check_product(claim, a: int, b: int, m: int, lo: int, hi: int) -> tuple[int, list[dict]]:
+    """thm-1.4 on the run n in [lo, hi) from one product run; the oracle is
+    the integer route and the Fraction route, whose forms must be equal and,
+    where the integer route is integral, equal to its value."""
 
-
-def _check_product(a: int, b: int, m: int, lo: int, hi: int) -> tuple[int, list[dict]]:
-    """thm-1.4 on the run n in [lo, hi) from one product run; the integer
-    and Fraction routes re-derive the verdict in the oracle box and at every
-    failure."""
-    verdicts = dv.product_run(a, b, m, lo, hi)
-    box = PRODUCT_ORACLE_MAX + 1 if max(a, b, m) <= PRODUCT_ORACLE_MAX else lo
-    failures = []
-    for n in _rederived(verdicts, lo, box):
-        ok = verdicts[n - lo]
+    def oracle(n):
         integral, value = dv.check_product(a, b, m, n)
         first, second = dv.product_forms(a, b, m, n)
-        fraction = first.denominator == 1
-        if first != second or {ok, integral} != {fraction} or (ok and value != first):
-            raise InternalCheckError(
-                f"product routes disagree at a={a}, b={b}, m={m}, n={n}: run={ok}, "
-                f"integer={integral} (value {value}), Fraction forms {first} and {second}"
-            )
-        if not ok:
-            failures.append(
-                {"a": a, "b": b, "m": m, "n": n, "form1": str(first), "form2": str(second)}
-            )
-    return hi - lo, failures
+        agreed = first == second and value in (None, first)
+        forms = first.denominator == 1 if agreed else (value, first, second)
+        return (integral, forms), (first, second)
+
+    failing = _two_routes(claim, (a, b, m), lo, dv.product_run(a, b, m, lo, hi), oracle)
+    return hi - lo, [
+        {"a": a, "b": b, "m": m, "n": n, "form1": str(first), "form2": str(second)}
+        for n, _, (first, second) in failing
+    ]
 
 
-def _check_central(m: int, lo: int, hi: int) -> tuple[int, list[dict]]:
+def _check_central(claim, m: int, lo: int, hi: int) -> tuple[int, list[dict]]:
     """cor-1.5 on the run n in [lo, hi) from one product run at a = b = 1;
-    the Fraction route re-derives the verdict at n up to the oracle bound
-    and at every failure."""
-    verdicts = dv.product_run(1, 1, m, lo, hi)
-    failures = []
-    for n in _rederived(verdicts, lo, BIGINT_ORACLE_N_MAX + 1):
-        ok = verdicts[n - lo]
+    the oracle is the Fraction value."""
+
+    def oracle(n):
         value = dv.central_product_value(m, n)
-        if ok != (value.denominator == 1):
-            raise InternalCheckError(f"central product routes disagree at m={m}, n={n}")
-        if not ok:
-            failures.append({"m": m, "n": n, "value": str(value)})
-    return hi - lo, failures
+        return (value.denominator == 1,), value
+
+    failing = _two_routes(claim, (m,), lo, dv.product_run(1, 1, m, lo, hi), oracle)
+    return hi - lo, [{"m": m, "n": n, "value": str(value)} for n, _, value in failing]
 
 
-def _check_landau_point(point: Point):
+def _check_landau_point(claim, point: Point):
     failures = []
     for spec in (floors.STEP_6_1, floors.STEP_15_2):
         low = floors.landau_min(spec)
@@ -259,39 +251,40 @@ def _check_landau_point(point: Point):
     return 2, failures
 
 
-# The per-point divisor sweep re-derives every floor-identity check at n up
-# to this bound, and at every failing n above it.
-FLOOR_ORACLE_N_MAX = 100
-
-
-def _check_floor_run(identities, lo: int, hi: int) -> tuple[int, list[dict]]:
+def _check_floor_run(claim, identities, lo: int, hi: int) -> tuple[int, list[dict]]:
     """The floor identities on the run n in [lo, hi), from one identity run
-    each; at n up to the oracle bound and at every failing n, the per-point
-    sweep over the divisor lists must find the same checks and failing m."""
+    each; the oracle is the per-point sweep over the divisor lists, which
+    must find the same checks and failing m for every identity."""
     runs = [floors.identity_run(ident, lo, hi) for ident in identities]
-    failing = sorted((n, i, m) for i, (_, bad) in enumerate(runs) for n, m in bad)
-    bad_at: dict[tuple[int, int], list[int]] = {}  # (n, identity) -> failing m
-    for n, i, m in failing:
-        bad_at.setdefault((n, i), []).append(m)
-    for n in sorted({*range(lo, min(hi, FLOOR_ORACLE_N_MAX + 1)), *(n for n, _, _ in failing)}):
+    holds = [True] * (hi - lo)
+    bad_at: dict[tuple[int, int], list[int]] = {}  # (n, identity) -> failing m, ascending
+    for i, (_, bad) in enumerate(runs):
+        for n, m in bad:
+            holds[n - lo] = False
+            bad_at.setdefault((n, i), []).append(m)
+
+    def oracle(n):
         divisors: dict[int, list[int]] = {}  # lem-5.2 has two 10n+9 conditions
-        for i, (ident, (counts, _)) in enumerate(zip(identities, runs)):
+        sweep = []
+        for ident in identities:
             v = ident.divisor_form(n)
             if v not in divisors:
                 divisors[v] = floors.divisors_of(v)
             checked, _, bad = floors.check_identity_at(ident, n, divisors[v])
-            run_checked, run_bad = counts[n], bad_at.get((n, i), [])
-            if (checked, bad) != (run_checked, run_bad):
-                raise InternalCheckError(
-                    f"floor identity routes disagree for {ident.condition()} at n={n}: "
-                    f"identity run {run_checked} checks failing at m in {run_bad}, "
-                    f"divisor sweep {checked} checks failing at m in {bad}"
-                )
-    checks = sum(counts.total() for counts, _ in runs)
-    return checks, [{"n": n, "m": m, "condition": identities[i].condition()} for n, i, m in failing]
+            sweep.append((checked, bad))
+        return (sweep,), None
+
+    primary = lambda n: [(c[n], bad_at.get((n, i), [])) for i, (c, _) in enumerate(runs)]
+    failing = _two_routes(claim, (), lo, holds, oracle, primary)
+    return sum(counts.total() for counts, _ in runs), [
+        {"n": n, "m": m, "condition": ident.condition()}
+        for n, (sweep,), _ in failing
+        for ident, (_, bad) in zip(identities, sweep)
+        for m in bad
+    ]
 
 
-def _check_val_bounds(point: Point):
+def _check_val_bounds(claim, point: Point):
     (n,) = point
     failures = []
     for name in sorted(dv.RATIO_BOUNDS):
@@ -300,7 +293,7 @@ def _check_val_bounds(point: Point):
     return len(dv.RATIO_BOUNDS), failures
 
 
-def _check_conjecture_product(point: Point):
+def _check_conjecture_product(claim, point: Point):
     a, b, n = point
     if b >= a:  # the conjecture is stated for a > b only
         return 0, []
@@ -309,27 +302,23 @@ def _check_conjecture_product(point: Point):
     return 1, [{"a": a, "b": b, "n": n}]
 
 
-def _check_parity(lo: int, hi: int) -> tuple[int, list[dict]]:
-    """ord_2 S(n) for n in [lo, hi) from one digit-sum run; at n up to the
-    oracle bound and at every failure, the per-n Legendre floor sums and the
-    2-adic order of the big integer S(n) must both reproduce it."""
+def _check_parity(claim, lo: int, hi: int) -> tuple[int, list[dict]]:
+    """ord_2 S(n) for n in [lo, hi) from one digit-sum run; the oracle is the
+    per-n Legendre floor sums and the 2-adic order of the big integer S(n),
+    which must both reproduce it."""
     run = ratio_ord2_run(dv.S_RATIO, lo, hi)
     digit_sums = list(map(int.bit_count, range(lo, hi)))
     gaps = map(sub, digit_sums, run)  # s_2(n) - ord_2 S(n): 1 where the claim holds
     holds = list(map(eq, gaps, itertools.repeat(1)))
-    failures = []
-    for n in _rederived(holds, lo, BIGINT_ORACLE_N_MAX + 1):
-        ord2 = run[n - lo]
+
+    def oracle(n):
         value = dv.sun_s(n)
-        routes = (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1)
-        if routes != (ord2, ord2):
-            raise InternalCheckError(
-                f"parity routes disagree at n={n}: digit-sum run={ord2}, "
-                f"Legendre sums={routes[0]}, 2-adic order of S(n)={routes[1]}"
-            )
-        if not holds[n - lo]:
-            failures.append({"n": n, "ord2": ord2, "digit_sum": digit_sums[n - lo]})
-    return hi - lo, failures
+        return (ratio_ord(2, dv.S_RATIO, n), (value & -value).bit_length() - 1), None
+
+    failing = _two_routes(claim, (), lo, holds, oracle, lambda n: run[n - lo])
+    return hi - lo, [
+        {"n": n, "ord2": ord2, "digit_sum": digit_sums[n - lo]} for n, (ord2, _), _ in failing
+    ]
 
 
 def _confirm_expansion(spec, n: int, poly, message: str) -> None:
@@ -346,7 +335,7 @@ def _confirm_expansion(spec, n: int, poly, message: str) -> None:
         raise InternalCheckError(message)
 
 
-def _check_family_polynomiality(family_ids, point: Point):
+def _check_family_polynomiality(claim, family_ids, point: Point):
     (n,) = point
     checked = 0
     failures = []
@@ -365,7 +354,7 @@ def _check_family_polynomiality(family_ids, point: Point):
     return checked, failures
 
 
-def _check_family_positivity(family_ids, point: Point):
+def _check_family_positivity(claim, family_ids, point: Point):
     """The families' polynomials at n come from one ``expand_many`` call,
     which expands the Phi_d part they share once."""
     (n,) = point
@@ -391,7 +380,7 @@ def _check_family_positivity(family_ids, point: Point):
     return len(fids), failures
 
 
-def _check_unimodality(point: Point):
+def _check_unimodality(claim, point: Point):
     (n,) = point
     spec = FAMILIES["wz"].spec
     poly = expand(exponent_vector(spec, n))
@@ -406,7 +395,7 @@ def _check_unimodality(point: Point):
     return 2, failures
 
 
-def _check_gcd_product(use_gcd: bool, point: Point):
+def _check_gcd_product(claim, use_gcd: bool, point: Point):
     a, b, m, n = point
     spec = gcd_product_spec(a, b, m, n, use_gcd=use_gcd)
     failures = []
@@ -446,6 +435,7 @@ _RECORDS = (
         "3 S(n) = 0 (mod 2n+3)",
         _n(2000, 100_000),
         _each(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.1"]),
+        box={"n": 100},
     ),
     ClaimRecord(
         "thm-1.2",
@@ -454,6 +444,7 @@ _RECORDS = (
         "21 t(n) = 0 (mod 10n+3)",
         _n(1000, 100_000),
         _each(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.2"]),
+        box={"n": 100},
     ),
     ClaimRecord(
         "thm-1.3",
@@ -464,6 +455,7 @@ _RECORDS = (
         "43263 t(n) = 0 (mod 10n+9)",
         _n(1000, 100_000),
         _each(_check_divisibility_group, dv.CLAIMS_BY_ID["thm-1.3"]),
+        box={"n": 100},
         note="fourth congruence normalized to the C(5n,n) form; as published "
         "(3003 t(n) mod 2n+1) it fails at n=2",
     ),
@@ -475,6 +467,7 @@ _RECORDS = (
         "abm/((a+b)(m+n)) * C(am+bm,am) * C(an+bn,an) in Z",
         _abmn(12, 64),
         _each_run(_check_product),
+        box={"a": 4, "b": 4, "m": 4, "n": 4},
     ),
     ClaimRecord(
         "cor-1.5",
@@ -484,6 +477,7 @@ _RECORDS = (
         "m/(2(m+n)) * C(2m,m) * C(2n,n) in Z",
         (ParamSpec("m", 5, 64), ParamSpec("n", 5000, 100_000)),
         _each_run(_check_central),
+        box={"n": 100},
     ),
     ClaimRecord(
         "lem-2.1",
@@ -502,6 +496,7 @@ _RECORDS = (
         "floor(6n/m)+floor(n/m) = floor(3n/m)+2 floor(2n/m)+1 when m | 2n+3, m >= 5",
         _n(500, 1_000_000),
         _each_run(_check_floor_run, floors.IDENTITIES["lem-2.2"]),
+        box={"n": 100},
     ),
     ClaimRecord(
         "lem-2.3",
@@ -511,6 +506,7 @@ _RECORDS = (
         "when m | 10n+3, m >= 9",
         _n(500, 1_000_000),
         _each_run(_check_floor_run, floors.IDENTITIES["lem-2.3"]),
+        box={"n": 100},
     ),
     ClaimRecord(
         "lem-5.1",
@@ -520,6 +516,7 @@ _RECORDS = (
         "floor(6n/m)+floor(n/m) = floor(3n/m)+2 floor(2n/m)+1 on the listed conditions",
         _n(500, 1_000_000),
         _each_run(_check_floor_run, floors.IDENTITIES["lem-5.1"]),
+        box={"n": 100},
     ),
     ClaimRecord(
         "lem-5.2",
@@ -530,6 +527,7 @@ _RECORDS = (
         "on the listed conditions",
         _n(500, 1_000_000),
         _each_run(_check_floor_run, floors.IDENTITIES["lem-5.2"]),
+        box={"n": 100},
         note="the published extension condition m | 10n+7 fails at (n,m)=(1,17)",
     ),
     ClaimRecord(
@@ -630,6 +628,7 @@ _RECORDS = (
         "S(n) is odd iff n is a power of 2",
         _n(10_000, 1_000_000),
         _each_run(_check_parity),
+        box={"n": 100},
     ),
 )
 
@@ -666,7 +665,7 @@ def resolve_ranges(claim: ClaimRecord, ranges: dict[str, int] | None) -> dict[st
     resolved = {}
     for p in claim.params:
         value = ranges.get(p.name, p.default)
-        if not isinstance(value, int) or value < p.minimum:
+        if type(value) is not int or value < p.minimum:  # a bool is no range
             raise UsageError(f"range {p.name} must be an integer >= {p.minimum}")
         if value > p.cap:
             raise UsageError(

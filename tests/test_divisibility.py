@@ -44,6 +44,8 @@ from factratio.floors import STEP_6_1, STEP_15_2
 
 from test_slice_memo import check_at
 
+THM_1_3 = registry.CLAIMS["thm-1.3"]
+
 
 def test_ratio_specs_match_sequences():
     for n in range(1, 30):
@@ -223,7 +225,7 @@ def test_registry_counterexamples_match_bigint_reference():
     for claim in (PUBLISHED_3003, *DEMO_CLAIMS):
         got, want = [], []
         for n in range(1, 161):
-            checked, failures = registry._check_divisibility_group((claim,), (n,))
+            checked, failures = registry._check_divisibility_group(THM_1_3, (claim,), (n,))
             assert checked == 1
             got += failures
             want += [bad] if (bad := _bigint_failures(claim, n)) else []
@@ -236,15 +238,18 @@ def test_flipped_bigint_route_raises(monkeypatch):
     real = dv.check_divisibility
     monkeypatch.setattr(dv, "check_divisibility", lambda claim, n: not real(claim, n))
     thm11 = CLAIMS_BY_ID["thm-1.1"]
-    assert registry.BIGINT_ORACLE_N_MAX >= 50
+    record = registry.CLAIMS["thm-1.1"]
+    bound = record.box["n"]
+    assert bound >= 50
     with pytest.raises(InternalCheckError):
-        registry._check_divisibility_group(thm11, (50,))  # passing, n <= the bound
+        registry._check_divisibility_group(record, thm11, (50,))  # passing, n <= the bound
     # above the bound a passing point is not re-derived
-    assert registry._check_divisibility_group(thm11, (registry.BIGINT_ORACLE_N_MAX + 1,)) == (1, [])
+    assert registry._check_divisibility_group(record, thm11, (bound + 1,)) == (1, [])
     # every failing point is re-derived, above the bound too
     assert not valuation_verdict(PUBLISHED_3003, 157)
+    assert THM_1_3.box["n"] < 157
     with pytest.raises(InternalCheckError):
-        registry._check_divisibility_group((PUBLISHED_3003,), (157,))
+        registry._check_divisibility_group(THM_1_3, (PUBLISHED_3003,), (157,))
 
 
 def test_product_forms_examples():
@@ -270,10 +275,11 @@ def test_product_kernel_outside_oracle_box_matches_forms(monkeypatch):
     C(am+bm-1, am) bumped so that the forms still agree but need not be
     integral."""
     rng = random.Random(1414)
+    box = registry.CLAIMS["thm-1.4"].box
     points = []
     while len(points) < 300:
         point = tuple(rng.randint(1, 40) for _ in range(4))
-        if max(point) > registry.PRODUCT_ORACLE_MAX:
+        if any(v > box[name] for name, v in zip("abmn", point)):
             points.append(point)
     for a, b, m, n in points:
         first, second = product_forms(a, b, m, n)
@@ -375,12 +381,13 @@ def _flip_product_run(monkeypatch):
 
 def test_flipped_central_route_raises(monkeypatch):
     _flip_product_run(monkeypatch)
-    assert registry.BIGINT_ORACLE_N_MAX >= 50
+    bound = registry.CLAIMS["cor-1.5"].box["n"]
+    assert bound >= 50
     with pytest.raises(InternalCheckError):
         check_at("cor-1.5", (3, 50))  # flipped to failing, n <= the bound
     # a point the flipped route calls failing is re-derived above the bound too
     with pytest.raises(InternalCheckError):
-        check_at("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX + 1))
+        check_at("cor-1.5", (3, bound + 1))
 
 
 def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
@@ -388,18 +395,19 @@ def test_central_oracle_runs_only_up_to_the_bound(monkeypatch):
         return Fraction(1, 2)
 
     monkeypatch.setattr(dv, "central_product_value", skewed)
+    bound = registry.CLAIMS["cor-1.5"].box["n"]
     with pytest.raises(InternalCheckError):
-        check_at("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX))
-    assert check_at("cor-1.5", (3, registry.BIGINT_ORACLE_N_MAX + 1)) == (1, [])
+        check_at("cor-1.5", (3, bound))
+    assert check_at("cor-1.5", (3, bound + 1)) == (1, [])
 
 
 def test_flipped_product_kernel_raises(monkeypatch):
     _flip_product_run(monkeypatch)
-    box = registry.PRODUCT_ORACLE_MAX
+    box = registry.CLAIMS["thm-1.4"].box
     with pytest.raises(InternalCheckError):
-        check_at("thm-1.4", (box, 1, 2, box))  # inside the oracle box
+        check_at("thm-1.4", (box["a"], 1, 2, box["n"]))  # inside the oracle box
     with pytest.raises(InternalCheckError):
-        check_at("thm-1.4", (box + 1, 1, 2, 3))  # failing: re-derived
+        check_at("thm-1.4", (box["a"] + 1, 1, 2, 3))  # failing: re-derived
 
 
 def test_product_kernel_value_is_checked_in_the_box(monkeypatch):

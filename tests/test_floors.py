@@ -233,7 +233,7 @@ SURPLUS_2 = CongruenceIdentity(STEP_6_1, form(2, 3), 5, surplus=2)
 
 def test_identity_run_matches_per_point_sweep():
     rng = random.Random(2029)
-    box = registry.FLOOR_ORACLE_N_MAX
+    (box,) = {registry.CLAIMS[claim_id].box["n"] for claim_id in IDENTITIES}  # one edge for all
     idents = [ident for family in IDENTITIES.values() for ident in family]
     idents += [
         CongruenceIdentity(STEP_6_1, form(2, 4), 3),  # gcd(c, d) = 2

@@ -103,6 +103,10 @@ def test_range_validation():
         resolve_ranges(claim, {"n": 10**9})  # beyond the cap
     with pytest.raises(UsageError):
         resolve_ranges(claim, {"n": 0})
+    # a bool is an int, but no range: True would sweep one point and report "n": true
+    for flag in (True, False):
+        with pytest.raises(UsageError, match="range n must be an integer >= 1"):
+            run_claim("thm-1.1", {"n": flag})
     assert resolve_ranges(claim, None) == {"n": 2000}
 
 
@@ -172,10 +176,10 @@ def test_reports_do_not_depend_on_worker_count(claim_id, ranges):
 def test_checker_errors_name_claim_and_point(monkeypatch, workers):
     record = CLAIMS["thm-1.1"]
 
-    def broken(group, point):
+    def broken(claim, group, point):
         if point == (37,):
             raise InternalCheckError("routes disagree")
-        return registry._check_divisibility_group(group, point)
+        return registry._check_divisibility_group(claim, group, point)
 
     check = registry._each(broken, divisibility.CLAIMS_BY_ID["thm-1.1"])
     monkeypatch.setitem(CLAIMS, "thm-1.1", dataclasses.replace(record, check=check))
@@ -187,7 +191,7 @@ def test_checker_errors_name_claim_and_point(monkeypatch, workers):
     # and the note names the slice's run, which holds n = 64 (300 points
     # make slices of 38 on one worker and of 19 on two)
     monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, 64))
-    with pytest.raises(InternalCheckError, match="parity routes disagree at n=64") as info:
+    with pytest.raises(InternalCheckError, match="parity-power-of-2 routes disagree at n=64:") as info:
         run_claim("parity-power-of-2", {"n": 300}, workers=workers)
     window = {1: "[39, 77)", 2: "[58, 77)"}[workers]
     assert f"while checking parity-power-of-2 at n in {window}" in info.value.__notes__
@@ -501,7 +505,9 @@ def test_cli_failed_run_leaves_existing_out_file(monkeypatch, tmp_path, capsys):
         registry, "ratio_ord2_run", lambda spec, lo, hi: [v + 1 for v in real(spec, lo, hi)]
     )
     assert main(["verify", "parity-power-of-2", "--n-max", "50", "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("internal error: parity routes disagree at n=1")
+    assert capsys.readouterr().err.startswith(
+        "internal error: parity-power-of-2 routes disagree at n=1: primary 1, oracle (0, 0)\n"
+    )
     assert out.read_bytes() == b"an earlier report"
 
 
@@ -511,7 +517,10 @@ def test_cli_route_disagreement_exits_3(monkeypatch, capsys):
     assert main(["verify", "thm-1.1", "--n-max", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: divisibility routes disagree")
+    assert captured.err.startswith(
+        "internal error: thm-1.1 routes disagree for 3*S(n) mod 2n+3 at n=1: "
+        "primary True, oracle (False,)\n"
+    )
     assert "while checking thm-1.1 at (1,)" in captured.err
 
 
@@ -923,7 +932,7 @@ def test_cli_false_floor_failure_outside_the_box_exits_3(monkeypatch, capsys):
     """A failure that only the identity run reports is a route disagreement:
     the divisor sweep re-derives every failing n, inside the box or not."""
     at = 150
-    assert at > registry.FLOOR_ORACLE_N_MAX
+    assert at > CLAIMS["lem-2.2"].box["n"]
     _skewed_identity_run(
         monkeypatch, at, lambda ident, counts, failing: (counts, sorted([*failing, (at, 303)]))
     )
@@ -931,8 +940,7 @@ def test_cli_false_floor_failure_outside_the_box_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "internal error: floor identity routes disagree for m | 2n+3, m >= 5 at n=150: "
-        "identity run 2 checks failing at m in [303], divisor sweep 2 checks failing at m in []"
+        "internal error: lem-2.2 routes disagree at n=150: primary [(2, [303])], oracle ([(2, [])],)\n"
     )
     # 200 points on one worker make slices of 25; n = 150 ends the sixth
     assert captured.err.count("while checking lem-2.2 at n in [126, 151)") == 1
@@ -945,8 +953,8 @@ def test_floor_run_count_off_in_the_box_raises(monkeypatch):
         return counts, failing
 
     _skewed_identity_run(monkeypatch, 50, one_lost)
-    message = r"at n=50: identity run 0 checks failing at m in \[\], divisor sweep 1 checks"
-    with pytest.raises(InternalCheckError, match=message):
+    message = "lem-2.2 routes disagree at n=50: primary [(0, [])], oracle ([(1, [])],)"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
         run_claim("lem-2.2", {"n": 60}, workers=1)
 
 
@@ -960,7 +968,7 @@ def test_shifted_parity_run_raises_in_the_box(monkeypatch, at):
     # outside the box (n = 1000) the shift makes a failing verdict, which
     # both oracles re-derive
     monkeypatch.setattr(registry, "ratio_ord2_run", _shift_run_at(registry.ratio_ord2_run, at))
-    with pytest.raises(InternalCheckError, match=f"parity routes disagree at n={at}:"):
+    with pytest.raises(InternalCheckError, match=f"parity-power-of-2 routes disagree at n={at}:"):
         run_claim("parity-power-of-2", {"n": 1200}, workers=1)
 
 
@@ -974,8 +982,10 @@ def test_parity_big_integer_route_alone_catches_a_shift(monkeypatch, capsys):
     assert check_at("parity-power-of-2", (at + 1,)) == (1, [])
     assert main(["verify", "parity-power-of-2", "--n-max", "50"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"internal error: parity routes disagree at n={at}:")
-    assert "digit-sum run=3, Legendre sums=3, 2-adic order of S(n)=2" in err
+    # the digit-sum run's value, then the Legendre sums and the 2-adic order of S(n)
+    assert err.startswith(
+        f"internal error: parity-power-of-2 routes disagree at n={at}: primary 3, oracle (3, 2)\n"
+    )
 
 
 def test_parity_sweep_runs_the_per_n_route_only_in_the_box(monkeypatch):
@@ -984,7 +994,7 @@ def test_parity_sweep_runs_the_per_n_route_only_in_the_box(monkeypatch):
     monkeypatch.setattr(valuation, "legendre_ord", lambda p, v: calls.append(p) or real(p, v))
     report = run_claim("parity-power-of-2", {"n": 2000}, workers=1)
     assert (report.checked, report.failed) == (2000, 0)
-    assert calls == [2] * 5 * registry.BIGINT_ORACLE_N_MAX
+    assert calls == [2] * 5 * CLAIMS["parity-power-of-2"].box["n"]
 
 
 def test_parity_failure_fields(monkeypatch):
@@ -994,3 +1004,85 @@ def test_parity_failure_fields(monkeypatch):
     shift_parity(monkeypatch, lambda n: n == 1000)
     report = run_claim("parity-power-of-2", {"n": 1200}, workers=1)
     assert report.counterexamples == [{"n": 1000, "ord2": 6, "digit_sum": 6}]
+
+
+DUAL_ROUTE_IDS = {
+    "thm-1.1",
+    "thm-1.2",
+    "thm-1.3",
+    "thm-1.4",
+    "cor-1.5",
+    "lem-2.2",
+    "lem-2.3",
+    "lem-5.1",
+    "lem-5.2",
+    "parity-power-of-2",
+}
+
+
+def test_oracle_boxes_are_claim_data(monkeypatch):
+    """Exactly the claims whose checker compares two routes carry a box.  A
+    box bounds some of its record's parameters, always the last one, inside
+    the default ranges, so every default sweep runs its oracle."""
+    compared = set()
+    real = registry._two_routes
+    monkeypatch.setattr(
+        registry,
+        "_two_routes",
+        lambda claim, *args, **kwargs: compared.add(claim.id) or real(claim, *args, **kwargs),
+    )
+    for claim_id, record in CLAIMS.items():
+        ranges = {p.name: p.minimum + 1 for p in record.params}
+        check_point(claim_id, ranges, 0, grid_size(record, ranges))
+    assert compared == {claim_id for claim_id, record in CLAIMS.items() if record.box}
+    assert compared == DUAL_ROUTE_IDS
+    for claim_id in DUAL_ROUTE_IDS:
+        params = {p.name: p for p in CLAIMS[claim_id].params}
+        box = CLAIMS[claim_id].box
+        assert set(box) <= set(params) and CLAIMS[claim_id].params[-1].name in box, claim_id
+        for name, bound in box.items():
+            assert params[name].minimum <= bound <= params[name].default, (claim_id, name)
+
+
+# cor-1.5's parameters (m, n) with a box on both
+BOXED = dataclasses.replace(CLAIMS["cor-1.5"], box={"m": 2, "n": 10})
+
+
+@pytest.mark.parametrize(
+    "m, lo, hi, rederived",
+    [
+        (1, 5, 20, [5, 6, 7, 8, 9, 10, 12, 15]),  # across the box edge
+        (2, 2, 9, [2, 3, 4, 5, 6, 7, 8]),  # wholly inside the box
+        (1, 11, 30, [12, 15]),  # wholly outside the box: the failing n only
+        (3, 1, 20, [7, 12, 15]),  # m outside the box: at n <= 10 too, the failing n only
+    ],
+)
+def test_two_routes_rederives_the_box_and_the_failing_n(m, lo, hi, rederived):
+    failing = {7, 12, 15}
+    holds = [n not in failing for n in range(lo, hi)]
+    calls = []
+
+    def oracle(n):
+        calls.append(n)
+        return (n not in failing, n not in failing), f"data at {n}"
+
+    got = registry._two_routes(BOXED, (m,), lo, holds, oracle)
+    assert calls == rederived  # box and failing n, ascending, each once
+    assert got == [(n, (False, False), f"data at {n}") for n in range(lo, hi) if n in failing]
+
+
+def test_two_routes_raises_on_a_disagreement():
+    holds = [True] * 20  # n = 1 .. 20
+    wrong_at_8 = lambda n: ((n != 8,), None)
+    message = "cor-1.5 routes disagree at m=1, n=8: primary True, oracle (False,)"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        registry._two_routes(BOXED, (1,), 1, holds, wrong_at_8)
+    # outside the box a passing n is not re-derived
+    assert registry._two_routes(BOXED, (3,), 1, holds, wrong_at_8) == []
+
+    # a failing n outside the box, with the primary's own values and a part
+    holds[14] = False  # n = 15
+    readings = lambda n: ((10 * n, 10 * n + (n == 15)), None)
+    message = "cor-1.5 routes disagree for one part at m=3, n=15: primary 150, oracle (150, 151)"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        registry._two_routes(BOXED, (3,), 1, holds, readings, lambda n: 10 * n, "one part")

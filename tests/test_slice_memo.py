@@ -113,7 +113,8 @@ def _product_reference(a, b, m, n, c):
 def test_product_run_matches_per_n_reference():
     # multiplier 1 fails at many points (at a = b = 1 first at m = n = 2), am never
     rng = random.Random(2013)
-    windows = [(1, 1, m, 1, registry.BIGINT_ORACLE_N_MAX + 1) for m in (1, 2, 3, 4, 5, 47, 64)]
+    bound = CLAIMS["cor-1.5"].box["n"]
+    windows = [(1, 1, m, 1, bound + 1) for m in (1, 2, 3, 4, 5, 47, 64)]
     windows += [(1, 1, 64, 100_000, 100_001), (1, 1, 63, 99_701, 100_001), (1, 1, 1, 1, 2)]
     for _ in range(12):  # cor-1.5 windows, up to its cap
         m = rng.randint(1, 64)
@@ -131,7 +132,7 @@ def test_product_run_matches_per_n_reference():
             assert len(run) == hi - lo
             for n, ok in zip(range(lo, hi), run):
                 assert ok == _product_reference(a, b, m, n, c), (a, b, m, n, c)
-                if a == b == 1 and n <= registry.BIGINT_ORACLE_N_MAX:
+                if a == b == 1 and n <= bound:
                     assert ok == (dv.central_product_value(m, n, multiplier=c).denominator == 1)
             failing += run.count(False)
         assert dv.product_run(a, b, m, lo, hi) == dv.product_run(a, b, m, lo, hi, multiplier=a * m)
@@ -249,7 +250,7 @@ def test_slice_failures_match_per_point_calls_for_central(monkeypatch):
     ranges = {"m": 4, "n": 150}
     checked, failures = check_point("cor-1.5", ranges, 75, 525)
     assert (checked, failures) == _per_point("cor-1.5", ranges, 75, 525)
-    assert any(bad["n"] > registry.BIGINT_ORACLE_N_MAX for bad in failures)
+    assert any(bad["n"] > CLAIMS["cor-1.5"].box["n"] for bad in failures)
     for bad in failures:
         assert list(bad) == ["m", "n", "value"]
         assert bad["value"] == str(value(bad["m"], bad["n"]))
@@ -274,7 +275,8 @@ def test_non_integral_shared_head_gives_the_same_counterexamples(monkeypatch):
     for bad in failures:
         assert list(bad) == ["a", "b", "m", "n", "form1", "form2"]
     # failures both inside and outside the oracle box
-    in_box = {max(bad["a"], bad["b"], bad["m"], bad["n"]) <= registry.PRODUCT_ORACLE_MAX for bad in failures}
+    box = CLAIMS["thm-1.4"].box
+    in_box = {all(bad[name] <= bound for name, bound in box.items()) for bad in failures}
     assert in_box == {True, False}
     low = Fraction(comb(14, 10) * comb(9, 6), 5 + 3)  # (2, 1, 5) at n = 3
     assert low == Fraction(21021, 2)
@@ -308,7 +310,8 @@ def test_one_floor_run_per_slice(monkeypatch):
     assert runs == [(ident, lo, hi) for lo, hi in bounds for ident in identities]
     # divisor lists only in the oracle box, one per distinct form value
     # (lem-5.2's two 10n+9 conditions read one list)
-    box = range(1, registry.FLOOR_ORACLE_N_MAX + 1)
+    bound = CLAIMS["lem-5.2"].box["n"]
+    box = range(1, bound + 1)
     assert [v for (v,) in divided] == [
         v for n in box for v in dict.fromkeys(ident.divisor_form(n) for ident in identities)
     ]
@@ -319,11 +322,11 @@ def test_one_floor_run_per_slice(monkeypatch):
     )
     runs.clear()
     divided.clear()
-    checked, failures = registry._check_floor_run((printed,), 90, 1000)
+    checked, failures = registry._check_floor_run(CLAIMS["lem-5.2"], (printed,), 90, 1000)
     assert runs == [(printed, 90, 1000)]
     failing_ns = sorted({bad["n"] for bad in failures})
-    assert failing_ns[0] < registry.FLOOR_ORACLE_N_MAX < failing_ns[-1]
-    rederived = sorted({*range(90, registry.FLOOR_ORACLE_N_MAX + 1), *failing_ns})
+    assert failing_ns[0] < bound < failing_ns[-1]
+    rederived = sorted({*range(90, bound + 1), *failing_ns})
     assert [v for (v,) in divided] == [10 * n + 7 for n in rederived]
     want_checked, want = 0, []
     for n in range(90, 1000):
