@@ -20,24 +20,27 @@ wrapper notes an exception with the window it was raised in.  The sweep is
 always the whole product grid of the parameter ranges; a checker skips the
 points outside its claim's domain itself and counts 0 checks for them.
 
-A claim with two routes (thm-1.1 to 1.4, cor-1.5, lem-2.2 to 5.2, parity)
-carries its oracle box in its record, in the claim table; ``_two_routes``
-re-derives every point in the box and every failing point by the second
-route, and a disagreement raises InternalCheckError instead of producing a
-counterexample.  The q claims re-derive only their failures, by
-``naive_expand``; val-bounds and lem-2.1 have one route.
+Every claim with two routes compares them through ``_two_routes``: it
+re-derives every point of the claim's box and every failing point by the
+second route, and a disagreement raises InternalCheckError instead of
+producing a counterexample.  The divisibility claims, the floor lemmas and
+parity carry their box in their record, in the claim table; the q claims
+carry none, so ``naive_expand`` re-derives only their failures.  val-bounds
+and lem-2.1 have one route.
 
 Checkers reach the kernels through module attributes (``dv.``, ``floors.``)
-and through this module's ``expand`` / ``expand_many`` / ``naive_expand`` /
-``points_for`` globals, never through a stored reference, so those names
-can be rebound at run time.
+and through this module's ``exponent_vector`` / ``expand`` / ``expand_many``
+/ ``naive_expand`` / ``points_for`` globals, never through a stored
+reference, so those names can be rebound at run time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
+from functools import partial
 from operator import eq, not_, sub
 from typing import Callable, Iterator
 
@@ -166,14 +169,16 @@ def _two_routes(claim, fixed, lo, holds, oracle, primary=None, part=None):
     ``fixed``; ``holds[i]`` is the primary verdict at n = lo + i and
     ``primary(n)`` the primary value (by default the verdict).  Every failing
     n and every n in the claim's box (each parameter at most its bound, one
-    left out unbounded) is re-derived, ascending and once: ``oracle(n)``
-    returns (readings, data), and each reading must equal the primary value,
-    or InternalCheckError names the claim, its ``part``, the coordinates and
-    both routes' values.  Returns (n, readings, data) at each failing n.
+    left out unbounded; no n without a box) is re-derived, ascending and
+    once: ``oracle(n)`` returns (readings, data), and each reading must equal
+    the primary value, or InternalCheckError names the claim, its ``part``,
+    the coordinates and both routes' values, each cut to a bounded length.
+    Returns (n, readings, data) at each failing n.
     """
     ns = range(lo, lo + len(holds))
     rederived = itertools.compress(ns, map(not_, holds))  # the failing n, picked at C level
-    cut = claim.box[claim.params[-1].name] + 1 - lo  # the n below lo + cut are in the box's range
+    # the n below lo + cut are in the box's range
+    cut = claim.box[claim.params[-1].name] + 1 - lo if claim.box else 0
     if cut > 0 and all(v <= claim.box.get(p.name, v) for p, v in zip(claim.params, fixed)):
         rederived = itertools.chain(ns[:cut], itertools.compress(ns[cut:], map(not_, holds[cut:])))
     failing = []
@@ -184,7 +189,7 @@ def _two_routes(claim, fixed, lo, holds, oracle, primary=None, part=None):
             where = ", ".join(f"{p.name}={v}" for p, v in zip(claim.params, (*fixed, n)))
             raise InternalCheckError(
                 f"{claim.id} routes disagree{f' for {part}' if part else ''} at {where}: "
-                f"primary {value!r}, oracle {readings!r}"
+                f"primary {reprlib.repr(value)}, oracle {reprlib.repr(readings)}"
             )
         if not holds[n - lo]:
             failing.append((n, readings, data))
@@ -321,18 +326,13 @@ def _check_parity(claim, lo: int, hi: int) -> tuple[int, list[dict]]:
     ]
 
 
-def _confirm_expansion(spec, n: int, poly, message: str) -> None:
-    """Raise InternalCheckError unless the division route reproduces poly.
-
-    ``poly=None`` states that the counting route found no polynomial, so
-    the division route must reject the expression as well.
-    """
+def _divided(spec, n: int):
+    """The q claims' oracle: the division route's polynomial of ``spec`` at
+    n, or None where the expression is not a polynomial."""
     try:
-        oracle = naive_expand(spec, n)
+        return (naive_expand(spec, n),), None
     except NotPolynomialError:
-        oracle = None
-    if oracle != poly:
-        raise InternalCheckError(message)
+        return (None,), None
 
 
 def _check_family_polynomiality(claim, family_ids, point: Point):
@@ -346,10 +346,8 @@ def _check_family_polynomiality(claim, family_ids, point: Point):
         checked += 1
         vector = exponent_vector(family.spec, n)
         bad = vector.first_negative()
-        if bad is not None:
-            _confirm_expansion(
-                family.spec, n, None, f"counting and division routes disagree for {fid} at n={n}"
-            )
+        primary = lambda n: None if bad is not None else expand(vector)
+        if _two_routes(claim, (), n, [bad is None], partial(_divided, family.spec), primary, fid):
             failures.append({"n": n, "family": fid, "d": bad, "e_d": vector.exponents[bad]})
     return checked, failures
 
@@ -364,19 +362,15 @@ def _check_family_positivity(claim, family_ids, point: Point):
     polys = dict(zip(good, expand_many([vectors[fid] for fid in good])))
     failures = []
     for fid in fids:
-        spec = FAMILIES[fid].spec
-        message = f"expansion routes disagree for {fid} at n={n}"
         poly = polys.get(fid)
-        if poly is None:
-            _confirm_expansion(spec, n, None, message)
-            failures.append({"n": n, "family": fid, "d": vectors[fid].first_negative()})
-            continue
-        bad = first_negative_index(poly)
-        if bad is not None:
-            _confirm_expansion(spec, n, poly, message)
-            failures.append(
-                {"n": n, "family": fid, "index": bad, "coefficient": poly[bad]}
-            )
+        bad = None if poly is None else first_negative_index(poly)
+        holds = [poly is not None and bad is None]
+        oracle = partial(_divided, FAMILIES[fid].spec)
+        if _two_routes(claim, (), n, holds, oracle, lambda n: poly, fid):
+            if poly is None:
+                failures.append({"n": n, "family": fid, "d": vectors[fid].first_negative()})
+            else:
+                failures.append({"n": n, "family": fid, "index": bad, "coefficient": poly[bad]})
     return len(fids), failures
 
 
@@ -390,8 +384,7 @@ def _check_unimodality(claim, point: Point):
     witness = unimodality_witness(poly)
     if witness is not None:
         failures.append({"n": n, "property": "unimodal", "index": witness})
-    if failures:
-        _confirm_expansion(spec, n, poly, f"expansion routes disagree for wz at n={n}")
+    _two_routes(claim, (), n, [not failures], partial(_divided, spec), lambda n: poly, "wz")
     return 2, failures
 
 
@@ -400,26 +393,23 @@ def _check_gcd_product(claim, use_gcd: bool, point: Point):
     spec = gcd_product_spec(a, b, m, n, use_gcd=use_gcd)
     failures = []
     base = {"a": a, "b": b, "m": m, "n": n}
-    message = f"gcd-product routes disagree at {base}"
     vector = exponent_vector(spec, 1)  # constant forms: n is irrelevant
     checked = 3 + (1 if use_gcd else 0)
     bad_d = vector.first_negative()
-    if bad_d is not None:
-        _confirm_expansion(spec, 1, None, message)
+    poly = None if bad_d is not None else expand(vector)
+    if poly is None:
         failures.append({**base, "d": bad_d, "e_d": vector.exponents[bad_d]})
-        return checked, failures
-    poly = expand(vector)
-    bad_i = first_negative_index(poly)
-    if bad_i is not None:
-        failures.append({**base, "index": bad_i, "coefficient": poly[bad_i]})
-    expected = gcd_product_q1_value(a, b, m, n, use_gcd=use_gcd)
-    q1_value = poly.coefficient_sum()
-    if q1_value != expected:
-        failures.append({**base, "q1_value": q1_value, "expected": str(expected)})
-    if use_gcd and not is_reciprocal(poly):
-        failures.append({**base, "property": "reciprocal"})
-    if failures:
-        _confirm_expansion(spec, 1, poly, message)
+    else:
+        bad_i = first_negative_index(poly)
+        if bad_i is not None:
+            failures.append({**base, "index": bad_i, "coefficient": poly[bad_i]})
+        expected = gcd_product_q1_value(a, b, m, n, use_gcd=use_gcd)
+        q1_value = poly.coefficient_sum()
+        if q1_value != expected:
+            failures.append({**base, "q1_value": q1_value, "expected": str(expected)})
+        if use_gcd and not is_reciprocal(poly):
+            failures.append({**base, "property": "reciprocal"})
+    _two_routes(claim, (a, b, m), n, [not failures], partial(_divided, spec), lambda n: poly)
     return checked, failures
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from factratio import (
+    CycloExponentVector,
     DensePoly,
     InternalCheckError,
     RunReport,
@@ -869,16 +870,45 @@ def test_readme_library_surface_is_exported():
     assert [name for name in names if not hasattr(factratio, name)] == []
 
 
+def _negative_e_2(vector):
+    """The counting route's exponents with e_2 = -1: not a polynomial."""
+    return CycloExponentVector({**vector.exponents, 2: -1})
+
+
 @pytest.mark.parametrize(
-    "claim_id, point, alter",
+    "claim_id, point, alter, kernel, message",
     [
         # not reciprocal, though unimodal and non-negative
-        ("conj-7.4-unimodal", (3,), lambda poly: DensePoly((1, 2))),
-        ("thm-6.1", (1, 1, 1, 1), lambda poly: DensePoly((1, 2))),
+        (
+            "conj-7.4-unimodal",
+            (3,),
+            lambda poly: DensePoly((1, 2)),
+            "expand",
+            "conj-7.4-unimodal routes disagree for wz at n=3: primary DensePoly([1, 2]), oracle (",
+        ),
+        (
+            "thm-6.1",
+            (1, 1, 1, 1),
+            lambda poly: DensePoly((1, 2)),
+            "expand",
+            "thm-6.1 routes disagree at a=1, b=1, m=1, n=1: primary DensePoly([1, 2]), oracle (",
+        ),
         # reciprocal and non-negative, but the q = 1 value is doubled
-        ("cor-6.2", (1, 1, 1, 1), lambda poly: poly * DensePoly((2,))),
+        (
+            "cor-6.2",
+            (1, 1, 1, 1),
+            lambda poly: poly * DensePoly((2,)),
+            "expand",
+            "cor-6.2 routes disagree at a=1, b=1, m=1, n=1: primary DensePoly(",
+        ),
         # one family's polynomial of the shared expansion turns negative
-        ("conj-7.3", (3,), lambda polys: polys[:2] + [polys[2] * DensePoly((-1,))] + polys[3:]),
+        (
+            "conj-7.3",
+            (3,),
+            lambda polys: polys[:2] + [polys[2] * DensePoly((-1,))] + polys[3:],
+            "expand_many",
+            "conj-7.3 routes disagree for thm-7.2-3 at n=3: primary DensePoly(",
+        ),
         (
             "conj-7.5",
             (2,),
@@ -886,18 +916,52 @@ def test_readme_library_surface_is_exported():
                 polys[0],
                 DensePoly([c - 10**6 * (i == 2) for i, c in enumerate(polys[1].coeffs)]),
             ],
+            "expand_many",
+            "conj-7.5 routes disagree for thm-7.4-2 at n=2: primary DensePoly(",
+        ),
+        # the counting route finds no polynomial where division finds one
+        (
+            "thm-7.2",
+            (3,),
+            _negative_e_2,
+            "exponent_vector",
+            "thm-7.2 routes disagree for thm-7.2-1 at n=3: primary None, oracle (DensePoly(",
+        ),
+        (
+            "thm-7.4",
+            (12,),
+            _negative_e_2,
+            "exponent_vector",
+            "thm-7.4 routes disagree for thm-7.4-1 at n=12: primary None, oracle (DensePoly(",
+        ),
+        (
+            "wz-positivity",
+            (3,),
+            _negative_e_2,
+            "exponent_vector",
+            "wz-positivity routes disagree for wz at n=3: primary None, oracle (DensePoly(",
+        ),
+        (
+            "cor-6.2",
+            (2, 1, 3, 1),
+            _negative_e_2,
+            "exponent_vector",
+            "cor-6.2 routes disagree at a=2, b=1, m=3, n=1: primary None, oracle (DensePoly(",
         ),
     ],
 )
-def test_expand_only_failures_are_rechecked_by_division(monkeypatch, claim_id, point, alter):
-    """A counting-route expansion that the division route does not reproduce
-    raises instead of being reported as a counterexample."""
-    # the positivity sweeps over several families expand them together
-    kernel = "expand_many" if claim_id in ("conj-7.3", "conj-7.5") else "expand"
+def test_expand_only_failures_are_rechecked_by_division(
+    monkeypatch, claim_id, point, alter, kernel, message
+):
+    """A counting-route verdict that the division route does not reproduce
+    raises instead of being reported as a counterexample, with both
+    polynomials cut to a bounded length in the message."""
     real = getattr(registry, kernel)
-    monkeypatch.setattr(registry, kernel, lambda arg: alter(real(arg)))
-    with pytest.raises(InternalCheckError):
+    monkeypatch.setattr(registry, kernel, lambda *args: alter(real(*args)))
+    with pytest.raises(InternalCheckError, match=re.escape(message)) as info:
         check_at(claim_id, point)
+    # thm-7.4's polynomials at its default n = 12 have degree above 7000
+    assert len(str(info.value)) < 200
 
 
 def test_product_route_disagreement_raises(monkeypatch):
@@ -1020,10 +1084,24 @@ DUAL_ROUTE_IDS = {
 }
 
 
+# the q claims, whose checkers re-derive only their failing points
+Q_IDS = {
+    "thm-6.1",
+    "cor-6.2",
+    "thm-7.2",
+    "thm-7.4",
+    "conj-7.3",
+    "conj-7.4-unimodal",
+    "conj-7.5",
+    "wz-positivity",
+}
+
+
 def test_oracle_boxes_are_claim_data(monkeypatch):
-    """Exactly the claims whose checker compares two routes carry a box.  A
-    box bounds some of its record's parameters, always the last one, inside
-    the default ranges, so every default sweep runs its oracle."""
+    """Every claim with two routes compares them through ``_two_routes``;
+    exactly the run and divisibility claims carry a box.  A box bounds some
+    of its record's parameters, always the last one, inside the default
+    ranges, so every default sweep runs its oracle."""
     compared = set()
     real = registry._two_routes
     monkeypatch.setattr(
@@ -1034,8 +1112,8 @@ def test_oracle_boxes_are_claim_data(monkeypatch):
     for claim_id, record in CLAIMS.items():
         ranges = {p.name: p.minimum + 1 for p in record.params}
         check_point(claim_id, ranges, 0, grid_size(record, ranges))
-    assert compared == {claim_id for claim_id, record in CLAIMS.items() if record.box}
-    assert compared == DUAL_ROUTE_IDS
+    assert compared == DUAL_ROUTE_IDS | Q_IDS
+    assert {claim_id for claim_id, record in CLAIMS.items() if record.box} == DUAL_ROUTE_IDS
     for claim_id in DUAL_ROUTE_IDS:
         params = {p.name: p for p in CLAIMS[claim_id].params}
         box = CLAIMS[claim_id].box
@@ -1069,6 +1147,16 @@ def test_two_routes_rederives_the_box_and_the_failing_n(m, lo, hi, rederived):
     got = registry._two_routes(BOXED, (m,), lo, holds, oracle)
     assert calls == rederived  # box and failing n, ascending, each once
     assert got == [(n, (False, False), f"data at {n}") for n in range(lo, hi) if n in failing]
+
+
+def test_two_routes_without_a_box_rederives_the_failing_n():
+    # a record without a box, as the q claims' are; m = 2 and n <= 10 lie in BOXED's box
+    holds = [n not in (7, 12, 15) for n in range(1, 20)]
+    calls = []
+    oracle = lambda n: calls.append(n) or ((holds[n - 1],), None)
+    got = registry._two_routes(dataclasses.replace(BOXED, box=None), (2,), 1, holds, oracle)
+    assert calls == [7, 12, 15]
+    assert got == [(n, (False,), None) for n in (7, 12, 15)]
 
 
 def test_two_routes_raises_on_a_disagreement():
