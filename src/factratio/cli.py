@@ -250,8 +250,12 @@ def main(argv: list[str] | None = None) -> int:
     atexit.register(gc.freeze)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse has printed --help or a usage error
+            code = exc.code
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the exit-time flush
         return code
     except UsageError as exc:

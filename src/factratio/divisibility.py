@@ -55,28 +55,13 @@ from .valuation import factorize, orders_at, primes_up_to
 # --------------------------------------------------------------------------
 
 # S(n) = (6n)!(n+1)! / ((3n)!(2n)!(2n+2)!)
-S_RATIO = BalancedRatio.from_pairs([(6, 0), (1, 1)], [(3, 0), (2, 0), (2, 2)])
+S_RATIO = BalancedRatio([(6, 0), (1, 1)], [(3, 0), (2, 0), (2, 2)])
 
 # t(n) = (15n)!(5n-1)!(n)!(2n)! / ((5n)!(n-1)!(4n)!(3n)!(10n+1)!)
-T_RATIO = BalancedRatio.from_pairs(
+T_RATIO = BalancedRatio(
     [(15, 0), (5, -1), (1, 0), (2, 0)],
     [(5, 0), (1, -1), (4, 0), (3, 0), (10, 1)],
 )
-
-
-def s_shift_ratio(offset: int) -> BalancedRatio:
-    """(2n+c-1)!(6n)!(n)! / ((2n+c)!(3n)!(2n)!^2) for modulus form 2n+c."""
-    return BalancedRatio.from_pairs(
-        [(2, offset - 1), (6, 0), (1, 0)], [(2, offset), (3, 0), (2, 0), (2, 0)]
-    )
-
-
-def t_shift_ratio(coeff: int, offset: int) -> BalancedRatio:
-    """(M-1)!(15n)!(2n)! / (M!(10n)!(4n)!(3n)!) for modulus form M = coeff*n+offset."""
-    return BalancedRatio.from_pairs(
-        [(coeff, offset - 1), (15, 0), (2, 0)],
-        [(coeff, offset), (10, 0), (4, 0), (3, 0)],
-    )
 
 
 # --------------------------------------------------------------------------
@@ -148,7 +133,7 @@ class DivisibilityClaim:
         # ord_p of the multiplier is read by repeated division, which never ends at 0
         if self.multiplier < 1:
             raise ValueError(f"{self.name}: the multiplier must be positive, not {self.multiplier}")
-        if any(f.offset for f in self.base.numerator + self.base.denominator):
+        if any(o for _, o in self.base.numerator + self.base.denominator):
             raise ValueError(f"base ratio {self.base} has offsets")
         if landau_min(self.base) < 0:
             raise ValueError(f"base ratio {self.base} has a negative Landau minimum")
@@ -390,11 +375,20 @@ class BoundedRatio:
     clearing: int
 
 
+def _shifted(base: BalancedRatio, coeff: int, offset: int) -> BalancedRatio:
+    """(M-1)! base / M! for the modulus form M = coeff*n + offset."""
+    return BalancedRatio(
+        ((coeff, offset - 1),) + base.numerator, ((coeff, offset),) + base.denominator
+    )
+
+
+# S-type bounds shift F(n) = (6n)!(n)!/((3n)!(2n)!^2) by the modulus 2n+c,
+# t-type bounds shift G(n) = (15n)!(2n)!/((10n)!(4n)!(3n)!) by 10n+c.
 RATIO_BOUNDS: dict[str, BoundedRatio] = {
-    "S": BoundedRatio(s_shift_ratio(3), {3: -1}, 3),
-    "t": BoundedRatio(t_shift_ratio(10, 3), {3: -1, 7: -1}, 21),
-    "X": BoundedRatio(s_shift_ratio(7), {3: -1, 5: -1, 7: -1}, 105),
-    "Y": BoundedRatio(t_shift_ratio(10, 9), {3: -2, 11: -1, 19: -1, 23: -1}, 43263),
+    "S": BoundedRatio(_shifted(STEP_6_1, 2, 3), {3: -1}, 3),
+    "t": BoundedRatio(_shifted(STEP_15_2, 10, 3), {3: -1, 7: -1}, 21),
+    "X": BoundedRatio(_shifted(STEP_6_1, 2, 7), {3: -1, 5: -1, 7: -1}, 105),
+    "Y": BoundedRatio(_shifted(STEP_15_2, 10, 9), {3: -2, 11: -1, 19: -1, 23: -1}, 43263),
 }
 
 

@@ -48,7 +48,7 @@ def step(num: tuple[int, ...], den: tuple[int, ...]) -> BalancedRatio:
     """The zero-offset ratio prod (a_i n)! / prod (b_j n)! of a coefficient shape."""
     if not num + den or any(c <= 0 for c in num + den):
         raise ValueError("step-function coefficients must be positive")
-    return BalancedRatio(tuple(map(form, num)), tuple(map(form, den)))
+    return BalancedRatio([(a, 0) for a in num], [(b, 0) for b in den])
 
 
 def value_at(spec: BalancedRatio, k: int, L: int) -> int:
@@ -199,7 +199,7 @@ def identity_run(
     residues sum (a n mod m) - sum (b n mod m) == -surplus*m.  A
     disagreement raises InternalCheckError.
     """
-    c, d = ident.divisor_form.coeff, ident.divisor_form.offset
+    c, d = ident.divisor_form
     if c < 1:
         raise ValueError(f"the divisor form must have a positive coefficient, got {c}")
     if lo < 1:

@@ -1,8 +1,11 @@
 """Linear forms and the one balanced-ratio type.
 
 Every statement this package checks is built from integer-affine forms
-``coeff*n + offset`` of a sweep variable n.  A ``BalancedRatio`` is a pair
-of multisets of such forms, read as factorial blocks
+``coeff*n + offset`` of a sweep variable n.  A ``LinearForm`` is the
+(coeff, offset) pair itself, a named tuple: it compares equal to, and
+unpacks like, the plain pair.  A ``BalancedRatio`` is a pair of
+multisets of such forms, built from any (coeff, offset) pairs and read
+as factorial blocks
 
     prod (a_i*n + d_i)!  /  prod (b_j*n + e_j)!
 
@@ -25,19 +28,23 @@ non-negativity is checked per evaluation, not per construction.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """The affine map ``n -> coeff*n + offset`` with ``coeff >= 0``."""
+class LinearForm(namedtuple("LinearForm", "coeff offset")):
+    """The affine map ``n -> coeff*n + offset`` with ``coeff >= 0``, as a (coeff, offset) pair."""
 
-    coeff: int
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.coeff < 0:
-            raise ValueError(f"linear form requires coeff >= 0, got {self.coeff}")
+    def __new__(cls, coeff: int, offset: int = 0) -> "LinearForm":
+        if coeff < 0:
+            raise ValueError(f"linear form requires coeff >= 0, got {coeff}")
+        return tuple.__new__(cls, (coeff, offset))
+
+    @classmethod
+    def _make(cls, iterable) -> "LinearForm":  # namedtuple's _make and _replace skip __new__
+        return cls(*iterable)
 
     def __call__(self, n: int) -> int:
         return self.coeff * n + self.offset
@@ -54,47 +61,33 @@ def form(coeff: int, offset: int = 0) -> LinearForm:
     return LinearForm(coeff, offset)
 
 
-def _pairs(forms: tuple[LinearForm, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((f.coeff, f.offset) for f in forms)
-
-
 @dataclass(frozen=True)
 class BalancedRatio:
-    """Balanced factorial blocks, plus single (1 - q^g(n)) factors."""
+    """Balanced factorial blocks and single (1 - q^g(n)) factors; each side a LinearForm tuple."""
 
     numerator: tuple[LinearForm, ...]
     denominator: tuple[LinearForm, ...]
     single_num: tuple[LinearForm, ...] = ()
     single_den: tuple[LinearForm, ...] = ()
-    # Plain-int views computed once, so the hot loops never touch a
-    # LinearForm: the block coefficients (the step-function shape) and the
-    # (coeff, offset) pairs of the blocks and of the single factors.
+    # Block coefficients (the step-function shape), computed once for the hot loops.
     num_coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
     den_coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _blocks: tuple = field(init=False, repr=False, compare=False)
-    _singles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        num = tuple(f.coeff for f in self.numerator)
-        den = tuple(f.coeff for f in self.denominator)
+        for side in ("numerator", "denominator", "single_num", "single_den"):
+            object.__setattr__(self, side, tuple(LinearForm(*p) for p in getattr(self, side)))
+        num = tuple(c for c, _ in self.numerator)
+        den = tuple(c for c, _ in self.denominator)
         if sum(num) != sum(den):
             raise ValueError(
                 f"unbalanced factorial ratio: coefficient sums {sum(num)} != {sum(den)}"
             )
         object.__setattr__(self, "num_coeffs", num)
         object.__setattr__(self, "den_coeffs", den)
-        object.__setattr__(self, "_blocks", (_pairs(self.numerator), _pairs(self.denominator)))
-        object.__setattr__(self, "_singles", (_pairs(self.single_num), _pairs(self.single_den)))
-
-    @classmethod
-    def from_pairs(cls, numerator, denominator, single_num=(), single_den=()) -> "BalancedRatio":
-        """Build from (coeff, offset) pairs, one sequence per multiset."""
-        pack = lambda pairs: tuple(LinearForm(c, o) for c, o in pairs)
-        return cls(pack(numerator), pack(denominator), pack(single_num), pack(single_den))
 
     def arguments(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Factorial-block arguments at n, validated non-negative."""
-        num, den = (tuple(c * n + o for c, o in side) for side in self._blocks)
+        num, den = (tuple(c * n + o for c, o in s) for s in (self.numerator, self.denominator))
         for v in num + den:
             if v < 0:
                 raise ValueError(f"negative factorial argument {v} at n={n} in {self}")
@@ -102,7 +95,7 @@ class BalancedRatio:
 
     def singles(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Single-factor arguments at n, unvalidated (the q reading checks them)."""
-        return tuple(tuple(c * n + o for c, o in side) for side in self._singles)
+        return tuple(tuple(c * n + o for c, o in s) for s in (self.single_num, self.single_den))
 
     def __str__(self) -> str:
         num = "".join(f"({f})!" for f in self.numerator)

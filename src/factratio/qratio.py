@@ -44,7 +44,7 @@ from operator import add, sub
 
 from .errors import NotPolynomialError
 from .floors import STEP_6_1, STEP_15_2, step
-from .forms import BalancedRatio, form
+from .forms import BalancedRatio
 from .qpoly import DensePoly, cyclotomic
 
 def _q_arguments(spec: BalancedRatio, n: int):
@@ -217,8 +217,7 @@ def naive_expand(spec: BalancedRatio, n: int) -> DensePoly:
 
 def _constant(num, den, single_num=(), single_den=()) -> BalancedRatio:
     """Spec with fixed integer arguments (coeff-0 forms): n is irrelevant."""
-    const = lambda vs: tuple(form(0, v) for v in vs)
-    return BalancedRatio(const(num), const(den), const(single_num), const(single_den))
+    return BalancedRatio(*([(0, v) for v in vs] for vs in (num, den, single_num, single_den)))
 
 
 def gcd_product_spec(a: int, b: int, m: int, n: int, use_gcd: bool = True) -> BalancedRatio:
@@ -268,8 +267,7 @@ class QFamily:
 
 def _family(fid, base, single_num=(), single_den=(), n_min=1) -> QFamily:
     """base times the single factors (1 - q^(c n + o)), given as (c, o) pairs."""
-    pack = lambda pairs: tuple(form(c, o) for c, o in pairs)
-    spec = replace(base, single_num=pack(single_num), single_den=pack(single_den))
+    spec = replace(base, single_num=single_num, single_den=single_den)
     return QFamily(fid, spec, n_min)
 
 

@@ -32,8 +32,13 @@ def _env() -> dict[str, str]:
 
 @pytest.mark.parametrize(
     "argv",
-    [["list"], ["verify", "thm-1.1", "--n-max", "50", "--format", "json"]],
-    ids=["list", "verify"],
+    [
+        ["list"],
+        ["verify", "thm-1.1", "--n-max", "50", "--format", "json"],
+        ["--help"],
+        ["verify", "--help"],
+    ],
+    ids=["list", "verify", "help", "verify-help"],
 )
 def test_closed_stdout_is_a_usage_error_not_a_crash(argv):
     """A pipe whose reader has gone: exit 2, one stderr line, no traceback."""
@@ -95,3 +100,14 @@ def test_report_bytes_at_process_end_match_golden(claim_id, workers):
     )
     assert proc.returncode == entry["exit"], proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == entry["sha256"]
+
+
+def test_argparse_exits_return_their_status(capsys):
+    """With a live stdout, `--help` still exits 0 and an argparse usage error
+    still exits 2 with argparse's own message."""
+    assert main(["verify", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: factratio verify") and err == ""
+    assert main(["verify", "thm-1.1", "--bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: unrecognized arguments: --bogus\n")

@@ -55,7 +55,7 @@ def test_ratio_specs_match_sequences():
 
 
 def test_trivial_ratio():
-    trivial = BalancedRatio.from_pairs([(1, 0)], [(1, 0)])
+    trivial = BalancedRatio([(1, 0)], [(1, 0)])
     assert eval_ratio(trivial, 7) == 1
 
 
@@ -169,9 +169,9 @@ def test_unsound_base_ratios_rejected():
         claim(S_RATIO)
     # n!^2/(2n)! = 1/C(2n,n): balanced, but its Landau minimum is -1
     with pytest.raises(ValueError, match="Landau"):
-        claim(BalancedRatio.from_pairs([(1, 0), (1, 0)], [(2, 0)]))
+        claim(BalancedRatio([(1, 0), (1, 0)], [(2, 0)]))
     claim(STEP_6_1)  # the sound base of S(n)
-    claim(BalancedRatio.from_pairs([(1, 0), (0, 0)], [(1, 0)]))  # 0! is 1
+    claim(BalancedRatio([(1, 0), (0, 0)], [(1, 0)]))  # 0! is 1
 
 
 def test_valuation_route_raises_on_non_integral_ratio(monkeypatch, capsys):

@@ -56,13 +56,13 @@ def test_exponent_vector_empty_spec():
 
 
 def test_sign_imbalance_rejected():
-    spec = BalancedRatio.from_pairs([(0, 3)], [(0, 2)])
+    spec = BalancedRatio([(0, 3)], [(0, 2)])
     with pytest.raises(ValueError, match="imbalance"):
         exponent_vector(spec, 1)
 
 
 def test_single_factor_argument_zero_rejected():
-    spec = BalancedRatio.from_pairs([(0, 1)], [(0, 1)], [(0, 0)], [(0, 1)])
+    spec = BalancedRatio([(0, 1)], [(0, 1)], [(0, 0)], [(0, 1)])
     with pytest.raises(ValueError):
         exponent_vector(spec, 1)
 

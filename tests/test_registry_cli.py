@@ -826,6 +826,7 @@ TEST_REFERENCES = {
     "digit_sum": "base-p digit sum in Legendre's (n - s_p(n))/(p - 1) cross-check",
     "qbinomial": "direct Gaussian binomial that the cyclotomic expansion is checked against",
     "qbinomial_spec": "[n, k]_q as a spec, to feed the Gaussian binomials through expand",
+    "T_RATIO": "t(n) as factorial blocks; the exact-value reference for `sun_t`",
 }
 
 
@@ -837,10 +838,21 @@ def _names(node):
             yield sub.attr
 
 
+def _defined(node):
+    """The names a top-level statement defines: a function, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+    return []
+
+
 def test_every_public_definition_has_a_caller():
-    """Each public top-level function or class, and each public method of
-    the package's classes, is used in the package outside its own
-    definition (re-exports do not count), or is a named test reference."""
+    """Each public top-level function, class or module-level assignment
+    target, and each public method of the package's classes, is used in the
+    package outside its own definition (re-exports do not count), or is a
+    named test reference."""
     package = Path(factratio.__file__).resolve().parent
     trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
     used = Counter(name for tree in trees for name in _names(tree))
@@ -849,14 +861,17 @@ def test_every_public_definition_has_a_caller():
         for node in tree.body:
             methods = node.body if isinstance(node, ast.ClassDef) else []
             definitions += [
-                sub
+                (name, sub)
                 for sub in (node, *methods)
-                if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and not sub.name.startswith("_")
+                if sub is node or isinstance(sub, (ast.FunctionDef, ast.ClassDef))
+                for name in _defined(sub)
+                if not name.startswith("_")
             ]
-    defined = {sub.name for sub in definitions}
+    defined = {name for name, _ in definitions}
     assert set(TEST_REFERENCES) <= defined
+    assert {"T_RATIO", "S_RATIO", "RATIO_BOUNDS", "FAMILIES"} <= defined  # data counts too
     # a use counts only outside the definition's own body
-    uncalled = {sub.name for sub in definitions if used[sub.name] == Counter(_names(sub))[sub.name]}
+    uncalled = {name for name, sub in definitions if used[name] == Counter(_names(sub))[name]}
     assert sorted(uncalled - set(TEST_REFERENCES)) == []
 
 
