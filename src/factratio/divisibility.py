@@ -9,8 +9,7 @@ both integers for every n >= 1.  Each named claim asserts that a linear
 modulus form divides ``multiplier * ratio(n)``.  The proofs work by
 showing that the multiplier constants (3, 21, 105, 315, 6435, 3003, 88179,
 43263) cover the worst-case negative p-adic orders of a shifted companion
-ratio; ``RATIO_BOUNDS`` records those orders with their clearing constants,
-and ``check_valuation_bounds`` checks that each constant covers them.
+ratio.
 
 Two routes decide a claim at n.  The primary one works prime by prime,
 as the proofs do.  Each ``DivisibilityClaim`` carries its ratio as an
@@ -27,6 +26,13 @@ then make ``multiplier * B / cofactor / modulus`` non-integral, and
 ``valuation_verdict`` reads their orders from Legendre floor sums.  The
 second route is exact big-integer division with a remainder check; the
 registry runs it as an oracle at every failing point and in the claim's box.
+
+The shifted companion ratios W/(2n+3), G/(10n+3), W/(2n+7) and G/(10n+9)
+are claims of the same type (``RATIO_BOUNDS``): cofactor 1, and the
+clearing constants 3, 21, 105 and 43263 as multipliers, so the paper's
+bound at p is -ord_p of the constant.  ``valuation_verdict`` decides them;
+their oracle, ``check_valuation_bounds``, takes the order at every odd
+prime up to the largest argument and reports the failing primes.
 
 The two-binomial product and its central corollary are decided the same
 way, at the primes of m+n, for a whole run of n at once (``product_run``):
@@ -143,6 +149,7 @@ class DivisibilityClaim:
 # call, so that the tracer and the tests can rebind an entry.
 VALUE_FUNCS = {
     "s": sun_s,
+    "w": lambda n: 2 * (2 * n + 1) * sun_s(n),  # W(n), the base of S
     "t": sun_t,
     "t-cform": t_cform,
 }
@@ -361,58 +368,41 @@ def _binomial_ord(p: int, top: int, k: int) -> int:
 # Valuation case bounds for the shifted companion ratios
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundedRatio:
-    """A shifted ratio with per-prime worst-case order bounds (odd primes).
-
-    ``exceptions`` maps the finitely many primes with a negative bound;
-    every other odd prime is bounded below by 0.  The clearing constant
-    prod p^(-bound) must divide the claim multiplier.
-    """
-
-    spec: BalancedRatio
-    exceptions: dict[int, int]
-    clearing: int
-
-
-def _shifted(base: BalancedRatio, coeff: int, offset: int) -> BalancedRatio:
-    """(M-1)! base / M! for the modulus form M = coeff*n + offset."""
-    return BalancedRatio(
-        ((coeff, offset - 1),) + base.numerator, ((coeff, offset),) + base.denominator
-    )
-
-
-# S-type bounds shift F(n) = (6n)!(n)!/((3n)!(2n)!^2) by the modulus 2n+c,
-# t-type bounds shift G(n) = (15n)!(2n)!/((10n)!(4n)!(3n)!) by 10n+c.
-RATIO_BOUNDS: dict[str, BoundedRatio] = {
-    "S": BoundedRatio(_shifted(STEP_6_1, 2, 3), {3: -1}, 3),
-    "t": BoundedRatio(_shifted(STEP_15_2, 10, 3), {3: -1, 7: -1}, 21),
-    "X": BoundedRatio(_shifted(STEP_6_1, 2, 7), {3: -1, 5: -1, 7: -1}, 105),
-    "Y": BoundedRatio(_shifted(STEP_15_2, 10, 9), {3: -2, 11: -1, 19: -1, 23: -1}, 43263),
+RATIO_BOUNDS: dict[str, DivisibilityClaim] = {
+    "S": DivisibilityClaim("3*W(n) mod 2n+3", 3, STEP_6_1, form(0, 1), form(2, 3), "w"),
+    "t": DivisibilityClaim("21*G(n) mod 10n+3", 21, STEP_15_2, form(0, 1), form(10, 3), "t-cform"),
+    "X": DivisibilityClaim("105*W(n) mod 2n+7", 105, STEP_6_1, form(0, 1), form(2, 7), "w"),
+    "Y": DivisibilityClaim(
+        "43263*G(n) mod 10n+9", 43263, STEP_15_2, form(0, 1), form(10, 9), "t-cform"
+    ),
 }
 
 
 def valuation_case_orders(name: str, n: int) -> dict[int, int]:
-    """Odd-prime orders of the named shifted ratio at n."""
-    num, den = RATIO_BOUNDS[name].spec.arguments(n)
-    return orders_at(primes_up_to(max(num + den))[1:], num, den)
+    """Odd-prime orders of the named shifted ratio (v-1)! B / v! at n, v = modulus(n)."""
+    claim = RATIO_BOUNDS[name]
+    num, den = claim.base.arguments(n)
+    v = claim.modulus_form(n)
+    return orders_at(primes_up_to(max(num + den + (v,)))[1:], (v - 1, *num), (v, *den))
 
 
 def check_valuation_bounds(name: str, n: int) -> list[dict[str, int | str]]:
-    """Bound violations plus clearing-constant coverage at n; empty if fine."""
-    bounded = RATIO_BOUNDS[name]
+    """Bound violations plus clearing-constant coverage at n; empty if fine.
+
+    The bound at p is -ord_p of the clearing constant, the claim's multiplier.
+    """
+    clearing = RATIO_BOUNDS[name].multiplier
+    cleared = factorize(clearing)  # p -> ord_p of the constant
     failures: list[dict[str, int | str]] = []
     clearing_needed = 1
     for p, order in valuation_case_orders(name, n).items():
-        low = bounded.exceptions.get(p, 0)
+        low = -cleared.get(p, 0)
         if order < low:
             failures.append({"ratio": name, "p": p, "order": order, "bound": low})
         if order < 0:
             clearing_needed *= p ** (-order)
-    if bounded.clearing % clearing_needed != 0:
-        failures.append(
-            {"ratio": name, "clearing_needed": clearing_needed, "constant": bounded.clearing}
-        )
+    if clearing % clearing_needed != 0:
+        failures.append({"ratio": name, "clearing_needed": clearing_needed, "constant": clearing})
     return failures
 
 

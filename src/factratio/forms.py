@@ -87,7 +87,8 @@ class BalancedRatio:
 
     def arguments(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Factorial-block arguments at n, validated non-negative."""
-        num, den = (tuple(c * n + o for c, o in s) for s in (self.numerator, self.denominator))
+        num = tuple([c * n + o for c, o in self.numerator])
+        den = tuple([c * n + o for c, o in self.denominator])
         for v in num + den:
             if v < 0:
                 raise ValueError(f"negative factorial argument {v} at n={n} in {self}")
@@ -95,7 +96,7 @@ class BalancedRatio:
 
     def singles(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Single-factor arguments at n, unvalidated (the q reading checks them)."""
-        return tuple(tuple(c * n + o for c, o in s) for s in (self.single_num, self.single_den))
+        return tuple([tuple([c * n + o for c, o in s]) for s in (self.single_num, self.single_den)])
 
     def __str__(self) -> str:
         num = "".join(f"({f})!" for f in self.numerator)

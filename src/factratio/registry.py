@@ -23,10 +23,10 @@ points outside its claim's domain itself and counts 0 checks for them.
 Every claim with two routes compares them through ``_two_routes``: it
 re-derives every point of the claim's box and every failing point by the
 second route, and a disagreement raises InternalCheckError instead of
-producing a counterexample.  The divisibility claims, the floor lemmas and
-parity carry their box in their record, in the claim table; the q claims
-carry none, so ``naive_expand`` re-derives only their failures.  val-bounds
-and lem-2.1 have one route.
+producing a counterexample.  The divisibility claims, val-bounds, the floor
+lemmas and parity carry their box in their record, in the claim table; the
+q claims carry none, so ``naive_expand`` re-derives only their failures.
+lem-2.1 has one route.
 
 Checkers reach the kernels through module attributes (``dv.``, ``floors.``)
 and through this module's ``exponent_vector`` / ``expand`` / ``expand_many``
@@ -289,12 +289,16 @@ def _check_floor_run(claim, identities, lo: int, hi: int) -> tuple[int, list[dic
     ]
 
 
-def _check_val_bounds(claim, point: Point):
+def _check_val_bounds(record, point: Point):
     (n,) = point
     failures = []
-    for name in sorted(dv.RATIO_BOUNDS):
-        for bad in dv.check_valuation_bounds(name, n):
-            failures.append({"n": n, **bad})
+    bases: dict = {}  # per-base work at this n, see dv.valuation_verdict
+    for name, claim in sorted(dv.RATIO_BOUNDS.items()):
+        ok = dv.valuation_verdict(claim, n, bases)
+        # the odd-prime scan; its failure dicts are the counterexamples
+        oracle = lambda n: ((not (bad := dv.check_valuation_bounds(name, n)),), bad)
+        for _, _, found in _two_routes(record, (), n, [ok], oracle, part=name):
+            failures += ({"n": n, **bad} for bad in found)
     return len(dv.RATIO_BOUNDS), failures
 
 
@@ -529,6 +533,7 @@ _RECORDS = (
         "ord_p X >= -1 (p=3,5,7); ord_p Y >= -2 (p=3), >= -1 (p=11,19,23)",
         _n(200, 5000),
         _each(_check_val_bounds),
+        box={"n": 100},
     ),
     ClaimRecord(
         "thm-6.1",

@@ -5,7 +5,7 @@ import random
 import re
 import signal
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 
@@ -18,6 +18,7 @@ from factratio import (
     check_two_binomial_conjecture,
     check_valuation_bounds,
     eval_ratio,
+    factorize,
     form,
     primes_up_to,
     product_forms,
@@ -43,6 +44,7 @@ from factratio.divisibility import (
 from factratio.floors import STEP_6_1, STEP_15_2
 
 from test_slice_memo import check_at
+from test_valuation import SHIFTED
 
 THM_1_3 = registry.CLAIMS["thm-1.3"]
 
@@ -149,7 +151,7 @@ def test_valuation_route_takes_any_multiplier():
 
 
 def test_claim_ratio_is_base_over_cofactor():
-    claims = [c for group in CLAIMS_BY_ID.values() for c in group]
+    claims = [c for group in CLAIMS_BY_ID.values() for c in group] + list(RATIO_BOUNDS.values())
     assert {c.value_key for c in claims} == set(VALUE_FUNCS)
     # the valuation memo is keyed by value_key, so a key fixes base and cofactor
     by_key = {}
@@ -250,6 +252,37 @@ def test_flipped_bigint_route_raises(monkeypatch):
     assert THM_1_3.box["n"] < 157
     with pytest.raises(InternalCheckError):
         registry._check_divisibility_group(THM_1_3, (PUBLISHED_3003,), (157,))
+
+
+def _flip_bounds_scan(monkeypatch):
+    """``check_valuation_bounds`` with its verdict flipped: a made-up failure
+    where the scan finds none, and none where it finds one."""
+    real = dv.check_valuation_bounds
+    monkeypatch.setattr(
+        dv, "check_valuation_bounds", lambda name, n: [] if real(name, n) else [{"ratio": name}]
+    )
+
+
+def test_flipped_bounds_scan_raises(monkeypatch, capsys):
+    record = registry.CLAIMS["val-bounds"]
+    bound = record.box["n"]
+    assert bound >= 50
+    _flip_bounds_scan(monkeypatch)
+    with pytest.raises(InternalCheckError, match="val-bounds routes disagree for S at n=50"):
+        registry._check_val_bounds(record, (50,))  # passing, n <= the bound
+    # above the bound a passing point is not re-derived
+    assert registry._check_val_bounds(record, (bound + 1,)) == (4, [])
+    # every failing point is re-derived, above the bound too
+    claim = _with_clearing(monkeypatch, "S", 1)
+    failing = next(n for n in range(bound + 1, 1000) if not valuation_verdict(claim, n))
+    with pytest.raises(InternalCheckError, match=f"val-bounds routes disagree for S at n={failing}"):
+        registry._check_val_bounds(record, (failing,))
+    monkeypatch.undo()
+    _flip_bounds_scan(monkeypatch)
+    assert main(["verify", "val-bounds", "--n-max", "60"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: val-bounds routes disagree for S at n=1:")
 
 
 def test_product_forms_examples():
@@ -438,8 +471,8 @@ def test_valuation_case_bounds():
 
 
 def test_case_orders_match_ratio_ord():
-    for name, bounded in RATIO_BOUNDS.items():
-        spec = bounded.spec
+    assert set(SHIFTED) == set(RATIO_BOUNDS)
+    for name, spec in SHIFTED.items():
         for n in range(1, 61):
             top = max(sum(spec.arguments(n), ()))
             expected = {p: ratio_ord(p, spec, n) for p in primes_up_to(top) if p != 2}
@@ -455,13 +488,74 @@ def test_valuation_bounds_y_examples():
 
 def test_clearing_constants_divide_multipliers():
     # the constant attached to each bounded ratio absorbs all negative orders
-    for name, bounded in RATIO_BOUNDS.items():
+    for name, claim in RATIO_BOUNDS.items():
         for n in range(1, 61):
             clearing = 1
             for p, e in valuation_case_orders(name, n).items():
                 if e < 0:
                     clearing *= p ** (-e)
-            assert bounded.clearing % clearing == 0
+            assert claim.multiplier % clearing == 0
+
+
+def test_clearing_constants_give_the_anchor_bounds():
+    # the bounds the val-bounds anchor states, as -ord_p of each clearing constant
+    anchor = {
+        "S": {3: -1},
+        "t": {3: -1, 7: -1},
+        "X": {3: -1, 5: -1, 7: -1},
+        "Y": {3: -2, 11: -1, 19: -1, 23: -1},
+    }
+    got = {
+        name: {p: -e for p, e in factorize(claim.multiplier).items()}
+        for name, claim in RATIO_BOUNDS.items()
+    }
+    assert got == anchor
+    assert [RATIO_BOUNDS[name].multiplier for name in "StXY"] == [3, 21, 105, 43263]
+
+
+def _with_clearing(monkeypatch, name, clearing):
+    """RATIO_BOUNDS with the named ratio's clearing constant replaced; returns its claim."""
+    claim = dataclasses.replace(RATIO_BOUNDS[name], multiplier=clearing)
+    monkeypatch.setitem(RATIO_BOUNDS, name, claim)
+    return claim
+
+
+def test_scan_reaches_a_modulus_prime_above_every_base_argument(monkeypatch):
+    # at n = 1 Y's modulus 19 is a prime above every argument of G (15, 10, 4, 3, 2)
+    claim = _with_clearing(monkeypatch, "Y", 43263 // 19)
+    assert max(sum(claim.base.arguments(1), ())) < 19 == claim.modulus_form(1)
+    assert not valuation_verdict(claim, 1) and not check_divisibility(claim, 1)
+    assert check_valuation_bounds("Y", 1) == [
+        {"ratio": "Y", "p": 19, "order": -1, "bound": 0},
+        {"ratio": "Y", "clearing_needed": 19, "constant": 2277},
+    ]
+
+
+# (ratio, lowered clearing constant) -> the first n where it fails
+FIRST_FAILURE = {("S", 1): 3, ("X", 21): 4, ("Y", 2277): 1}
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_BOUNDS))
+def test_lowered_clearing_constants_fail_by_every_route(monkeypatch, name):
+    """Negative controls: each clearing constant divided by one of its primes,
+    and 1.  The valuation verdict, the big-integer division and the odd-prime
+    scan agree at every n <= 300, and each variant fails somewhere."""
+    clearing = RATIO_BOUNDS[name].multiplier
+    for lowered in sorted({clearing // p for p in factorize(clearing)} | {1}):
+        claim = _with_clearing(monkeypatch, name, lowered)
+        failing = []
+        for n in range(1, 301):
+            verdict = valuation_verdict(claim, n)
+            assert verdict == check_divisibility(claim, n), (name, lowered, n)
+            bad = check_valuation_bounds(name, n)
+            assert verdict == (bad == []), (name, lowered, n)
+            if not verdict:
+                failing.append(n)
+                # the scan names the failing primes, each a prime of the modulus
+                primes = {b["p"] for b in bad if "p" in b}
+                assert primes and claim.modulus_form(n) % prod(primes) == 0, (name, lowered, n)
+        assert failing, (name, lowered)
+        assert failing[0] == FIRST_FAILURE.get((name, lowered), failing[0]), (name, lowered)
 
 
 def test_two_binomial_conjecture_examples():

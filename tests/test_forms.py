@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from factratio.divisibility import RATIO_BOUNDS, S_RATIO
+from factratio.divisibility import S_RATIO
 from factratio.forms import BalancedRatio, LinearForm, form
 
 
@@ -53,19 +53,3 @@ def test_replace_with_pairs_gives_linear_forms():
     assert spec.single_num == (LinearForm(0, 3),) and spec.single_den == (LinearForm(2, 1),)
     assert all(type(f) is LinearForm for f in spec.single_num + spec.single_den)
     assert spec.numerator == S_RATIO.numerator and spec.num_coeffs == S_RATIO.num_coeffs
-
-
-@pytest.mark.parametrize(
-    "name, num, den",
-    [
-        ("S", [(2, 2), (6, 0), (1, 0)], [(2, 3), (3, 0), (2, 0), (2, 0)]),
-        ("t", [(10, 2), (15, 0), (2, 0)], [(10, 3), (10, 0), (4, 0), (3, 0)]),
-        ("X", [(2, 6), (6, 0), (1, 0)], [(2, 7), (3, 0), (2, 0), (2, 0)]),
-        ("Y", [(10, 8), (15, 0), (2, 0)], [(10, 9), (10, 0), (4, 0), (3, 0)]),
-    ],
-)
-def test_shifted_bound_specs_block_for_block(name, num, den):
-    """(M-1)! on top and M! below come first, then the base's blocks in order."""
-    spec = RATIO_BOUNDS[name].spec
-    assert spec == BalancedRatio(num, den)
-    assert (spec.numerator, spec.denominator) == (tuple(num), tuple(den))

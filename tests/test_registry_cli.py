@@ -1096,6 +1096,7 @@ DUAL_ROUTE_IDS = {
     "lem-5.1",
     "lem-5.2",
     "parity-power-of-2",
+    "val-bounds",
 }
 
 

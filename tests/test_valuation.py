@@ -18,7 +18,7 @@ from factratio import (
     ratio_ord2_run,
 )
 from factratio import valuation
-from factratio.divisibility import RATIO_BOUNDS, S_RATIO, T_RATIO
+from factratio.divisibility import S_RATIO, T_RATIO
 from factratio.floors import STEP_6_1, divisors_of
 
 
@@ -207,11 +207,17 @@ def test_profile_lists_every_prime_up_to_max_argument():
     assert valuation.orders_at([above], *S_RATIO.arguments(3)) == {above: 0}
 
 
-# the four shifted companion ratios of the valuation case bounds
-SHIFTED = [bounded.spec for bounded in RATIO_BOUNDS.values()]
+# the four shifted companion ratios (M-1)! B / M! of the valuation case
+# bounds, B = W = (6n)!n!/((3n)!(2n)!^2) or G = (15n)!(2n)!/((10n)!(4n)!(3n)!)
+SHIFTED = {
+    "S": BalancedRatio([(2, 2), (6, 0), (1, 0)], [(2, 3), (3, 0), (2, 0), (2, 0)]),
+    "t": BalancedRatio([(10, 2), (15, 0), (2, 0)], [(10, 3), (10, 0), (4, 0), (3, 0)]),
+    "X": BalancedRatio([(2, 6), (6, 0), (1, 0)], [(2, 7), (3, 0), (2, 0), (2, 0)]),
+    "Y": BalancedRatio([(10, 8), (15, 0), (2, 0)], [(10, 9), (10, 0), (4, 0), (3, 0)]),
+}
 
 
-@pytest.mark.parametrize("spec", [S_RATIO, T_RATIO, STEP_6_1] + SHIFTED)
+@pytest.mark.parametrize("spec", [S_RATIO, T_RATIO, STEP_6_1, *SHIFTED.values()])
 def test_profile_product_equals_exact_value(spec):
     """No prime above the largest factorial argument divides the ratio, so
     prod p^order over the primes up to it rebuilds the exact value."""
