@@ -46,13 +46,12 @@ the corollary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import comb, factorial, isqrt
 
 from .errors import InternalCheckError
 from .floors import STEP_6_1, STEP_15_2, landau_min
-from .forms import BalancedRatio, LinearForm, form
+from .forms import BalancedRatio, form, validated_make
 from .valuation import factorize, orders_at, primes_up_to
 
 
@@ -76,6 +75,8 @@ T_RATIO = BalancedRatio(
 
 def eval_ratio(spec: BalancedRatio, n: int) -> Fraction:
     """Exact rational value of the ratio at n."""
+    from fractions import Fraction
+
     num, den = spec.arguments(n)
     top = 1
     for v in num:
@@ -119,30 +120,31 @@ def _exact(num: int, den: int, name: str, n: int) -> int:
 # Named divisibility claims
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivisibilityClaim:
+class DivisibilityClaim(
+    namedtuple("DivisibilityClaim", "name multiplier base cofactor modulus_form value_key")
+):
     """modulus_form(n) divides multiplier * base(n) / cofactor(n) for all n >= 1.
 
     The base must be integral at every n for the valuation route to skip
     the primes outside cofactor * modulus, so it is checked here: no
     offsets, and the Landau minimum of its step function is >= 0.
+    ``value_key`` names the big-integer evaluator of base / cofactor in
+    VALUE_FUNCS.
     """
 
-    name: str
-    multiplier: int
-    base: BalancedRatio
-    cofactor: LinearForm
-    modulus_form: LinearForm
-    value_key: str  # big-integer evaluator of base / cofactor in VALUE_FUNCS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, name, multiplier, base, cofactor, modulus_form, value_key):
         # ord_p of the multiplier is read by repeated division, which never ends at 0
-        if self.multiplier < 1:
-            raise ValueError(f"{self.name}: the multiplier must be positive, not {self.multiplier}")
-        if any(o for _, o in self.base.numerator + self.base.denominator):
-            raise ValueError(f"base ratio {self.base} has offsets")
-        if landau_min(self.base) < 0:
-            raise ValueError(f"base ratio {self.base} has a negative Landau minimum")
+        if multiplier < 1:
+            raise ValueError(f"{name}: the multiplier must be positive, not {multiplier}")
+        if any(o for _, o in base.numerator + base.denominator):
+            raise ValueError(f"base ratio {base} has offsets")
+        if landau_min(base) < 0:
+            raise ValueError(f"base ratio {base} has a negative Landau minimum")
+        return tuple.__new__(cls, (name, multiplier, base, cofactor, modulus_form, value_key))
+
+    _make = validated_make
 
 
 # Fast big-integer evaluators for the claim ratios, looked up by key at each
@@ -257,6 +259,8 @@ def product_forms(a: int, b: int, m: int, n: int) -> tuple[Fraction, Fraction]:
     """
     if min(a, b, m, n) < 1:
         raise ValueError("a, b, m, n must all be positive")
+    from fractions import Fraction
+
     tail = comb(a * n + b * n, a * n)
     first = Fraction(a * b * m * comb(a * m + b * m, a * m) * tail, (a + b) * (m + n))
     second = Fraction(a * m * comb(a * m + b * m - 1, a * m) * tail, m + n)
@@ -285,6 +289,8 @@ def central_product_value(m: int, n: int, multiplier: int | None = None) -> Frac
     """c/(2(m+n)) * C(2m,m) * C(2n,n) with c = m unless given; integral for c = m."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    from fractions import Fraction
+
     c = m if multiplier is None else multiplier
     return Fraction(c * comb(2 * m, m) * comb(2 * n, n), 2 * (m + n))
 

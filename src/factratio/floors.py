@@ -31,16 +31,14 @@ constant.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 from functools import partial, reduce
 from itertools import compress, repeat
 from math import gcd, isqrt, lcm
 from operator import add, eq, floordiv, mod, mul, ne, not_, sub
 
 from .errors import InternalCheckError, PreconditionError
-from .forms import BalancedRatio, LinearForm, form
+from .forms import BalancedRatio, form
 from .valuation import factorize
 
 
@@ -77,26 +75,27 @@ def landau_min(spec: BalancedRatio) -> int:
 
 def landau_witnesses(spec: BalancedRatio) -> list[tuple[Fraction, int]]:
     """All grid points k/L attaining the minimum, ascending."""
+    from fractions import Fraction
+
     L = grid(spec)
     values = [value_at(spec, k, L) for k in range(L)]
     low = min(values)
     return [(Fraction(k, L), v) for k, v in enumerate(values) if v == low]
 
 
-@dataclass(frozen=True)
-class CongruenceIdentity:
+class CongruenceIdentity(
+    namedtuple(
+        "CongruenceIdentity", "shape divisor_form m_min surplus m_allowed", defaults=(1, None)
+    )
+):
     """An exact floor identity conditioned on m | divisor_form(n), m >= m_min.
 
     The identity reads shape(n/m) = surplus.  ``m_allowed`` restricts the
-    sweep to an explicit finite set of moduli; it models the extension
-    cases that hold only for a handful of m.
+    sweep to an explicit finite set of moduli (a frozenset, or None for
+    all m); it models the extension cases that hold only for a handful of m.
     """
 
-    shape: BalancedRatio
-    divisor_form: LinearForm
-    m_min: int
-    surplus: int = 1
-    m_allowed: frozenset[int] | None = None
+    __slots__ = ()
 
     def admits(self, m: int) -> bool:
         """Whether a divisor m lies in the identity's domain."""

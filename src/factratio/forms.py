@@ -29,7 +29,10 @@ non-negativity is checked per evaluation, not per construction.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+
+# namedtuple's own _make, which _replace calls, skips __new__; a named tuple
+# that validates in __new__ takes this one, so that _replace validates again.
+validated_make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 class LinearForm(namedtuple("LinearForm", "coeff offset")):
@@ -42,9 +45,7 @@ class LinearForm(namedtuple("LinearForm", "coeff offset")):
             raise ValueError(f"linear form requires coeff >= 0, got {coeff}")
         return tuple.__new__(cls, (coeff, offset))
 
-    @classmethod
-    def _make(cls, iterable) -> "LinearForm":  # namedtuple's _make and _replace skip __new__
-        return cls(*iterable)
+    _make = validated_make
 
     def __call__(self, n: int) -> int:
         return self.coeff * n + self.offset
@@ -61,29 +62,28 @@ def form(coeff: int, offset: int = 0) -> LinearForm:
     return LinearForm(coeff, offset)
 
 
-@dataclass(frozen=True)
-class BalancedRatio:
-    """Balanced factorial blocks and single (1 - q^g(n)) factors; each side a LinearForm tuple."""
+class BalancedRatio(namedtuple("BalancedRatio", "numerator denominator single_num single_den")):
+    """Balanced factorial blocks and single (1 - q^g(n)) factors; each side a LinearForm tuple.
 
-    numerator: tuple[LinearForm, ...]
-    denominator: tuple[LinearForm, ...]
-    single_num: tuple[LinearForm, ...] = ()
-    single_den: tuple[LinearForm, ...] = ()
-    # Block coefficients (the step-function shape), computed once for the hot loops.
-    num_coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    den_coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    The block coefficients ``num_coeffs`` and ``den_coeffs`` (the step-function
+    shape) are computed once, for the hot loops, and are not fields.
+    """
 
-    def __post_init__(self) -> None:
-        for side in ("numerator", "denominator", "single_num", "single_den"):
-            object.__setattr__(self, side, tuple(LinearForm(*p) for p in getattr(self, side)))
-        num = tuple(c for c, _ in self.numerator)
-        den = tuple(c for c, _ in self.denominator)
+    def __new__(cls, numerator, denominator, single_num=(), single_den=()) -> "BalancedRatio":
+        sides = (numerator, denominator, single_num, single_den)
+        sides = [tuple([LinearForm(*p) for p in side]) for side in sides]
+        num = tuple([c for c, _ in sides[0]])
+        den = tuple([c for c, _ in sides[1]])
         if sum(num) != sum(den):
             raise ValueError(
                 f"unbalanced factorial ratio: coefficient sums {sum(num)} != {sum(den)}"
             )
-        object.__setattr__(self, "num_coeffs", num)
-        object.__setattr__(self, "den_coeffs", den)
+        self = tuple.__new__(cls, sides)
+        self.num_coeffs = num
+        self.den_coeffs = den
+        return self
+
+    _make = validated_make
 
     def arguments(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Factorial-block arguments at n, validated non-negative."""

@@ -36,9 +36,7 @@ multiplication.  Both routes must agree wherever they are both feasible.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections import Counter, namedtuple
 from math import comb, gcd
 from operator import add, sub
 
@@ -81,14 +79,13 @@ def spec_degree(spec: BalancedRatio, n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CycloExponentVector:
+class CycloExponentVector(namedtuple("CycloExponentVector", "exponents")):
     """Exponents e_d of the cyclotomic factorization, d >= 2.
 
-    Only non-zero exponents are stored.
+    Only non-zero exponents are stored, as a dict {d: e_d}.
     """
 
-    exponents: dict[int, int]
+    __slots__ = ()
 
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self.exponents.values())
@@ -239,6 +236,8 @@ def gcd_product_spec(a: int, b: int, m: int, n: int, use_gcd: bool = True) -> Ba
 
 def gcd_product_q1_value(a: int, b: int, m: int, n: int, use_gcd: bool = True) -> Fraction:
     """q -> 1 limit of the expression: w/(m+n) * C(am+bm-1, am) * C(an+bn, an)."""
+    from fractions import Fraction
+
     w = gcd(a * m, m + n) if use_gcd else a * m
     return Fraction(
         w * comb(a * m + b * m - 1, a * m) * comb(a * n + b * n, a * n), m + n
@@ -256,18 +255,13 @@ def qbinomial_spec(n: int, k: int) -> BalancedRatio:
 # Named q-expression families swept by the harness
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QFamily:
-    """A q-expression family parameterized by the sweep variable n."""
-
-    id: str
-    spec: BalancedRatio
-    n_min: int = 1
+# A q-expression family parameterized by the sweep variable n.
+QFamily = namedtuple("QFamily", "id spec n_min", defaults=(1,))
 
 
 def _family(fid, base, single_num=(), single_den=(), n_min=1) -> QFamily:
     """base times the single factors (1 - q^(c n + o)), given as (c, o) pairs."""
-    spec = replace(base, single_num=single_num, single_den=single_den)
+    spec = base._replace(single_num=single_num, single_den=single_den)
     return QFamily(fid, spec, n_min)
 
 

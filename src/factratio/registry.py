@@ -39,10 +39,10 @@ from __future__ import annotations
 import itertools
 import math
 import reprlib
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial
 from operator import eq, not_, sub
-from typing import Callable, Iterator
 
 from . import divisibility as dv
 from . import floors
@@ -67,25 +67,12 @@ Point = tuple[int, ...]
 Result = tuple[tuple, int, int, list[dict]]
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    default: int
-    cap: int
-    minimum: int = 1
-
-
-@dataclass(frozen=True)
-class ClaimRecord:
-    id: str
-    kind: str
-    description: str
-    anchor: str
-    params: tuple[ParamSpec, ...]
-    check: Callable[["ClaimRecord", dict[str, int], int, int], Iterator[Result]]
-    box: dict[str, int] | None = field(default=None, hash=False)
-    conjecture: bool = False
-    note: str = ""
+ParamSpec = namedtuple("ParamSpec", "name default cap minimum", defaults=(1,))
+ClaimRecord = namedtuple(
+    "ClaimRecord",
+    "id kind description anchor params check box conjecture note",
+    defaults=(None, False, ""),
+)
 
 
 KINDS = (

@@ -8,29 +8,32 @@ so reruns with different worker counts produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 from .errors import UsageError
 
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass
 class RunReport:
-    claim_id: str
-    kind: str
-    description: str
-    anchor: str
-    conjecture: bool
-    ranges: dict[str, int]
-    checked: int = 0
-    passed: int = 0
-    failed: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """One claim's sweep: the record's description, the ranges and the tallies."""
+
+    def __init__(
+        self, claim_id, kind, description, anchor, conjecture, ranges,
+        checked=0, passed=0, failed=0, counterexamples=None, wall_time_s=0.0,
+    ):
+        self.claim_id = claim_id
+        self.kind = kind
+        self.description = description
+        self.anchor = anchor
+        self.conjecture = conjecture
+        self.ranges = ranges
+        self.checked = checked
+        self.passed = passed
+        self.failed = failed
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.wall_time_s = wall_time_s
 
     @property
     def ok(self) -> bool:
@@ -60,6 +63,8 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
         text = json.dumps(_json_obj(report), sort_keys=True, indent=2) + "\n"
         return text.encode()
     if fmt == "csv":
+        import csv
+
         keys = sorted({k for ce in report.counterexamples for k in ce})
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

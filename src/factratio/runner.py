@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, Iterator, NoReturn
+from collections.abc import Callable, Iterable, Iterator
 
 from .registry import ClaimRecord, check_point, get_claim, grid_size, resolve_ranges
 from .errors import InternalCheckError, UsageError
@@ -120,7 +120,7 @@ def _slices(
                 os.waitpid(pid, 0)
 
 
-def _worker(task: Callable[[int], Task], los: range, fd: int, inherited: list) -> NoReturn:
+def _worker(task: Callable[[int], Task], los: range, fd: int, inherited: list):
     """The forked side of ``_slices``: check the slices at ``los`` and
     pickle each outcome, ``(True, result)`` or ``(False, (exception,
     stack))``, to ``fd``; stop after the first exception.  It ends in

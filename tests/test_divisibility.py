@@ -1,6 +1,5 @@
 """Big-integer divisibility claims, product identities, conjecture sweeps."""
 
-import dataclasses
 import random
 import re
 import signal
@@ -178,12 +177,12 @@ def test_unsound_base_ratios_rejected():
 
 def test_valuation_route_raises_on_non_integral_ratio(monkeypatch, capsys):
     # W(n)/(4n+4) is not an integer at n = 1 (W(1) = 30)
-    bad = dataclasses.replace(CLAIMS_BY_ID["thm-1.1"][0], cofactor=form(4, 4))
+    bad = CLAIMS_BY_ID["thm-1.1"][0]._replace(cofactor=form(4, 4))
     named = f"base {STEP_6_1} over cofactor 4n+4 is not an integer at n=1"
     with pytest.raises(InternalCheckError, match=re.escape(named)):
         valuation_verdict(bad, 1)
-    record = dataclasses.replace(
-        registry.CLAIMS["thm-1.1"], check=registry._each(registry._check_divisibility_group, (bad,))
+    record = registry.CLAIMS["thm-1.1"]._replace(
+        check=registry._each(registry._check_divisibility_group, (bad,))
     )
     monkeypatch.setitem(registry.CLAIMS, "thm-1.1", record)
     assert main(["verify", "thm-1.1", "--n-max", "5"]) == 3
@@ -515,7 +514,7 @@ def test_clearing_constants_give_the_anchor_bounds():
 
 def _with_clearing(monkeypatch, name, clearing):
     """RATIO_BOUNDS with the named ratio's clearing constant replaced; returns its claim."""
-    claim = dataclasses.replace(RATIO_BOUNDS[name], multiplier=clearing)
+    claim = RATIO_BOUNDS[name]._replace(multiplier=clearing)
     monkeypatch.setitem(RATIO_BOUNDS, name, claim)
     return claim
 

@@ -1,10 +1,9 @@
 """A LinearForm is the (coeff, offset) pair, and a BalancedRatio is built from pairs."""
 
-import dataclasses
 
 import pytest
 
-from factratio.divisibility import S_RATIO
+from factratio.divisibility import CLAIMS_BY_ID, S_RATIO
 from factratio.forms import BalancedRatio, LinearForm, form
 
 
@@ -49,7 +48,19 @@ def test_ratio_from_pairs_equals_ratio_from_forms():
 
 
 def test_replace_with_pairs_gives_linear_forms():
-    spec = dataclasses.replace(S_RATIO, single_num=((0, 3),), single_den=[(2, 1)])
+    spec = S_RATIO._replace(single_num=((0, 3),), single_den=[(2, 1)])
     assert spec.single_num == (LinearForm(0, 3),) and spec.single_den == (LinearForm(2, 1),)
     assert all(type(f) is LinearForm for f in spec.single_num + spec.single_den)
     assert spec.numerator == S_RATIO.numerator and spec.num_coeffs == S_RATIO.num_coeffs
+
+
+def test_replace_validates_again():
+    """_replace goes through __new__, so it checks what the constructor checks."""
+    claim = CLAIMS_BY_ID["thm-1.1"][0]
+    with pytest.raises(ValueError, match="the multiplier must be positive, not 0"):
+        claim._replace(multiplier=0)
+    with pytest.raises(ValueError, match="has offsets"):
+        claim._replace(base=S_RATIO)
+    with pytest.raises(ValueError, match="coefficient sums 6 != 7"):
+        S_RATIO._replace(numerator=[(6, 0)])
+    assert claim._replace(multiplier=6).multiplier == 6

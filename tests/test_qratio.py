@@ -1,7 +1,6 @@
 """Cyclotomic-exponent expansion of q-ratio expressions vs the division oracle."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -115,8 +114,7 @@ def _random_q_spec(rng):
     """A balanced shape with as many numerator as denominator single factors."""
     singles = [(rng.randint(0, 3), rng.randint(1, 6)) for _ in range(rng.randint(0, 6))]
     half = len(singles) // 2
-    return replace(
-        _random_balanced_shape(rng),
+    return _random_balanced_shape(rng)._replace(
         single_num=tuple(form(c, o) for c, o in singles[:half]),
         single_den=tuple(form(c, o) for c, o in singles[half : 2 * half]),
     )

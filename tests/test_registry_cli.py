@@ -1,7 +1,6 @@
 """Claim registry, sweep runner, report serialization, CLI contract."""
 
 import ast
-import dataclasses
 import itertools
 import json
 import os
@@ -183,7 +182,7 @@ def test_checker_errors_name_claim_and_point(monkeypatch, workers):
         return registry._check_divisibility_group(claim, group, point)
 
     check = registry._each(broken, divisibility.CLAIMS_BY_ID["thm-1.1"])
-    monkeypatch.setitem(CLAIMS, "thm-1.1", dataclasses.replace(record, check=check))
+    monkeypatch.setitem(CLAIMS, "thm-1.1", record._replace(check=check))
     with pytest.raises(InternalCheckError) as info:
         run_claim("thm-1.1", {"n": 60}, workers=workers)
     assert "while checking thm-1.1 at (37,)" in info.value.__notes__
@@ -200,7 +199,7 @@ def test_checker_errors_name_claim_and_point(monkeypatch, workers):
 
 def _replace_checker(monkeypatch, claim_id, wrap):
     record = CLAIMS[claim_id]
-    monkeypatch.setitem(CLAIMS, claim_id, dataclasses.replace(record, check=wrap(record.check)))
+    monkeypatch.setitem(CLAIMS, claim_id, record._replace(check=wrap(record.check)))
 
 
 def _one_result_twice(check):
@@ -792,6 +791,24 @@ def test_one_worker_verify_imports_no_pickle_or_traceback():
     assert proc.stdout == "0 False False\n"
 
 
+def test_verify_start_up_imports_no_dataclasses_csv_fractions_or_typing():
+    """Start-up stays on cheap modules; under -S the host's site imports nothing first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from factratio.cli import main\n"
+        "status = main(['verify', 'lem-2.1', '--format', 'json'])\n"
+        "heavy = ('dataclasses', 'inspect', 'csv', 'fractions', 'decimal', 'typing')\n"
+        "print(status, [m for m in heavy if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_no_module_reads_the_environment():
     """Every setting comes from an argument: no module reads os.environ or os.getenv."""
     package = Path(factratio.__file__).resolve().parent
@@ -1139,7 +1156,7 @@ def test_oracle_boxes_are_claim_data(monkeypatch):
 
 
 # cor-1.5's parameters (m, n) with a box on both
-BOXED = dataclasses.replace(CLAIMS["cor-1.5"], box={"m": 2, "n": 10})
+BOXED = CLAIMS["cor-1.5"]._replace(box={"m": 2, "n": 10})
 
 
 @pytest.mark.parametrize(
@@ -1170,7 +1187,7 @@ def test_two_routes_without_a_box_rederives_the_failing_n():
     holds = [n not in (7, 12, 15) for n in range(1, 20)]
     calls = []
     oracle = lambda n: calls.append(n) or ((holds[n - 1],), None)
-    got = registry._two_routes(dataclasses.replace(BOXED, box=None), (2,), 1, holds, oracle)
+    got = registry._two_routes(BOXED._replace(box=None), (2,), 1, holds, oracle)
     assert calls == [7, 12, 15]
     assert got == [(n, (False,), None) for n in (7, 12, 15)]
 

@@ -10,7 +10,6 @@ exactly the concatenation of what its points report as singleton slices
 [i, i + 1), wherever the slice starts and ends.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -94,7 +93,7 @@ def _failing_floors(monkeypatch):
     printed = CongruenceIdentity(floors.STEP_15_2, form(10, 7), 7, m_allowed=frozenset({7, 13, 17}))
     identities = (*floors.IDENTITIES["lem-5.2"][:3], printed)
     check = registry._each_run(registry._check_floor_run, identities)
-    monkeypatch.setitem(registry.CLAIMS, "lem-5.2", dataclasses.replace(claim, check=check))
+    monkeypatch.setitem(registry.CLAIMS, "lem-5.2", claim._replace(check=check))
 
 
 def _product_reference(a, b, m, n, c):
